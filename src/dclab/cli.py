@@ -33,10 +33,10 @@ def _report(result) -> None:
 
 
 def _cmd_run(args) -> int:
-    from .config import ConfigError, load_config, validate_config
+    from .config import ConfigError, load_config
     from .harness import run_config
     try:
-        cfg = validate_config(load_config(args.config))
+        cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,8 +28,10 @@ def _get(d, key, path, types, required=False, default=None):
             _fail(f"{path}.{key}", "required field missing")
         return default
     v = d[key]
-    if types is not None and not isinstance(v, types):
-        tn = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+    accepted = types if isinstance(types, tuple) else (types,)
+    # bool is a subclass of int; accept it only where it is asked for
+    if not isinstance(v, accepted) or (isinstance(v, bool) and bool not in accepted):
+        tn = " or ".join(t.__name__ for t in accepted)
         _fail(f"{path}.{key}", f"expected {tn}, got {type(v).__name__}")
     return v
 
@@ -38,8 +40,6 @@ def _number(d, key, path, required=False, default=None, positive=False):
     v = _get(d, key, path, (int, float), required=required, default=default)
     if v is None:
         return None
-    if isinstance(v, bool):
-        _fail(f"{path}.{key}", "expected a number, got a boolean")
     v = float(v)
     if not math.isfinite(v):
         _fail(f"{path}.{key}", "must be finite")
@@ -106,7 +106,7 @@ def validate_config(cfg) -> dict:
         _fail("config.mesh.kind", f"must be one of {sorted(_MESH_KINDS)}")
     m["h0"] = _number(mesh, "h0", "config.mesh", required=True, positive=True)
     levels = _get(mesh, "levels", "config.mesh", int, default=1)
-    if isinstance(levels, bool) or levels < 1:
+    if levels < 1:
         _fail("config.mesh.levels", "must be an integer >= 1")
     m["levels"] = levels
     grading = _get(mesh, "grading", "config.mesh", dict, default=None)

@@ -71,15 +71,6 @@ class LocalPolar:
 
 
 @dataclass(frozen=True)
-class SingularTermSpec:
-    """One volume wedge mode: coefficient * xi_j(r) r^{m lam_j} sin(m lam_j theta)."""
-
-    corner: int
-    m: int
-    coefficient: float
-
-
-@dataclass(frozen=True)
 class SingularBoundaryData:
     """Singular Dirichlet datum concentrated at one corner.
 

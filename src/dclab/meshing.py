@@ -2,13 +2,14 @@
 
 Two generators share one mesh type:
 
-* ``triangulate`` builds an unstructured Delaunay mesh from scratch:
+* ``triangulate`` builds an unstructured conforming Delaunay mesh:
   boundary nodes spaced ~h along each side, a hexagonal interior lattice,
-  and incremental Bowyer-Watson insertion.  Interior candidates are
-  filtered out of every boundary segment's diametral disk, which makes
-  each boundary segment a Gabriel (hence Delaunay) edge, so the polygon
-  boundary is recovered by construction; triangles outside the polygon
-  are trimmed afterwards.
+  and the Delaunay triangulation of their union (Qhull, through
+  ``scipy.spatial.Delaunay``).  Interior candidates are filtered out of
+  every boundary segment's diametral disk, which makes each boundary
+  segment a Gabriel (hence Delaunay) edge, so the polygon boundary is
+  recovered by construction; triangles outside the polygon are trimmed
+  afterwards.
 
 * ``structured_mesh`` builds uniform right-isosceles lattices for the
   unit square and the L-shape.  All angles are <= 90 degrees, which is
@@ -79,140 +80,31 @@ class TriMesh:
 
 
 # ---------------------------------------------------------------------
-# Bowyer-Watson incremental Delaunay
+# Delaunay kernel
 
-class _Delaunay:
-    """Incremental Delaunay triangulation with a super-triangle.
+def _delaunay(points: np.ndarray) -> np.ndarray:
+    """Qhull Delaunay triangles of ``points``, CCW, zero-area slivers removed.
 
-    Plain-float kernel: coordinates are pre-scaled to O(1), predicates
-    use relative tolerances, cocircular ties count as "outside" which
-    keeps the triangulation valid.
+    Qhull emits slivers between collinear hull points (e.g. nodes along a
+    straight polygon side); they carry no area and would break the
+    closed-boundary check, so they are dropped by a scale-free test.
     """
+    # imported here: scipy.spatial adds ~0.1 s to ``import dclab``
+    from scipy.spatial import Delaunay, QhullError
 
-    def __init__(self, pts: np.ndarray):
-        self.n = len(pts)
-        lo = pts.min(axis=0)
-        span = float(max(np.ptp(pts, axis=0).max(), 1e-30))
-        q = (pts - lo) / span
-        self.px = q[:, 0].tolist() + [-50.0, 101.0, 0.5]
-        self.py = q[:, 1].tolist() + [-50.0, -50.0, 150.0]
-        self.tv = [(self.n, self.n + 1, self.n + 2)]
-        self.tn = [[-1, -1, -1]]
-        self.alive = [True]
-        self.last = 0
-
-    def _orient(self, a, b, c):
-        px, py = self.px, self.py
-        return ((px[b] - px[a]) * (py[c] - py[a])
-                - (py[b] - py[a]) * (px[c] - px[a]))
-
-    def _incircle(self, tri, d):
-        a, b, c = tri
-        px, py = self.px, self.py
-        adx = px[a] - px[d]
-        ady = py[a] - py[d]
-        bdx = px[b] - px[d]
-        bdy = py[b] - py[d]
-        cdx = px[c] - px[d]
-        cdy = py[c] - py[d]
-        ad = adx * adx + ady * ady
-        bd = bdx * bdx + bdy * bdy
-        cd = cdx * cdx + cdy * cdy
-        t1 = ad * (bdx * cdy - bdy * cdx)
-        t2 = bd * (adx * cdy - ady * cdx)
-        t3 = cd * (adx * bdy - ady * bdx)
-        det = t1 - t2 + t3
-        scale = abs(t1) + abs(t2) + abs(t3)
-        return det > 1e-12 * scale
-
-    def _locate(self, p):
-        t = self.last
-        if not self.alive[t]:
-            t = next(i for i in range(len(self.tv) - 1, -1, -1) if self.alive[i])
-        for _ in range(4 * len(self.tv) + 16):
-            a, b, c = self.tv[t]
-            moved = False
-            for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                if self._orient(u, v, p) < -1e-15:
-                    nb = self.tn[t][(k + 2) % 3]
-                    if nb >= 0:
-                        t = nb
-                        moved = True
-                        break
-            if not moved:
-                return t
-        # Degenerate walk; exhaustive fallback keeps determinism.
-        for t in range(len(self.tv)):
-            if not self.alive[t]:
-                continue
-            a, b, c = self.tv[t]
-            if (self._orient(a, b, p) >= -1e-15
-                    and self._orient(b, c, p) >= -1e-15
-                    and self._orient(c, a, p) >= -1e-15):
-                return t
-        raise MeshError("point location failed")
-
-    def insert(self, p: int) -> None:
-        t0 = self._locate(p)
-        cavity = {t0}
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            for nb in self.tn[t]:
-                if nb >= 0 and nb not in cavity and self._incircle(self.tv[nb], p):
-                    cavity.add(nb)
-                    stack.append(nb)
-        border = []  # (a, b, outer) with (a,b) CCW in its cavity triangle
-        for t in cavity:
-            a, b, c = self.tv[t]
-            for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                nb = self.tn[t][(k + 2) % 3]
-                if nb not in cavity or nb < 0:
-                    border.append((u, v, nb if nb is not None else -1))
-        for t in cavity:
-            self.alive[t] = False
-        start_at = {}
-        end_at = {}
-        created = []
-        for (u, v, outer) in border:
-            idx = len(self.tv)
-            self.tv.append((u, v, p))
-            self.tn.append([-1, -1, outer])
-            self.alive.append(True)
-            created.append((idx, u, v, outer))
-            start_at[u] = idx
-            end_at[v] = idx
-        for idx, u, v, outer in created:
-            self.tn[idx][0] = start_at[v]   # edge (v, p)
-            self.tn[idx][1] = end_at[u]     # edge (p, u)
-            if outer >= 0:
-                # the shared edge appears as (v, u) in the outer triangle
-                ov = self.tv[outer]
-                slots = self.tn[outer]
-                for k in range(3):
-                    if (ov[(k + 1) % 3], ov[(k + 2) % 3]) == (v, u):
-                        slots[k] = idx
-        self.last = created[-1][0]
-
-    def triangles(self) -> np.ndarray:
-        out = []
-        for t, ok in enumerate(self.alive):
-            if not ok:
-                continue
-            a, b, c = self.tv[t]
-            if a < self.n and b < self.n and c < self.n:
-                out.append((a, b, c))
-        return np.array(out, dtype=np.int64).reshape(-1, 3)
-
-
-def _delaunay(points: np.ndarray, order: np.ndarray) -> np.ndarray:
-    dt = _Delaunay(points)
     try:
-        for p in order:
-            dt.insert(int(p))
-    except KeyError as exc:  # non-star cavity from a degenerate predicate
-        raise MeshError(f"Delaunay insertion failed near point {exc}") from exc
-    return dt.triangles()
+        tris = Delaunay(points).simplices.astype(np.int64)
+    except QhullError as exc:
+        raise MeshError(f"Delaunay triangulation failed: {exc}") from exc
+    p = points[tris]
+    u = p[:, 1] - p[:, 0]
+    v = p[:, 2] - p[:, 0]
+    area2 = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    cw = area2 < 0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
+    longest2 = np.max([(u * u).sum(axis=1), (v * v).sum(axis=1),
+                       ((v - u) ** 2).sum(axis=1)], axis=0)
+    return tris[np.abs(area2) > 1e-10 * longest2]
 
 
 # ---------------------------------------------------------------------
@@ -386,7 +278,7 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
 
     for attempt in range(3):
         pts = np.vstack([bpts_g, interior_g])
-        tris = _build_trimmed(domain, pts, h)
+        tris = _build_trimmed(domain, pts)
         mesh = _finalize(domain, pts, tris, h, grading,
                          ("cdt", domain, h, grading, lattice_angle))
         if mesh.min_angle >= MIN_ANGLE_DEG or len(interior_g) == 0:
@@ -399,9 +291,8 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
     return mesh
 
 
-def _build_trimmed(domain, pts, h):
-    order = np.lexsort((pts[:, 0], np.round(pts[:, 1] / max(h, 1e-12))))
-    tris = _delaunay(pts, order)
+def _build_trimmed(domain, pts):
+    tris = _delaunay(pts)
     if len(tris) == 0:
         raise MeshError("empty triangulation")
     cent = pts[tris].mean(axis=1)
@@ -533,13 +424,13 @@ def _finalize(domain, nodes, tris, h_target, grading, provenance) -> TriMesh:
                      np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
                      np.linalg.norm(p[:, 0] - p[:, 2], axis=1)])
     h = float(lens.max())
-    min_ang = _min_angle_deg(p)
-    max_ang = _max_angle_deg(p)
+    angles = _angles_deg(p)
 
     mesh = TriMesh(domain=domain, nodes=nodes, triangles=tris,
                    h_target=h_target, grading=grading, provenance=provenance,
                    boundary_edges=bed, corner_nodes=corner_nodes, h=h,
-                   min_angle=min_ang, nonobtuse=bool(max_ang <= 90.0 + 1e-9))
+                   min_angle=float(angles.min()),
+                   nonobtuse=bool(angles.max() <= 90.0 + 1e-9))
     _check_closed_boundary(mesh)
     return mesh
 
@@ -570,14 +461,6 @@ def _seg_dist(p, a, b) -> float:
     t = float(np.dot(p - a, ab) / np.dot(ab, ab))
     t = min(1.0, max(0.0, t))
     return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def _min_angle_deg(p: np.ndarray) -> float:
-    return float(_angles_deg(p).min())
-
-
-def _max_angle_deg(p: np.ndarray) -> float:
-    return float(_angles_deg(p).max())
 
 
 def _angles_deg(p: np.ndarray) -> np.ndarray:

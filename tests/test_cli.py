@@ -73,6 +73,16 @@ def test_error_paths_carry_field_names():
         (_cfg(analysis={"s_star": 1.5}), "config.analysis.s_star"),
         (_cfg(expectations={"bogus": 1}), "config.expectations.bogus"),
         (_cfg(extra_field=1), "config.extra_field"),
+        (_cfg(mesh={"levels": True}), "config.mesh.levels"),
+        (_cfg(mesh={"h0": True}), "config.mesh.h0"),
+        (_cfg(problem={"lower": True}), "config.problem.lower"),
+        (_cfg(problem={"target": {"kind": "skew-step", "corner": True}}),
+         "config.problem.target.corner"),
+        (_cfg(problem=None, singular_data={"corner": True, "n": 1, "eta": 1.5}),
+         "config.singular_data.corner"),
+        (_cfg(problem=None, singular_data={"corner": 0, "n": True, "eta": 1.5}),
+         "config.singular_data.n"),
+        (_cfg(seed=False), "config.seed"),
     ]
     for cfg, needle in cases:
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):

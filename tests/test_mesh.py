@@ -14,6 +14,7 @@ from dclab.geometry import (
 from dclab.meshing import (
     MIN_ANGLE_DEG,
     MeshError,
+    _delaunay,
     boundary_trace_space,
     mesh_ladder,
     refine_uniform,
@@ -61,10 +62,15 @@ def test_structured_needs_dividing_h():
 # ---------------------------------------------------------------------
 # unstructured Delaunay
 
-@pytest.mark.parametrize("name,h", [("unit-square", 0.11), ("l-shape", 0.13)])
-def test_triangulate_quality(name, h):
+@pytest.mark.parametrize("name,h,angle", [
+    ("unit-square", 0.11, 0.0),
+    ("l-shape", 0.13, 0.0),
+    # below 20 degrees until one smoothing pass, which ends at 21.13
+    ("l-shape", 1 / 16, 0.011),
+], ids=["unit-square-0.11", "l-shape-0.13", "l-shape-0.0625-0.011"])
+def test_triangulate_quality(name, h, angle):
     dom = build_domain(name)
-    mesh = triangulate(dom, h)
+    mesh = triangulate(dom, h, lattice_angle=angle)
     _check_invariants(mesh)
     # actual max edge length stays near the target
     assert mesh.h <= 2.0 * h
@@ -99,6 +105,9 @@ def test_triangulate_rejects_bad_input():
         triangulate(l_shape(), 0.25, grading={2: 1.5})
     with pytest.raises(MeshError):
         triangulate(l_shape(), 0.25, grading={17: 0.5})
+    # a Qhull failure surfaces as MeshError (exit code 3), not QhullError
+    with pytest.raises(MeshError):
+        _delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------
