@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 import math
 
+from .geometry import (GeometryError, SingularBoundaryData, build_domain,
+                       validate_singular_boundary_data)
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the field."""
@@ -48,6 +51,22 @@ def _number(d, key, path, required=False, default=None, positive=False):
     return v
 
 
+def _corner_index(j, n_corners, path):
+    if not 0 <= j < n_corners:
+        _fail(path, f"corner {j} does not exist; the domain has corners "
+                    f"0..{n_corners - 1}")
+
+
+def _build_domain(out):
+    spec = out["domain"]
+    try:
+        return build_domain(spec["vertices"] if isinstance(spec, dict) else spec,
+                            r_overrides=out["corner_radii"])
+    except ValueError as exc:
+        # a GeometryError, or a malformed number in a name like "sector(x)"
+        _fail("config.domain", str(exc))
+
+
 def _corner_map(raw, path):
     out = {}
     for k, v in raw.items():
@@ -79,6 +98,16 @@ def validate_config(cfg) -> dict:
     Returns a new dict with defaults filled in; raises ConfigError with a
     field path on the first problem found.
     """
+    return resolve_config(cfg)[0]
+
+
+def resolve_config(cfg):
+    """Validate a configuration and build its domain.
+
+    Returns (normalized config, PolygonalDomain).  Every corner index the
+    config names is checked against the domain, so a run never meets an
+    out-of-range corner.
+    """
     if not isinstance(cfg, dict):
         _fail("config", "top level must be an object")
     out = {}
@@ -98,6 +127,11 @@ def validate_config(cfg) -> dict:
         out["domain"] = dom
     radii = _get(cfg, "corner_radii", "config", dict, default=None)
     out["corner_radii"] = _corner_map(radii, "config.corner_radii") if radii else None
+    domain = _build_domain(out)
+    n_corners = len(domain.corners)
+    # build_domain ignores radius overrides of corners it does not have
+    for j in out["corner_radii"] or {}:
+        _corner_index(j, n_corners, f"config.corner_radii[{j}]")
 
     mesh = _get(cfg, "mesh", "config", dict, required=True)
     m = {}
@@ -113,6 +147,7 @@ def validate_config(cfg) -> dict:
     if grading:
         g = _corner_map(grading, "config.mesh.grading")
         for j, mu in g.items():
+            _corner_index(j, n_corners, f"config.mesh.grading[{j}]")
             if not 0.0 < mu <= 1.0:
                 _fail(f"config.mesh.grading[{j}]", "exponent must lie in (0, 1]")
         if m["kind"] == "structured":
@@ -131,6 +166,7 @@ def validate_config(cfg) -> dict:
     if data is not None:
         d = {}
         corner = _get(data, "corner", "config.singular_data", int, required=True)
+        _corner_index(corner, n_corners, "config.singular_data.corner")
         d["corner"] = corner
         n = _get(data, "n", "config.singular_data", int, required=True)
         if n not in (1, 2):
@@ -139,6 +175,10 @@ def validate_config(cfg) -> dict:
         d["eta"] = _number(data, "eta", "config.singular_data", required=True)
         d["amplitude"] = _number(data, "amplitude", "config.singular_data",
                                  default=1.0)
+        try:
+            validate_singular_boundary_data(domain, SingularBoundaryData(**d))
+        except GeometryError as exc:
+            _fail("config.singular_data.eta", str(exc))
         out["singular_data"] = d
         out["problem"] = None
     else:
@@ -163,6 +203,7 @@ def validate_config(cfg) -> dict:
         else:
             t["corner"] = _get(tgt, "corner", "config.problem.target", int,
                                required=True)
+            _corner_index(t["corner"], n_corners, "config.problem.target.corner")
             t["value"] = _number(tgt, "value", "config.problem.target",
                                  default=1.0)
         p["target"] = t
@@ -183,6 +224,7 @@ def validate_config(cfg) -> dict:
     for i, j in enumerate(corners):
         if not isinstance(j, int) or isinstance(j, bool):
             _fail(f"config.analysis.corners[{i}]", "expected an integer")
+        _corner_index(j, n_corners, f"config.analysis.corners[{i}]")
     a["corners"] = list(corners)
     modes = _get(ana, "modes", "config.analysis", list, default=[1, 2])
     for i, mm in enumerate(modes):
@@ -211,7 +253,7 @@ def validate_config(cfg) -> dict:
     for k in cfg:
         if k not in known:
             _fail(f"config.{k}", "unknown field")
-    return out
+    return out, domain
 
 
 def load_config(path) -> dict:

@@ -209,9 +209,15 @@ class OptimalSolution:
     history: list = field(default_factory=list)
 
 
-def _finish(problem: ControlProblem, u, iterations, converged, method, history):
-    y = problem.state(u)
-    phi, d = problem.adjoint(y)
+def _finish(problem: ControlProblem, u, iterations, converged, method, history,
+            fields=None):
+    """Assemble the solution at u; ``fields`` = (y, phi, d_phi) already
+    computed at this very u skips re-solving for them."""
+    if fields is None:
+        y = problem.state(u)
+        phi, d = problem.adjoint(y)
+    else:
+        y, phi, d = fields
     kkt = problem.kkt_residual(u, d)
     return OptimalSolution(
         u=u, y=y, phi=phi, flux=d,
@@ -238,9 +244,12 @@ def _cg_on_subset(problem: ControlProblem, mask: np.ndarray, rhs: np.ndarray,
         full[idx] = v
         return problem.hessian_apply(full)[idx]
 
-    op = spla.LinearOperator((n, n), matvec=apply)
+    # an explicit dtype keeps scipy from probing matvec (one discarded
+    # Hessian apply, i.e. two PDE solves) to infer it
+    op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
     pre = spla.LinearOperator(
-        (n, n), matvec=lambda v: v / (problem.nu * problem.lumped[idx]))
+        (n, n), matvec=lambda v: v / (problem.nu * problem.lumped[idx]),
+        dtype=float)
     x, info = spla.cg(op, rhs[idx], x0=None if x0 is None else x0[idx],
                       rtol=CG_RTOL, atol=0.0, M=pre, maxiter=5000)
     if info != 0:
@@ -289,7 +298,8 @@ def solve_constrained(problem: ControlProblem, u0: np.ndarray | None = None,
         else:
             u = u_fix
 
-        _, d = problem.adjoint(problem.state(u))
+        y = problem.state(u)
+        phi, d = problem.adjoint(y)
         cand = d / problem.nu
         new_a = cand < lo
         new_b = cand > hi
@@ -301,8 +311,9 @@ def solve_constrained(problem: ControlProblem, u0: np.ndarray | None = None,
         key = (new_a.tobytes(), new_b.tobytes())
         if (np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
                 and kkt.satisfied):
-            return _finish(problem, np.clip(u, lo, hi), it, True,
-                           "pdas", history)
+            uc = np.clip(u, lo, hi)
+            fields = (y, phi, d) if np.array_equal(uc, u) else None
+            return _finish(problem, uc, it, True, "pdas", history, fields)
         if key in seen:
             # cycling: fall back to the globally convergent method
             return _projected_gradient(problem, np.clip(u, lo, hi),
@@ -322,12 +333,12 @@ def _projected_gradient(problem: ControlProblem, u: np.ndarray, history,
     step = 1.0 / problem.nu
     it = 0
     for it in range(1, max_iter + 1):
-        g, _, _, d = problem.gradient(u)
+        g, y, phi, d = problem.gradient(u)
         # Riesz representative of the gradient in the lumped metric
         gr = g / problem.lumped
         kkt = problem.kkt_residual(u, d)
         if kkt.satisfied:
-            return _finish(problem, u, it, True, "pg", history)
+            return _finish(problem, u, it, True, "pg", history, (y, phi, d))
         s = step
         for _ in range(60):
             cand = np.clip(u - s * gr, lo, hi)

@@ -211,7 +211,10 @@ class FemSystem:
 
     Attributes: A (stiffness), M (mass), trace (boundary structure),
     interior/boundary index arrays.  The LU factorization of the interior
-    block A_II is computed on first use and reused by every solve.
+    block A_II is computed on first use and reused by every solve.  A_II
+    is symmetric, so its columns are ordered by minimum degree on the
+    pattern of A + A^T, which gives a sparser factor (and cheaper solves)
+    than SuperLU's default COLAMD ordering of A^T A.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -230,7 +233,7 @@ class FemSystem:
     @property
     def lu(self):
         if self._lu is None:
-            self._lu = spla.splu(self._aii)
+            self._lu = spla.splu(self._aii, permc_spec="MMD_AT_PLUS_A")
         return self._lu
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:

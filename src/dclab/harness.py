@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import validate_config
+from .config import resolve_config
 from .control import (CallableTarget, ConstantTarget, ControlError,
                       ControlProblem, solve_constrained, solve_unconstrained)
 from .exports import (write_boundary_csv, write_extraction_csv,
                       write_field_csv, write_gnuplot_script,
                       write_iteration_csv, write_mesh_csv, write_summary)
 from .fem import DiscontinuityLine, FemError, FemSystem, solve_dirichlet
-from .geometry import UNBOUNDED, SingularBoundaryData, build_domain
+from .geometry import UNBOUNDED, SingularBoundaryData
 from .meshing import (MeshError, boundary_trace_space, structured_mesh,
                       triangulate)
 from .singular import (AnalysisError, classify_H_sets,
@@ -75,13 +75,6 @@ class RunResult:
 
 def _g6(x) -> str:
     return format(float(x), ".6g")
-
-
-def _make_domain(cfg):
-    spec = cfg["domain"]
-    if isinstance(spec, dict):
-        return build_domain(spec["vertices"], r_overrides=cfg["corner_radii"])
-    return build_domain(spec, r_overrides=cfg["corner_radii"])
 
 
 def _make_mesh(domain, cfg, level):
@@ -618,13 +611,12 @@ def _write_trends_csv(path, cfg, levels):
 
 def run_config(cfg, outdir) -> RunResult:
     """Execute one configuration and write its artifacts into outdir."""
-    cfg = validate_config(cfg)
+    cfg, domain = resolve_config(cfg)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "config.json"), "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    domain = _make_domain(cfg)
     levels = []
     try:
         for k in range(cfg["mesh"]["levels"]):

@@ -389,11 +389,6 @@ def _finalize(domain, nodes, tris, h_target, grading, provenance) -> TriMesh:
         raise MeshError(
             f"triangle areas sum to {areas.sum()!r}, domain area {domain.area!r}")
 
-    edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    skey = np.sort(edges, axis=1)
-    uniq, counts = np.unique(skey, axis=0, return_counts=True)
-    if np.any(counts > 2):
-        raise MeshError("non-conforming mesh: edge shared by >2 triangles")
     used = np.zeros(len(nodes), dtype=bool)
     used[tris.ravel()] = True
     if not used.all():
@@ -402,14 +397,14 @@ def _finalize(domain, nodes, tris, h_target, grading, provenance) -> TriMesh:
         remap[used] = np.arange(used.sum())
         nodes = nodes[used]
         tris = remap[tris]
-        edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        skey = np.sort(edges, axis=1)
-        uniq, counts = np.unique(skey, axis=0, return_counts=True)
+    edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    _, inv, counts = np.unique(np.sort(edges, axis=1), axis=0,
+                               return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        raise MeshError("non-conforming mesh: edge shared by >2 triangles")
 
     # boundary edges: appear in exactly one triangle, oriented as stored
-    once = {tuple(e) for e, c in zip(uniq, counts) if c == 1}
-    bedges = [tuple(e) for e in edges if (min(e), max(e)) in once]
-    bed = _tag_sides(domain, nodes, bedges)
+    bed = _tag_sides(domain, nodes, edges[counts[inv] == 1])
 
     corner_nodes = {}
     for j, c in enumerate(domain.corners):
@@ -436,31 +431,23 @@ def _finalize(domain, nodes, tris, h_target, grading, provenance) -> TriMesh:
 
 
 def _tag_sides(domain, nodes, bedges) -> np.ndarray:
+    """(a, b, side) rows: each edge gets the first polygon side that lies
+    within 1e-9 of its length of both endpoints and the midpoint."""
+    a, b = nodes[bedges[:, 0]], nodes[bedges[:, 1]]
+    pts = np.stack([0.5 * (a + b), a, b])
     verts = domain.vertices
     M = len(verts)
-    out = []
-    for (a, b) in bedges:
-        mid = 0.5 * (nodes[a] + nodes[b])
-        side = -1
-        for j in range(M):
-            p, q = verts[j], verts[(j + 1) % M]
-            L = np.linalg.norm(q - p)
-            if (_seg_dist(mid, p, q) <= 1e-9 * L
-                    and _seg_dist(nodes[a], p, q) <= 1e-9 * L
-                    and _seg_dist(nodes[b], p, q) <= 1e-9 * L):
-                side = j
-                break
-        if side < 0:
-            raise MeshError("boundary edge not on any polygon side")
-        out.append((a, b, side))
-    return np.array(out, dtype=np.int64).reshape(-1, 3)
-
-
-def _seg_dist(p, a, b) -> float:
-    ab = b - a
-    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    side = np.full(len(bedges), -1, dtype=np.int64)
+    for j in range(M):
+        p, q = verts[j], verts[(j + 1) % M]
+        pq = q - p
+        t = np.clip((pts - p) @ pq / (pq @ pq), 0.0, 1.0)
+        dist = np.linalg.norm(pts - (p + t[..., None] * pq), axis=-1)
+        on = (dist <= 1e-9 * np.linalg.norm(pq)).all(axis=0)
+        side[(side < 0) & on] = j
+    if np.any(side < 0):
+        raise MeshError("boundary edge not on any polygon side")
+    return np.column_stack([bedges, side])
 
 
 def _angles_deg(p: np.ndarray) -> np.ndarray:

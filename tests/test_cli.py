@@ -8,6 +8,7 @@ byte-identical across reruns of the same configuration.
 import copy
 import json
 import os
+import re
 
 import pytest
 
@@ -83,9 +84,25 @@ def test_error_paths_carry_field_names():
         (_cfg(problem=None, singular_data={"corner": 0, "n": True, "eta": 1.5}),
          "config.singular_data.n"),
         (_cfg(seed=False), "config.seed"),
+        # corner indices are range-checked against the built domain
+        (_cfg(analysis={"corners": [7]}), "config.analysis.corners[0]"),
+        (_cfg(analysis={"corners": [0, -1]}), "config.analysis.corners[1]"),
+        (_cfg(problem={"target": {"kind": "skew-step", "corner": 4}}),
+         "config.problem.target.corner"),
+        (_cfg(problem=None, singular_data={"corner": 5, "n": 1, "eta": 1.5}),
+         "config.singular_data.corner"),
+        (_cfg(problem=None, singular_data={"corner": 0, "n": 1, "eta": 2.0}),
+         "config.singular_data.eta"),
+        (_cfg(corner_radii={"9": 0.1}), "config.corner_radii[9]"),
+        (_cfg(mesh={"kind": "triangulated", "grading": {"4": 0.5}}),
+         "config.mesh.grading[4]"),
+        (_cfg(domain="hexagon"), "config.domain"),
+        (_cfg(domain="sector(x)"), "config.domain"),
+        (_cfg(domain={"vertices": [[0, 0], [0, 1], [1, 1], [1, 0]]}),
+         "config.domain"),
     ]
     for cfg, needle in cases:
-        with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
+        with pytest.raises(ConfigError, match=re.escape(needle)):
             validate_config(cfg)
 
 
@@ -194,6 +211,9 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
                              "mesh": {"h0": 0.25}}))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    p.write_text(json.dumps(_cfg(analysis={"corners": [7]})))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config.analysis.corners[0]" in capsys.readouterr().err
     assert main(["preset", "no-such"]) == 2
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from dclab.geometry import UNBOUNDED, l_shape, unit_square
@@ -16,6 +17,7 @@ from dclab.control import (
     NodalTarget,
     solve_constrained,
     solve_unconstrained,
+    _cg_on_subset,
     _projected_gradient,
 )
 
@@ -165,6 +167,43 @@ def test_active_bounds_have_correct_multiplier_sign(boxed_problem):
     assert np.all(cand[act] >= boxed_problem.upper[act] - 1e-10)
     inact = ~(sol.active_lower | sol.active_upper)
     assert np.abs(sol.u[inact] - cand[inact]).max() < KKT_TOL
+
+
+def test_cg_makes_no_discarded_hessian_applies(boxed_problem, monkeypatch):
+    # from a nonzero start CG applies the Hessian once for the initial
+    # residual and once per iteration, and for nothing else
+    p = boxed_problem
+    nb = p.system.trace.n
+    g0, _, _, _ = p.gradient(np.zeros(nb))
+    applies, iterations = [], []
+    hess = p.hessian_apply
+    monkeypatch.setattr(p, "hessian_apply",
+                        lambda v: applies.append(1) or hess(v))
+    cg = spla.cg
+    monkeypatch.setattr(spla, "cg", lambda *a, **kw: cg(
+        *a, callback=lambda xk: iterations.append(1), **kw))
+    mask = np.arange(nb) % 3 != 0
+    _cg_on_subset(p, mask, -g0, x0=np.full(nb, 0.1))
+    assert iterations
+    assert len(applies) <= len(iterations) + 1
+
+
+def test_converged_pdas_fields_match_fresh_solves(boxed_problem, monkeypatch):
+    p = boxed_problem
+    controls = []
+    state = p.state
+    monkeypatch.setattr(p, "state", lambda u: controls.append(u.copy())
+                        or state(u))
+    sol = solve_constrained(p)
+    monkeypatch.undo()
+    assert sol.converged and sol.method == "pdas"
+    # the last PDAS iterate's fields are reused, not solved for again
+    assert not np.array_equal(controls[-1], controls[-2])
+    y = p.state(sol.u)
+    phi, d = p.adjoint(y)
+    assert np.array_equal(sol.y.values, y.values)
+    assert np.array_equal(sol.phi.values, phi.values)
+    assert np.array_equal(sol.flux, d)
 
 
 def test_projected_gradient_is_monotone(boxed_problem):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,18 @@ def test_stiffness_structure():
     assert (A != A.T).nnz == 0
     # constants are in the kernel
     assert np.abs(A @ np.ones(mesh.n_nodes)).max() < 1e-12
+
+
+def test_interior_factor_uses_symmetric_ordering():
+    # minimum degree on A + A^T fills less than SuperLU's COLAMD default
+    system = FemSystem(structured_mesh(l_shape(), 1.0 / 64.0))
+    lu = system.lu
+    colamd = spla.splu(system._aii)
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    b = np.random.default_rng(0).normal(size=system._aii.shape[0])
+    x = system.solve_interior(b)
+    assert (np.linalg.norm(system._aii @ x - b)
+            <= 1e-12 * np.linalg.norm(b))
 
 
 def test_mass_total():
