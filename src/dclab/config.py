@@ -9,8 +9,10 @@ into pass/fail verdicts.  Validation reports the offending field path.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
+from .expectations import (BOOL, CORNERS, FACTOR, FLAT_VERDICTS, RANGE,
+                           TABLE, VERDICT)
 from .geometry import (GeometryError, SingularBoundaryData, build_domain,
                        validate_singular_boundary_data)
 
@@ -43,9 +45,10 @@ def _number(d, key, path, required=False, default=None, positive=False):
     v = _get(d, key, path, (int, float), required=required, default=default)
     if v is None:
         return None
-    v = float(v)
-    if not math.isfinite(v):
+    # also rejects an int too large for a float, which float() cannot take
+    if not abs(v) <= sys.float_info.max:
         _fail(f"{path}.{key}", "must be finite")
+    v = float(v)
     if positive and v <= 0.0:
         _fail(f"{path}.{key}", "must be positive")
     return v
@@ -55,6 +58,14 @@ def _corner_index(j, n_corners, path):
     if not 0 <= j < n_corners:
         _fail(path, f"corner {j} does not exist; the domain has corners "
                     f"0..{n_corners - 1}")
+
+
+def _corner_list(corners, n_corners, path):
+    for i, j in enumerate(corners):
+        if not isinstance(j, int) or isinstance(j, bool):
+            _fail(f"{path}[{i}]", "expected an integer")
+        _corner_index(j, n_corners, f"{path}[{i}]")
+    return list(corners)
 
 
 def _build_domain(out):
@@ -84,12 +95,37 @@ _TARGET_KINDS = {"constant", "skew-step"}
 _SOLVE_MODES = {"constrained", "unconstrained", "both"}
 _MESH_KINDS = {"triangulated", "structured"}
 
-_EXPECTATION_KEYS = {
-    "control_max", "kkt_max", "flat_verdict", "flat_radius_stable",
-    "sign_consistent", "slope_range", "twin_bounded", "c1_decay_factor",
-    "c2_stable_within", "c1_min", "c1_stable_within", "structure_decays",
-    "holder_ratio_max", "expansion_ok", "max_principle", "h2",
-}
+
+def _expectations(raw, n_corners):
+    """Check each expectation value against the kind its table entry names."""
+    path = "config.expectations"
+    out = {}
+    for key, v in raw.items():
+        where = f"{path}.{key}"
+        if key not in TABLE:
+            _fail(where, "unknown expectation")
+        if v is None:  # an explicit null counts as absent, as in _get
+            continue
+        kind = TABLE[key][0]
+        if kind == BOOL:
+            _get(raw, key, path, bool)
+        elif kind == VERDICT:
+            if _get(raw, key, path, str) not in FLAT_VERDICTS:
+                _fail(where, f"must be one of {list(FLAT_VERDICTS)}")
+        elif kind == RANGE:
+            if len(_get(raw, key, path, list)) != 2:
+                _fail(where, "expected [lo, hi]")
+            v = [_number({key: x}, key, path, required=True) for x in v]
+            if v[0] > v[1]:
+                _fail(where, "lo exceeds hi")
+        elif kind == CORNERS:
+            v = _corner_list(_get(raw, key, path, list), n_corners, where)
+        else:
+            v = _number(raw, key, path, positive=kind == FACTOR)
+            if v < 0.0:
+                _fail(where, "must be non-negative")
+        out[key] = v
+    return out
 
 
 def validate_config(cfg) -> dict:
@@ -220,12 +256,9 @@ def resolve_config(cfg):
 
     ana = _get(cfg, "analysis", "config", dict, default=None) or {}
     a = {}
-    corners = _get(ana, "corners", "config.analysis", list, default=[])
-    for i, j in enumerate(corners):
-        if not isinstance(j, int) or isinstance(j, bool):
-            _fail(f"config.analysis.corners[{i}]", "expected an integer")
-        _corner_index(j, n_corners, f"config.analysis.corners[{i}]")
-    a["corners"] = list(corners)
+    a["corners"] = _corner_list(
+        _get(ana, "corners", "config.analysis", list, default=[]), n_corners,
+        "config.analysis.corners")
     modes = _get(ana, "modes", "config.analysis", list, default=[1, 2])
     for i, mm in enumerate(modes):
         if not isinstance(mm, int) or isinstance(mm, bool) or mm < 1:
@@ -241,15 +274,10 @@ def resolve_config(cfg):
     out["analysis"] = a
 
     exp = _get(cfg, "expectations", "config", dict, default=None) or {}
-    for k in exp:
-        if k not in _EXPECTATION_KEYS:
-            _fail(f"config.expectations.{k}", "unknown expectation")
-    out["expectations"] = dict(exp)
-
-    out["seed"] = _get(cfg, "seed", "config", int, default=0)
+    out["expectations"] = _expectations(exp, n_corners)
 
     known = {"name", "domain", "corner_radii", "mesh", "problem",
-             "singular_data", "analysis", "expectations", "seed"}
+             "singular_data", "analysis", "expectations"}
     for k in cfg:
         if k not in known:
             _fail(f"config.{k}", "unknown field")

@@ -21,7 +21,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_rows(path, header, rows):
+def write_rows(path, header, rows):
+    """CSV with a header row; floats at repr-level precision."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -30,11 +31,11 @@ def _write_rows(path, header, rows):
 
 
 def write_mesh_csv(outdir, mesh: TriMesh) -> None:
-    _write_rows(os.path.join(outdir, "mesh_nodes.csv"), ["node", "x", "y"],
-                ((i, p[0], p[1]) for i, p in enumerate(mesh.nodes)))
-    _write_rows(os.path.join(outdir, "mesh_triangles.csv"),
-                ["triangle", "n0", "n1", "n2"],
-                ((i, t[0], t[1], t[2]) for i, t in enumerate(mesh.triangles)))
+    write_rows(os.path.join(outdir, "mesh_nodes.csv"), ["node", "x", "y"],
+               ((i, p[0], p[1]) for i, p in enumerate(mesh.nodes)))
+    write_rows(os.path.join(outdir, "mesh_triangles.csv"),
+               ["triangle", "n0", "n1", "n2"],
+               ((i, t[0], t[1], t[2]) for i, t in enumerate(mesh.triangles)))
 
 
 def write_field_csv(path, mesh: TriMesh, columns: dict) -> None:
@@ -43,7 +44,7 @@ def write_field_csv(path, mesh: TriMesh, columns: dict) -> None:
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
     rows = ((i, p[0], p[1], *(a[i] for a in arrays))
             for i, p in enumerate(mesh.nodes))
-    _write_rows(path, ["node", "x", "y"] + names, rows)
+    write_rows(path, ["node", "x", "y"] + names, rows)
 
 
 def write_boundary_csv(path, mesh: TriMesh, columns: dict) -> None:
@@ -57,7 +58,7 @@ def write_boundary_csv(path, mesh: TriMesh, columns: dict) -> None:
     rows = ((k, tr.node_ids[k], side[k], tr.arc[k],
              tr.points[k, 0], tr.points[k, 1], *(a[k] for a in arrays))
             for k in range(tr.n))
-    _write_rows(path, ["pos", "node", "side", "arc", "x", "y"] + names, rows)
+    write_rows(path, ["pos", "node", "side", "arc", "x", "y"] + names, rows)
 
 
 def write_iteration_csv(path, history) -> None:
@@ -67,8 +68,8 @@ def write_iteration_csv(path, history) -> None:
         rows.append((rec.get("iteration", ""), rec.get("active_lower", ""),
                      rec.get("active_upper", ""), rec.get("pg_objective", ""),
                      rec.get("kkt", "")))
-    _write_rows(path, ["iteration", "active_lower", "active_upper",
-                       "objective", "kkt"], rows)
+    write_rows(path, ["iteration", "active_lower", "active_upper",
+                      "objective", "kkt"], rows)
 
 
 def write_extraction_csv(path, fits) -> None:
@@ -80,8 +81,8 @@ def write_extraction_csv(path, fits) -> None:
             for m in sorted(fit.coefficients):
                 rows.append((level, j, m, fit.coefficients[m], fit.residual,
                              fit.annulus[0], fit.annulus[1], fit.n_nodes))
-    _write_rows(path, ["level", "corner", "mode", "coefficient", "residual",
-                       "annulus_lo", "annulus_hi", "n_nodes"], rows)
+    write_rows(path, ["level", "corner", "mode", "coefficient", "residual",
+                      "annulus_lo", "annulus_hi", "n_nodes"], rows)
 
 
 def write_gnuplot_script(path, n_levels: int, title: str) -> None:

@@ -5,7 +5,8 @@ gets a freshly generated mesh at h0 / 2^k (so corner grading deepens with
 h rather than being frozen at the coarse level), the requested solves and
 per-corner diagnostics run on it, and deterministic CSV artifacts are
 written.  After the ladder, cross-level trends are computed and the
-configured expectations are turned into PASS/FAIL verdict lines.
+expectation table (dclab.expectations) grades the configured expectations
+into PASS/FAIL verdict lines.
 
 Exit codes follow the CLI convention: 0 all expectations hold, 1 some
 verdict failed, 3 a solver or mesh generator failed.  Config errors (2)
@@ -24,10 +25,13 @@ import numpy as np
 from .config import resolve_config
 from .control import (CallableTarget, ConstantTarget, ControlError,
                       ControlProblem, solve_constrained, solve_unconstrained)
+from .expectations import evaluate, g6
 from .exports import (write_boundary_csv, write_extraction_csv,
                       write_field_csv, write_gnuplot_script,
-                      write_iteration_csv, write_mesh_csv, write_summary)
-from .fem import DiscontinuityLine, FemError, FemSystem, solve_dirichlet
+                      write_iteration_csv, write_mesh_csv, write_rows,
+                      write_summary)
+from .fem import (DiscontinuityLine, FemError, FemSystem, check_max_principle,
+                  solve_dirichlet)
 from .geometry import UNBOUNDED, SingularBoundaryData
 from .meshing import (MeshError, boundary_trace_space, structured_mesh,
                       triangulate)
@@ -37,9 +41,6 @@ from .singular import (AnalysisError, classify_H_sets,
                        predicted_control_terms, singular_boundary_values,
                        structural_fit_control, structure_refinement_trend,
                        verify_singular_expansion, wedge_lift)
-
-#: allowed relative excess of max|y| over max|u| in the maximum principle
-MAX_PRINCIPLE_SLACK = 1e-10
 
 
 @dataclass
@@ -73,10 +74,6 @@ class RunResult:
     error: str | None = None
 
 
-def _g6(x) -> str:
-    return format(float(x), ".6g")
-
-
 def _make_mesh(domain, cfg, level):
     m = cfg["mesh"]
     h = m["h0"] / 2.0 ** level
@@ -105,21 +102,17 @@ def _make_target(domain, tcfg):
     return CallableTarget(fn, discontinuity=line)
 
 
-def _solve_summary(sol):
-    u = np.asarray(sol.u, dtype=float)
-    y = sol.y.values
-    max_u = float(np.max(np.abs(u)))
-    max_y = float(np.max(np.abs(y)))
+def _solve_summary(system, sol):
+    mp = check_max_principle(system, sol.y)
     return {
         "iterations": sol.iterations,
         "converged": sol.converged,
         "method": sol.method,
         "kkt": sol.kkt.stationarity_max,
         "feasibility": sol.kkt.feasibility,
-        "max_u": max_u,
-        "max_y": max_y,
-        "max_principle_ok": max_y <= max_u * (1.0 + MAX_PRINCIPLE_SLACK)
-        + 1e-14,
+        "max_u": float(np.max(np.abs(np.asarray(sol.u, dtype=float)))),
+        "max_principle_ok": mp.satisfied,
+        "max_principle_violation": mp.violation,
         "objective": sol.objective,
     }
 
@@ -170,7 +163,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
         if mode == "both" else None
 
     for tag, sol in sols.items():
-        rec.solves[tag] = _solve_summary(sol)
+        rec.solves[tag] = _solve_summary(system, sol)
         if not sol.converged:
             raise ControlError(f"{tag} solve did not converge at level "
                                f"{rec.index}")
@@ -276,26 +269,23 @@ def _run_singular_level(domain, mesh, cfg, rec, leveldir):
 
 def _collect_trends(domain, cfg, levels):
     ana = cfg["analysis"]
-    trends = {"coeff": {}, "flat_radius": {}, "slope": {}, "holder": {},
-              "structure": {}, "profile_diffs": []}
+    trends = {"coeff": {}, "flatness": {}, "flat_radius": {}, "slope": {},
+              "holder": {}, "structure": {}, "profile_diffs": []}
 
     history = [rec.fits for rec in levels if rec.fits]
     if history:
         trends["h_sets"] = classify_H_sets(domain, ana["s_star"], history)
 
     for j in ana["corners"]:
-        per_mode = {}
-        for m in ana["modes"]:
-            vals = []
-            for rec in levels:
-                fit = rec.fits.get(j)
-                if fit is None or m not in fit.coefficients:
-                    continue
-                cm = fit.coefficients[m]
-                if not math.isnan(cm):
-                    vals.append(cm)
-            per_mode[m] = vals
-        trends["coeff"][j] = per_mode
+        fits = [rec.fits[j] for rec in levels if j in rec.fits]
+        trends["coeff"][j] = {
+            m: [f.coefficients[m] for f in fits
+                if not math.isnan(f.coefficients.get(m, math.nan))]
+            for m in ana["modes"]}
+        latest = [(rec.index, rec.flatness[j]) for rec in levels
+                  if j in rec.flatness]
+        if latest:
+            trends["flatness"][j] = latest[-1]
         trends["flat_radius"][j] = [
             rec.flatness[j].radius if j in rec.flatness else None
             for rec in levels]
@@ -317,191 +307,6 @@ def _collect_trends(domain, cfg, levels):
     for a, b in zip(profiles, profiles[1:]):
         trends["profile_diffs"].append(_profile_diff(a, b))
     return trends
-
-
-def _check(label, ok, detail):
-    return (label, bool(ok), detail)
-
-
-def _evaluate(cfg, levels, trends):
-    """Turn the configured expectations into verdict rows."""
-    exp = cfg["expectations"]
-    ana = cfg["analysis"]
-    rows = []
-    solved = [(rec, tag, s) for rec in levels
-              for tag, s in sorted(rec.solves.items())]
-
-    if "control_max" in exp:
-        worst = max((s["max_u"] for _, _, s in solved), default=math.nan)
-        rows.append(_check("control_max", worst <= exp["control_max"],
-                           f"max |u| = {_g6(worst)} (tol "
-                           f"{_g6(exp['control_max'])})"))
-    if "kkt_max" in exp:
-        worst = max((s["kkt"] for _, _, s in solved), default=math.nan)
-        rows.append(_check("kkt_max", worst <= exp["kkt_max"],
-                           f"max stationarity = {_g6(worst)} (tol "
-                           f"{_g6(exp['kkt_max'])})"))
-    if "max_principle" in exp:
-        bad = [(rec.index, tag) for rec, tag, s in solved
-               if not s["max_principle_ok"]]
-        ok = not bad and bool(solved)
-        detail = "max |y| <= max |u| in every solve" if ok else \
-            f"violated at {bad}"
-        rows.append(_check("max_principle", ok == bool(exp["max_principle"]),
-                           detail))
-
-    if "flat_verdict" in exp:
-        want = exp["flat_verdict"]
-        got, det = None, "no flatness data"
-        for j in ana["corners"]:
-            for rec in reversed(levels):
-                if j in rec.flatness:
-                    v = rec.flatness[j]
-                    got = v.verdict
-                    det = (f"corner {j} level {rec.index}: {v.verdict}, "
-                           f"radius {_g6(v.radius)}")
-                    break
-            if got is not None:
-                break
-        rows.append(_check("flat_verdict", got == want,
-                           det + f" (expected {want})"))
-    if "flat_radius_stable" in exp:
-        tol = exp["flat_radius_stable"]
-        ok, det = False, "fewer than 2 flatness radii"
-        for j in ana["corners"]:
-            radii = [r for r in trends["flat_radius"].get(j, []) if r]
-            if len(radii) >= 2 and radii[-2] > 0:
-                change = abs(radii[-1] - radii[-2]) / radii[-2]
-                ok = change <= tol
-                det = (f"corner {j} radii {[_g6(r) for r in radii]}, last "
-                       f"change {_g6(100 * change)}% (tol {_g6(100 * tol)}%)")
-        rows.append(_check("flat_radius_stable", ok, det))
-    if "sign_consistent" in exp:
-        ok, det = False, "no flatness data"
-        for j in ana["corners"]:
-            for rec in reversed(levels):
-                if j in rec.flatness:
-                    v = rec.flatness[j]
-                    ok = v.consistent and not v.contradiction
-                    det = (f"corner {j}: verdict {v.verdict}, predicted "
-                           f"bound {v.predicted_bound}")
-                    break
-        rows.append(_check("sign_consistent", ok == exp["sign_consistent"],
-                           det))
-
-    if "slope_range" in exp:
-        lo, hi = exp["slope_range"]
-        ok, det = False, "no slope measured"
-        for j in ana["corners"]:
-            if j in trends["slope"]:
-                s = trends["slope"][j]
-                ok = lo <= s <= hi
-                det = (f"corner {j} log-log slope {_g6(s)} "
-                       f"(range [{_g6(lo)}, {_g6(hi)}])")
-        rows.append(_check("slope_range", ok, det))
-    if "twin_bounded" in exp:
-        prob = cfg["problem"]
-        cap = max(abs(prob["lower"] or 0.0), abs(prob["upper"] or 0.0))
-        vals = [s["max_u"] for rec in levels
-                for tag, s in rec.solves.items() if tag == "constrained"]
-        ok = bool(vals) and max(vals) <= cap * (1.0 + 1e-10)
-        det = (f"constrained max |u| per level "
-               f"{[_g6(v) for v in vals]} (bound {_g6(cap)})")
-        rows.append(_check("twin_bounded", ok == exp["twin_bounded"], det))
-
-    def c_hist(m):
-        for j in ana["corners"]:
-            vals = trends["coeff"].get(j, {}).get(m, [])
-            if vals:
-                return j, vals
-        return None, []
-
-    if "c1_decay_factor" in exp:
-        f = exp["c1_decay_factor"]
-        j, c1 = c_hist(1)
-        pairs = list(zip(c1, c1[1:]))
-        ok = bool(pairs) and all(abs(b) <= abs(a) / f for a, b in pairs)
-        det = (f"corner {j} |c1| history "
-               f"{[_g6(abs(v)) for v in c1]} (factor {_g6(f)})")
-        rows.append(_check("c1_decay_factor", ok, det))
-    if "c2_stable_within" in exp:
-        tol = exp["c2_stable_within"]
-        j, c2 = c_hist(2)
-        ok = (len(c2) >= 2 and abs(c2[0]) > 0
-              and all(abs(abs(v) - abs(c2[0])) <= tol * abs(c2[0])
-                      for v in c2))
-        det = (f"corner {j} c2 history {[_g6(v) for v in c2]} "
-               f"(tol {_g6(100 * tol)}%)")
-        rows.append(_check("c2_stable_within", ok, det))
-    if "c1_min" in exp:
-        j, c1 = c_hist(1)
-        ok = bool(c1) and min(abs(v) for v in c1) >= exp["c1_min"]
-        det = (f"corner {j} |c1| history {[_g6(abs(v)) for v in c1]} "
-               f"(floor {_g6(exp['c1_min'])})")
-        rows.append(_check("c1_min", ok, det))
-    if "c1_stable_within" in exp:
-        tol = exp["c1_stable_within"]
-        j, c1 = c_hist(1)
-        ok = (len(c1) >= 2 and abs(c1[0]) > 0
-              and all(abs(abs(v) - abs(c1[0])) <= tol * abs(c1[0])
-                      for v in c1))
-        det = (f"corner {j} c1 history {[_g6(v) for v in c1]} "
-               f"(tol {_g6(100 * tol)}%)")
-        rows.append(_check("c1_stable_within", ok, det))
-
-    if "structure_decays" in exp:
-        ok, det = False, "no structure trend"
-        for j in ana["corners"]:
-            if j in trends["structure"]:
-                ratios, decayed = trends["structure"][j]
-                ok = decayed
-                det = (f"corner {j} inner-shell remainder ratios "
-                       f"{[(_g6(r), _g6(q)) for r, q in ratios]}")
-        rows.append(_check("structure_decays", ok == exp["structure_decays"],
-                           det))
-    if "holder_ratio_max" in exp:
-        ok, det = False, "no quotient measured"
-        for j in ana["corners"]:
-            if j in trends["holder"]:
-                q_raw, q_rem = trends["holder"][j]
-                if q_raw > 1e-14:
-                    ratio = q_rem / q_raw
-                    ok = ratio <= exp["holder_ratio_max"]
-                    det = (f"corner {j} quotient {_g6(q_raw)} -> "
-                           f"{_g6(q_rem)} (ratio {_g6(ratio)}, tol "
-                           f"{_g6(exp['holder_ratio_max'])})")
-        rows.append(_check("holder_ratio_max", ok, det))
-    if "h2" in exp:
-        want = set(exp["h2"])
-        rep = trends.get("h_sets")
-        if rep is None:
-            rows.append(_check("h2", False, "no extraction history"))
-        else:
-            ok = rep.h2 == want and not rep.undetermined
-            det = (f"h2 = {sorted(rep.h2)} (expected {sorted(want)}), "
-                   f"undetermined = {sorted(rep.undetermined)}")
-            rows.append(_check("h2", ok, det))
-
-    if "expansion_ok" in exp:
-        reps = [rec.expansion for rec in levels if rec.expansion is not None]
-        if len(reps) < 2:
-            rows.append(_check("expansion_ok", False,
-                               "fewer than 2 expansion reports"))
-        else:
-            d = cfg["singular_data"]
-            sgn = 1.0 if d["n"] == 1 else -1.0
-            last = reps[-2:]
-            decay = all(r.slope > r.eta for r in last)
-            bres = all(r.boundary_residual < 1e-10 for r in last)
-            endp = all(abs(r.endpoint_value - sgn) < 1e-9 for r in last)
-            ok = decay and bres and endp
-            det = (f"slopes {[_g6(r.slope) for r in last]} vs eta "
-                   f"{_g6(d['eta'])}, boundary residual "
-                   f"{_g6(max(r.boundary_residual for r in last))}, "
-                   f"endpoint {_g6(last[-1].endpoint_value)}")
-            rows.append(_check("expansion_ok", ok == exp["expansion_ok"],
-                               det))
-    return rows
 
 
 def _info_rows(cfg, levels, trends):
@@ -532,19 +337,19 @@ def _info_rows(cfg, levels, trends):
         for m, vals in sorted(per_mode.items()):
             if vals:
                 rows.append(f"corner {j} c{m} history: "
-                            f"{[_g6(v) for v in vals]}")
+                            f"{[g6(v) for v in vals]}")
     for j, radii in sorted(trends["flat_radius"].items()):
         if any(r is not None for r in radii):
             rows.append(f"corner {j} flat radius per level: "
-                        f"{[None if r is None else _g6(r) for r in radii]}")
+                        f"{[None if r is None else g6(r) for r in radii]}")
     for j, s in sorted(trends["slope"].items()):
-        rows.append(f"corner {j} finest log-log control slope: {_g6(s)}")
+        rows.append(f"corner {j} finest log-log control slope: {g6(s)}")
     for j, (q_raw, q_rem) in sorted(trends["holder"].items()):
-        rows.append(f"corner {j} Holder quotient raw {_g6(q_raw)} "
-                    f"remainder {_g6(q_rem)}")
+        rows.append(f"corner {j} Holder quotient raw {g6(q_raw)} "
+                    f"remainder {g6(q_rem)}")
     for j, (ratios, decayed) in sorted(trends["structure"].items()):
         rows.append(f"corner {j} structure remainder ratios "
-                    f"{[(_g6(r), _g6(q)) for r, q in ratios]} "
+                    f"{[(g6(r), g6(q)) for r, q in ratios]} "
                     f"decayed={decayed}")
     rep = trends.get("h_sets")
     if rep is not None:
@@ -553,7 +358,7 @@ def _info_rows(cfg, levels, trends):
                     f"undetermined={sorted(rep.undetermined)}")
     if trends["profile_diffs"]:
         rows.append("control profile max diff between levels: "
-                    f"{[_g6(d) for d in trends['profile_diffs']]}")
+                    f"{[g6(d) for d in trends['profile_diffs']]}")
     skips = [(rec.index, j, why) for rec in levels
              for j, why in sorted(rec.skipped.items())]
     for idx, j, why in skips:
@@ -562,7 +367,6 @@ def _info_rows(cfg, levels, trends):
 
 
 def _write_trends_csv(path, cfg, levels):
-    import csv as _csv
     corners = cfg["analysis"]["corners"]
     modes = cfg["analysis"]["modes"]
     header = ["level", "h", "nodes", "triangles"]
@@ -573,40 +377,30 @@ def _write_trends_csv(path, cfg, levels):
             header += [f"flat_radius_corner{j}", f"slope_corner{j}"]
     else:
         header += ["slope", "boundary_residual", "endpoint"]
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(header)
-        for rec in levels:
-            row = [rec.index, format(rec.h, ".17g"), rec.n_nodes,
-                   rec.n_triangles]
-            if cfg["problem"] is not None:
-                tags = sorted(rec.solves)
-                main = rec.solves[tags[-1]] if tags else None
-                if main is None:
-                    row += ["", "", "", ""]
-                else:
-                    row += [main["iterations"], format(main["kkt"], ".17g"),
-                            format(main["max_u"], ".17g"),
-                            format(main["objective"], ".17g")]
-                for j in corners:
-                    fit = rec.fits.get(j)
-                    for m in modes:
-                        cm = fit.coefficients.get(m) if fit else None
-                        row.append("" if cm is None
-                                   else format(cm, ".17g"))
-                    v = rec.flatness.get(j)
-                    row.append("" if v is None else format(v.radius, ".17g"))
-                    s = rec.slopes.get(j)
-                    row.append("" if s is None else format(s, ".17g"))
+    rows = []
+    for rec in levels:
+        row = [rec.index, rec.h, rec.n_nodes, rec.n_triangles]
+        if cfg["problem"] is not None:
+            tags = sorted(rec.solves)
+            if tags:
+                main = rec.solves[tags[-1]]
+                row += [main["iterations"], main["kkt"], main["max_u"],
+                        main["objective"]]
             else:
-                r = rec.expansion
-                if r is None:
-                    row += ["", "", ""]
-                else:
-                    row += [format(r.slope, ".17g"),
-                            format(r.boundary_residual, ".17g"),
-                            format(r.endpoint_value, ".17g")]
-            w.writerow(row)
+                row += ["", "", "", ""]
+            for j in corners:
+                fit = rec.fits.get(j)
+                row += ["" if fit is None else fit.coefficients.get(m, "")
+                        for m in modes]
+                v = rec.flatness.get(j)
+                row.append("" if v is None else v.radius)
+                row.append(rec.slopes.get(j, ""))
+        else:
+            r = rec.expansion
+            row += (["", "", ""] if r is None else
+                    [r.slope, r.boundary_residual, r.endpoint_value])
+        rows.append(row)
+    write_rows(path, header, rows)
 
 
 def run_config(cfg, outdir) -> RunResult:
@@ -640,7 +434,7 @@ def run_config(cfg, outdir) -> RunResult:
                          levels=levels, trends={}, outdir=outdir, error=msg)
 
     trends = _collect_trends(domain, cfg, levels)
-    verdicts = _evaluate(cfg, levels, trends)
+    verdicts = evaluate(cfg, levels, trends)
     info = _info_rows(cfg, levels, trends)
     write_summary(os.path.join(outdir, "summary.txt"), cfg["name"],
                   verdicts, info)

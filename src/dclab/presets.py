@@ -1,14 +1,12 @@
 """Named experiment presets for the CLI.
 
-Each preset expands to one or more complete configuration dicts (already
-in the schema of config.validate_config).  Registry order is alphabetical
-and the listing is part of the public interface, so treat renames as
-breaking changes.
+Each preset expands to one or more complete configuration dicts in the
+schema of config.validate_config; run_config validates them.  Registry
+order is alphabetical and the listing is part of the public interface, so
+treat renames as breaking changes.
 """
 
 from __future__ import annotations
-
-from .config import validate_config
 
 
 def _case_a0():
@@ -159,7 +157,7 @@ def list_presets():
 
 
 def expand_preset(name: str, levels: int | None = None):
-    """Return validated (subname, config) pairs for a preset.
+    """Return the (subname, config) pairs of a preset, not yet validated.
 
     ``levels`` overrides the ladder depth of every sub-configuration.
     """
@@ -168,9 +166,7 @@ def expand_preset(name: str, levels: int | None = None):
         raise ConfigError(f"unknown preset {name!r}; run 'dclab presets'")
     out = []
     for subname, cfg in PRESETS[name][0]():
-        if levels is not None:
-            cfg = dict(cfg)
-            cfg["mesh"] = dict(cfg["mesh"])
+        if levels is not None:  # each builder call returns fresh dicts
             cfg["mesh"]["levels"] = int(levels)
-        out.append((subname, validate_config(cfg)))
+        out.append((subname, cfg))
     return out

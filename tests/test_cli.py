@@ -14,6 +14,8 @@ import pytest
 
 from dclab.cli import main
 from dclab.config import ConfigError, load_config, validate_config
+from dclab.expectations import (BOOL, CORNERS, FACTOR, RANGE, TABLE,
+                                TOLERANCE, VERDICT)
 from dclab.presets import PRESETS, expand_preset, list_presets
 
 BASE = {
@@ -47,7 +49,6 @@ def test_defaults_filled():
                                "flatness": False, "structure": False,
                                "s_star": 4.0}
     assert out["expectations"] == {}
-    assert out["seed"] == 0
 
 
 def test_solve_mode_inferred_from_bounds():
@@ -100,7 +101,26 @@ def test_error_paths_carry_field_names():
         (_cfg(domain="sector(x)"), "config.domain"),
         (_cfg(domain={"vertices": [[0, 0], [0, 1], [1, 1], [1, 0]]}),
          "config.domain"),
+        # expectation values are checked by the kind their table entry names
+        (_cfg(expectations={"c1_decay_factor": 0}),
+         "config.expectations.c1_decay_factor"),
+        (_cfg(expectations={"kkt_max": -1e-10}), "config.expectations.kkt_max"),
+        (_cfg(expectations={"kkt_max": 10**400}), "config.expectations.kkt_max"),
+        (_cfg(expectations={"flat_verdict": "flat"}),
+         "config.expectations.flat_verdict"),
+        (_cfg(expectations={"slope_range": [0.5, -0.5]}),
+         "config.expectations.slope_range"),
+        (_cfg(expectations={"slope_range": [0.5]}),
+         "config.expectations.slope_range"),
+        (_cfg(expectations={"slope_range": [0.5, float("inf")]}),
+         "config.expectations.slope_range"),
+        (_cfg(expectations={"h2": [0, 4]}), "config.expectations.h2[1]"),
     ]
+    wrong_type = {TOLERANCE: "x", FACTOR: "x", BOOL: "yes", VERDICT: 3,
+                  RANGE: 5, CORNERS: 3}
+    for key, (kind, _) in TABLE.items():
+        cases.append((_cfg(expectations={key: wrong_type[kind]}),
+                      f"config.expectations.{key}"))
     for cfg, needle in cases:
         with pytest.raises(ConfigError, match=re.escape(needle)):
             validate_config(cfg)
@@ -154,6 +174,7 @@ def test_every_preset_expands_to_valid_configs():
         subs = expand_preset(name)
         assert subs
         for subname, cfg in subs:
+            cfg = validate_config(cfg)
             assert cfg["mesh"]["levels"] >= 1
             assert (cfg["problem"] is None) != (cfg["singular_data"] is None)
 
@@ -214,7 +235,14 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     p.write_text(json.dumps(_cfg(analysis={"corners": [7]})))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "config.analysis.corners[0]" in capsys.readouterr().err
+    p.write_text(json.dumps(_cfg(expectations={"kkt_max": "x"})))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config.expectations.kkt_max" in capsys.readouterr().err
     assert main(["preset", "no-such"]) == 2
+    assert main(["preset", "square-smoke", "--levels", "0",
+                 "--out", str(tmp_path / "p")]) == 2
+    assert "config.mesh.levels" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "p")
 
 
 def test_cli_failed_expectation_is_exit_1(tmp_path, capsys):
