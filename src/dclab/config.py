@@ -41,14 +41,19 @@ def _get(d, key, path, types, required=False, default=None):
     return v
 
 
+def _finite(v, path):
+    # rejects NaN and infinities, and an int too large for a float, on
+    # which float() raises OverflowError
+    if not abs(v) <= sys.float_info.max:
+        _fail(path, "must be finite")
+    return float(v)
+
+
 def _number(d, key, path, required=False, default=None, positive=False):
     v = _get(d, key, path, (int, float), required=required, default=default)
     if v is None:
         return None
-    # also rejects an int too large for a float, which float() cannot take
-    if not abs(v) <= sys.float_info.max:
-        _fail(f"{path}.{key}", "must be finite")
-    v = float(v)
+    v = _finite(v, f"{path}.{key}")
     if positive and v <= 0.0:
         _fail(f"{path}.{key}", "must be positive")
     return v
@@ -87,7 +92,7 @@ def _corner_map(raw, path):
             _fail(path, f"corner index {k!r} is not an integer")
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             _fail(f"{path}[{k}]", "expected a number")
-        out[j] = float(v)
+        out[j] = _finite(v, f"{path}[{k}]")
     return out
 
 
@@ -220,10 +225,8 @@ def resolve_config(cfg):
     else:
         p = {}
         p["nu"] = _number(prob, "nu", "config.problem", required=True, positive=True)
-        lower = _get(prob, "lower", "config.problem", (int, float), default=None)
-        upper = _get(prob, "upper", "config.problem", (int, float), default=None)
-        p["lower"] = None if lower is None else float(lower)
-        p["upper"] = None if upper is None else float(upper)
+        p["lower"] = _number(prob, "lower", "config.problem")
+        p["upper"] = _number(prob, "upper", "config.problem")
         if (p["lower"] is not None and p["upper"] is not None
                 and p["lower"] > p["upper"]):
             _fail("config.problem", "lower bound exceeds upper bound")

@@ -133,14 +133,17 @@ class ControlProblem:
     def state(self, u: np.ndarray) -> ScalarField:
         return solve_dirichlet(self.system, u, load=self.f_load)
 
-    def adjoint(self, y: ScalarField):
-        """Adjoint field and its lumped boundary flux d_phi."""
+    def _flux(self, w: np.ndarray):
+        """Zero-trace solve of A phi = w and the lumped boundary flux of phi."""
         sysm = self.system
-        w = sysm.M @ y.values - self.t_load
         phi = np.zeros(sysm.mesh.n_nodes)
         phi[sysm.itr] = sysm.solve_interior(w[sysm.itr])
-        d = (sysm.A @ phi - w)[sysm.bnd] / self.lumped
-        return ScalarField(sysm.mesh, phi), d
+        return phi, (sysm.A @ phi - w)[sysm.bnd] / self.lumped
+
+    def adjoint(self, y: ScalarField):
+        """Adjoint field and its lumped boundary flux d_phi."""
+        phi, d = self._flux(self.system.M @ y.values - self.t_load)
+        return ScalarField(self.system.mesh, phi), d
 
     def objective(self, u: np.ndarray, y: ScalarField | None = None) -> float:
         if y is None:
@@ -160,12 +163,8 @@ class ControlProblem:
 
     def hessian_apply(self, v: np.ndarray) -> np.ndarray:
         """(nu M_L + S^T M S) v via one state and one adjoint solve."""
-        sysm = self.system
-        yv = solve_dirichlet(sysm, v)
-        w = sysm.M @ yv.values
-        phi = np.zeros(sysm.mesh.n_nodes)
-        phi[sysm.itr] = sysm.solve_interior(w[sysm.itr])
-        dv = (sysm.A @ phi - w)[sysm.bnd] / self.lumped
+        yv = solve_dirichlet(self.system, v)
+        _, dv = self._flux(self.system.M @ yv.values)
         return self.lumped * (self.nu * v - dv)
 
     def kkt_residual(self, u: np.ndarray, d: np.ndarray | None = None):

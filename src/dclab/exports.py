@@ -52,10 +52,7 @@ def write_boundary_csv(path, mesh: TriMesh, columns: dict) -> None:
     tr = boundary_trace_space(mesh)
     names = list(columns)
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    side = np.empty(tr.n, dtype=int)
-    for k in range(tr.n):
-        side[k] = tr.side_of_segment[k]
-    rows = ((k, tr.node_ids[k], side[k], tr.arc[k],
+    rows = ((k, tr.node_ids[k], tr.side_of_segment[k], tr.arc[k],
              tr.points[k, 0], tr.points[k, 1], *(a[k] for a in arrays))
             for k in range(tr.n))
     write_rows(path, ["pos", "node", "side", "arc", "x", "y"] + names, rows)

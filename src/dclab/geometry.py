@@ -141,7 +141,9 @@ class PolygonalDomain:
             raise GeometryError("exterior angles do not sum to 2*pi")
 
         overrides = dict(r_overrides or {})
-        corner_dist = _pairwise_min_dist(verts)
+        gaps = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        corner_dist = gaps.min(axis=1)
         for j in range(M):
             omega = angles[j]
             auto = 0.25 * min(lengths[j], lengths[j - 1], 0.5 * corner_dist[j])
@@ -166,12 +168,11 @@ class PolygonalDomain:
                 frame_angle=math.atan2(next_dir[1], next_dir[0]),
             ))
 
-        for j in range(M):
-            for k in range(j + 1, M):
-                d = float(np.linalg.norm(verts[j] - verts[k]))
-                if d <= 2.0 * self.corners[j].radius + 2.0 * self.corners[k].radius:
-                    raise GeometryError(
-                        f"localization disks of corners {j} and {k} overlap")
+        R2 = 2.0 * np.array([c.radius for c in self.corners])
+        j, k = np.nonzero(np.triu(gaps <= R2[:, None] + R2[None, :]))
+        if len(j):
+            raise GeometryError(
+                f"localization disks of corners {j[0]} and {k[0]} overlap")
 
     # -- basic queries ------------------------------------------------
 
@@ -240,30 +241,21 @@ def _segments_cross(a1, a2, b1, b2, tol) -> bool:
         (d3, (a1, a2, b1)), (d4, (a1, a2, b2))])
 
 
-def _pairwise_min_dist(verts: np.ndarray) -> np.ndarray:
-    diff = verts[:, None, :] - verts[None, :, :]
-    d = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
-
-
 def _nonadjacent_side_clearance(verts: np.ndarray, j: int) -> float:
     M = len(verts)
-    p = verts[j]
-    best = math.inf
-    for s in range(M):
-        if s == j or s == (j - 1) % M:
-            continue
-        a, b = verts[s], verts[(s + 1) % M]
-        best = min(best, _point_segment_distance(p, a, b))
-    return best
+    far = (np.arange(M) != j) & (np.arange(M) != (j - 1) % M)
+    dist, _ = point_segment_distance(verts[j], verts[far],
+                                     np.roll(verts, -1, axis=0)[far])
+    return float(dist.min())
 
 
-def _point_segment_distance(p, a, b) -> float:
+def point_segment_distance(p, a, b):
+    """Distance from points p to segments [a, b], broadcast over leading
+    axes, and the parameter t in [0, 1] of the nearest point a + t (b - a)."""
     ab = b - a
-    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    t = np.clip(((p - a) * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
+    d = p - (a + t[..., None] * ab)
+    return np.hypot(d[..., 0], d[..., 1]), t
 
 
 # -- named domains ----------------------------------------------------
@@ -481,10 +473,9 @@ def jump_chi(domain: PolygonalDomain, j: int, point, tol: float = 1e-9) -> int:
     scale = max(c.radius, 1.0)
     if np.linalg.norm(p - np.asarray(c.vertex)) <= tol * scale:
         raise GeometryError(f"chi is undefined at corner {j} itself")
-    a1, b1 = domain.side(j)
-    a0, b0 = domain.side((j - 1) % len(domain.vertices))
-    on_next = _point_segment_distance(p, a1, b1) <= tol * scale
-    on_prev = _point_segment_distance(p, a0, b0) <= tol * scale
+    ends = np.array([domain.side(j), domain.side(j - 1)])
+    dist, _ = point_segment_distance(p, ends[:, 0], ends[:, 1])
+    on_next, on_prev = dist <= tol * scale
     if on_next and not on_prev:
         return 1
     if on_prev and not on_next:

@@ -11,9 +11,10 @@ Two generators share one mesh type:
   recovered by construction; triangles outside the polygon are trimmed
   afterwards.
 
-* ``structured_mesh`` builds uniform right-isosceles lattices for the
-  unit square and the L-shape.  All angles are <= 90 degrees, which is
-  what the discrete maximum principle needs.
+* ``structured_mesh`` builds the uniform right-isosceles lattice of any
+  polygon with axis-parallel sides and vertices on the 1/n grid (the unit
+  square, the L-shape, ...).  All angles are <= 90 degrees, which is what
+  the discrete maximum principle needs.
 
 Corner grading with exponent mu < 1 is the radial map
 r -> R_j (r / R_j)^(1/mu) applied to all generator points within R_j of
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import GeometryError, PolygonalDomain
+from .geometry import PolygonalDomain, point_segment_distance
 
 MIN_ANGLE_DEG = 20.0
 
@@ -46,7 +47,8 @@ class TriMesh:
 
     ``triangles`` are CCW index triples into ``nodes``.  ``boundary_edges``
     holds rows (a, b, side) with a->b oriented counterclockwise along the
-    boundary.  ``corner_nodes`` maps polygon corner index -> node id.
+    boundary; ``boundary_loop`` lists its row indices in loop order from
+    polygon corner 0.  ``corner_nodes`` maps polygon corner index -> node id.
     """
 
     domain: PolygonalDomain
@@ -56,6 +58,7 @@ class TriMesh:
     grading: dict
     provenance: tuple
     boundary_edges: np.ndarray = field(default=None)
+    boundary_loop: np.ndarray = field(default=None)
     corner_nodes: dict = field(default_factory=dict)
     h: float = 0.0
     min_angle: float = 0.0
@@ -233,20 +236,13 @@ def _filter_interior(domain, interior, bpts, bsegs):
 
 def _boundary_segments(domain: PolygonalDomain, bpts: np.ndarray):
     """Consecutive-node segments along each side, as index pairs into bpts."""
-    M = len(domain.vertices)
     segs = []
-    for j in range(M):
+    for j in range(len(domain.vertices)):
         a, b = domain.side(j)
-        ab = b - a
-        L2 = float(np.dot(ab, ab))
-        t = ((bpts - a) @ ab) / L2
-        d = bpts - (a + np.clip(t, 0, 1)[:, None] * ab)
-        on = (np.hypot(d[:, 0], d[:, 1]) <= 1e-9 * math.sqrt(L2)) \
-            & (t >= -1e-12) & (t <= 1 + 1e-12)
-        ids = np.where(on)[0]
+        dist, t = point_segment_distance(bpts, a, b)
+        ids = np.flatnonzero(dist <= 1e-9 * float(np.linalg.norm(b - a)))
         ids = ids[np.argsort(t[ids])]
-        for k in range(len(ids) - 1):
-            segs.append((int(ids[k]), int(ids[k + 1])))
+        segs.extend(zip(ids[:-1].tolist(), ids[1:].tolist()))
     return segs
 
 
@@ -305,13 +301,12 @@ def _build_trimmed(domain, pts):
 def _smooth_interior(domain, mesh, n_bnd, grading):
     """One Laplacian pass on interior nodes outside graded zones."""
     pts = mesh.nodes.copy()
+    e = _edges(mesh.triangles, len(pts))[1]
+    # np.add.at applies the updates in index order: the sums are those of
+    # a loop over the edges, a -> b then b -> a
     nbr_sum = np.zeros_like(pts)
-    nbr_cnt = np.zeros(len(pts))
-    for (a, b) in _all_edges(mesh.triangles):
-        nbr_sum[a] += pts[b]
-        nbr_sum[b] += pts[a]
-        nbr_cnt[a] += 1
-        nbr_cnt[b] += 1
+    np.add.at(nbr_sum, e.ravel(), pts[e[:, ::-1].ravel()])
+    nbr_cnt = np.bincount(e.ravel(), minlength=len(pts))
     movable = np.zeros(len(pts), dtype=bool)
     movable[n_bnd:] = True
     for j, mu in grading.items():
@@ -326,52 +321,47 @@ def _smooth_interior(domain, mesh, n_bnd, grading):
     return pts[n_bnd:][inside[n_bnd:]]
 
 
-def _all_edges(tris: np.ndarray) -> np.ndarray:
-    e = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
+def _edges(tris: np.ndarray, n_nodes: int):
+    """(half, edges, inv, counts): ``half`` stacks the oriented 0-1, 1-2
+    and 2-0 edges of all triangles, ``edges`` the distinct pairs a < b in
+    lexicographic order (the order of the key a * n_nodes + b), ``inv``
+    maps ``half`` into ``edges``, ``counts`` is triangles per edge."""
+    half = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    lo, hi = np.sort(half, axis=1).T
+    keys, inv, counts = np.unique(lo * n_nodes + hi, return_inverse=True,
+                                  return_counts=True)
+    return half, np.column_stack([keys // n_nodes, keys % n_nodes]), inv, counts
 
 
 # ---------------------------------------------------------------------
 # structured right-isosceles meshes
 
 def structured_mesh(domain: PolygonalDomain, h: float) -> TriMesh:
-    """Uniform right-triangle lattice for the unit square or the L-shape.
+    """Uniform right-triangle lattice of a polygon with axis-parallel sides
+    and vertices on the 1/n grid, n = 1/h (unit square, L-shape, ...).
 
-    Every angle is 45 or 90 degrees (non-obtuse).  For graded meshes use
-    ``triangulate``; a radial map applied to this lattice would wreck its
-    angles.
+    Grid cells with centres inside the polygon are split into (v00, v10,
+    v11), (v00, v11, v01); any other polygon fails ``_finalize``'s area or
+    corner-node check.  Every angle is 45 or 90 degrees (non-obtuse).
+    For graded meshes use ``triangulate``; a radial map applied to this
+    lattice would wreck its angles.
     """
-    name = domain.name
     n = max(1, int(round(1.0 / h)))
     if abs(n * h - 1.0) > 1e-9:
         raise MeshError("structured meshes need h dividing 1")
-    if name == "unit-square":
-        iis, jjs = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-        idx = {(i, j): k for k, (i, j) in enumerate(zip(iis.ravel(), jjs.ravel()))}
-        nodes = np.array([(i / n, j / n) for (i, j) in idx], dtype=float)
-        cells = [(i, j) for i in range(n) for j in range(n)]
-    elif name == "l-shape":
-        keep_node = lambda i, j: not (i > 0 and j < 0)
-        idx = {}
-        nodes_list = []
-        for i in range(-n, n + 1):
-            for j in range(-n, n + 1):
-                if keep_node(i, j):
-                    idx[(i, j)] = len(nodes_list)
-                    nodes_list.append((i / n, j / n))
-        nodes = np.array(nodes_list, dtype=float)
-        cells = [(i, j) for i in range(-n, n) for j in range(-n, n)
-                 if not (i >= 0 and j <= -1)]
-    else:
-        raise MeshError(f"no structured mesh for domain {name!r}")
-    tris = []
-    for (i, j) in cells:
-        v00, v10 = idx[(i, j)], idx[(i + 1, j)]
-        v01, v11 = idx[(i, j + 1)], idx[(i + 1, j + 1)]
-        tris.append((v00, v10, v11))
-        tris.append((v00, v11, v01))
-    tris = np.array(tris, dtype=np.int64)
+    lo = np.rint(domain.vertices.min(axis=0) * n).astype(np.int64)
+    hi = np.rint(domain.vertices.max(axis=0) * n).astype(np.int64)
+    i, j = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
+                       indexing="ij")
+    idx = np.arange(i.size).reshape(i.shape)
+    centres = np.column_stack([(i[:-1, :-1].ravel() + 0.5) / n,
+                               (j[:-1, :-1].ravel() + 0.5) / n])
+    keep = domain.contains(centres)
+    v00, v10 = idx[:-1, :-1].ravel()[keep], idx[1:, :-1].ravel()[keep]
+    v01, v11 = idx[:-1, 1:].ravel()[keep], idx[1:, 1:].ravel()[keep]
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    # lattice nodes outside the polygon are dropped by _finalize
+    nodes = np.column_stack([i.ravel() / n, j.ravel() / n])
     return _finalize(domain, nodes, tris, h, {},
                      ("structured", domain, h, {}, 0.0))
 
@@ -397,14 +387,12 @@ def _finalize(domain, nodes, tris, h_target, grading, provenance) -> TriMesh:
         remap[used] = np.arange(used.sum())
         nodes = nodes[used]
         tris = remap[tris]
-    edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    _, inv, counts = np.unique(np.sort(edges, axis=1), axis=0,
-                               return_inverse=True, return_counts=True)
+    half, _, inv, counts = _edges(tris, len(nodes))
     if np.any(counts > 2):
         raise MeshError("non-conforming mesh: edge shared by >2 triangles")
 
     # boundary edges: appear in exactly one triangle, oriented as stored
-    bed = _tag_sides(domain, nodes, edges[counts[inv] == 1])
+    bed = _tag_sides(domain, nodes, half[counts[inv] == 1])
 
     corner_nodes = {}
     for j, c in enumerate(domain.corners):
@@ -421,13 +409,13 @@ def _finalize(domain, nodes, tris, h_target, grading, provenance) -> TriMesh:
     h = float(lens.max())
     angles = _angles_deg(p)
 
-    mesh = TriMesh(domain=domain, nodes=nodes, triangles=tris,
+    return TriMesh(domain=domain, nodes=nodes, triangles=tris,
                    h_target=h_target, grading=grading, provenance=provenance,
-                   boundary_edges=bed, corner_nodes=corner_nodes, h=h,
+                   boundary_edges=bed,
+                   boundary_loop=_boundary_loop(bed, corner_nodes[0]),
+                   corner_nodes=corner_nodes, h=h,
                    min_angle=float(angles.min()),
                    nonobtuse=bool(angles.max() <= 90.0 + 1e-9))
-    _check_closed_boundary(mesh)
-    return mesh
 
 
 def _tag_sides(domain, nodes, bedges) -> np.ndarray:
@@ -435,15 +423,11 @@ def _tag_sides(domain, nodes, bedges) -> np.ndarray:
     within 1e-9 of its length of both endpoints and the midpoint."""
     a, b = nodes[bedges[:, 0]], nodes[bedges[:, 1]]
     pts = np.stack([0.5 * (a + b), a, b])
-    verts = domain.vertices
-    M = len(verts)
     side = np.full(len(bedges), -1, dtype=np.int64)
-    for j in range(M):
-        p, q = verts[j], verts[(j + 1) % M]
-        pq = q - p
-        t = np.clip((pts - p) @ pq / (pq @ pq), 0.0, 1.0)
-        dist = np.linalg.norm(pts - (p + t[..., None] * pq), axis=-1)
-        on = (dist <= 1e-9 * np.linalg.norm(pq)).all(axis=0)
+    for j in range(len(domain.vertices)):
+        p, q = domain.side(j)
+        dist, _ = point_segment_distance(pts, p, q)
+        on = (dist <= 1e-9 * np.linalg.norm(q - p)).all(axis=0)
         side[(side < 0) & on] = j
     if np.any(side < 0):
         raise MeshError("boundary edge not on any polygon side")
@@ -461,21 +445,24 @@ def _angles_deg(p: np.ndarray) -> np.ndarray:
     return np.stack(angs)
 
 
-def _check_closed_boundary(mesh: TriMesh) -> None:
-    """Boundary edges must chain into one closed CCW loop through all corners."""
-    nxt = {}
-    for (a, b, _s) in mesh.boundary_edges:
-        if a in nxt:
-            raise MeshError("boundary is not a simple loop")
-        nxt[int(a)] = int(b)
-    start = mesh.corner_nodes[0]
-    seen = [start]
-    cur = nxt.get(start)
-    while cur is not None and cur != start and len(seen) <= len(nxt):
-        seen.append(cur)
-        cur = nxt.get(cur)
-    if cur != start or len(seen) != len(nxt):
+def _boundary_loop(bedges: np.ndarray, start: int) -> np.ndarray:
+    """Rows of ``bedges`` in loop order from node ``start``; the walk is the
+    check that the boundary edges chain into one closed loop."""
+    tails = bedges[:, 0].tolist()
+    row_of = {a: k for k, a in enumerate(tails)}
+    if len(row_of) != len(tails):
+        raise MeshError("boundary is not a simple loop")
+    heads = bedges[:, 1].tolist()
+    order = []
+    node = start
+    while node in row_of and len(order) < len(heads):
+        order.append(row_of[node])
+        node = heads[order[-1]]
+        if node == start:
+            break
+    if node != start or len(order) != len(heads):
         raise MeshError("boundary loop is broken or disconnected")
+    return np.array(order, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------
@@ -488,29 +475,24 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     midpoints; boundary midpoints stay on the polygon).  Graded meshes
     are re-triangulated at h/2 within the same grading family.
     """
+    kind, domain, h, grading, angle = mesh.provenance
     if any(mu < 1.0 for mu in mesh.grading.values()):
-        kind, domain, h, grading, angle = mesh.provenance
         return triangulate(domain, h / 2.0, grading, angle)
 
     nodes = mesh.nodes
     tris = mesh.triangles
-    edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    skey = np.sort(edges, axis=1)
-    uniq, inv = np.unique(skey, axis=0, return_inverse=True)
+    _, uniq, inv, _ = _edges(tris, len(nodes))
     mid = 0.5 * (nodes[uniq[:, 0]] + nodes[uniq[:, 1]])
     new_nodes = np.vstack([nodes, mid])
-    mid_id = len(nodes) + np.arange(len(uniq))
-    e01 = mid_id[inv[:len(tris)]]
-    e12 = mid_id[inv[len(tris):2 * len(tris)]]
-    e20 = mid_id[inv[2 * len(tris):]]
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    # edge k's midpoint is node len(nodes) + k
+    e01, e12, e20 = (len(nodes) + inv).reshape(3, -1)
+    a, b, c = tris.T
     new_tris = np.vstack([
         np.column_stack([a, e01, e20]),
         np.column_stack([e01, b, e12]),
         np.column_stack([e20, e12, c]),
         np.column_stack([e01, e12, e20]),
     ])
-    kind, domain, h, grading, angle = mesh.provenance
     return _finalize(mesh.domain, new_nodes, new_tris, mesh.h_target / 2.0,
                      mesh.grading, (kind, domain, h / 2.0, grading, angle))
 
@@ -566,37 +548,24 @@ class BoundaryTrace:
 def boundary_trace_space(mesh: TriMesh) -> BoundaryTrace:
     if mesh._trace is not None:
         return mesh._trace
-    nxt = {}
-    side_of = {}
-    for (a, b, s) in mesh.boundary_edges:
-        nxt[int(a)] = int(b)
-        side_of[int(a)] = int(s)
-    start = mesh.corner_nodes[0]
-    order = [start]
-    cur = nxt[start]
-    while cur != start:
-        order.append(cur)
-        cur = nxt[cur]
-    ids = np.array(order, dtype=np.int64)
+    ids, heads, sides = mesh.boundary_edges[mesh.boundary_loop].T.copy()
     pts = mesh.nodes[ids]
     nb = len(ids)
-    seg = np.linalg.norm(mesh.nodes[[nxt[i] for i in order]] - pts, axis=1)
-    sides = np.array([side_of[i] for i in order], dtype=np.int64)
+    seg = np.linalg.norm(mesh.nodes[heads] - pts, axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
-    pos_of = {nid: k for k, nid in enumerate(order)}
-    corner_pos = {j: pos_of[nid] for j, nid in mesh.corner_nodes.items()}
-
-    rows, cols, vals = [], [], []
-    for i in range(nb):
-        k = (i + 1) % nb
-        L = seg[i]
-        rows += [i, i, k, k]
-        cols += [i, k, i, k]
-        vals += [L / 3.0, L / 6.0, L / 6.0, L / 3.0]
-    mass = sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
-    lumped = np.asarray(mass.sum(axis=1)).ravel()
     full_to_trace = -np.ones(mesh.n_nodes, dtype=np.int64)
     full_to_trace[ids] = np.arange(nb)
+    corner_pos = {j: int(full_to_trace[nid])
+                  for j, nid in mesh.corner_nodes.items()}
+
+    # segment i couples node i with node k = i + 1 (cyclically)
+    i = np.arange(nb)
+    k = np.roll(i, -1)
+    rows = np.column_stack([i, i, k, k]).ravel()
+    cols = np.column_stack([i, k, i, k]).ravel()
+    vals = np.column_stack([seg / 3.0, seg / 6.0, seg / 6.0, seg / 3.0]).ravel()
+    mass = sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
+    lumped = np.asarray(mass.sum(axis=1)).ravel()
     trace = BoundaryTrace(node_ids=ids, points=pts, seg_lengths=seg,
                           side_of_segment=sides, arc=arc,
                           corner_pos=corner_pos, mass=mass, lumped=lumped,

@@ -55,6 +55,8 @@ def test_solve_mode_inferred_from_bounds():
     free = _cfg()
     del free["problem"]["lower"], free["problem"]["upper"]
     assert validate_config(free)["problem"]["solve"] == "unconstrained"
+    nulls = _cfg(problem={"lower": None, "upper": None})
+    assert validate_config(nulls)["problem"]["solve"] == "unconstrained"
     assert validate_config(BASE)["problem"]["solve"] == "constrained"
 
 
@@ -115,6 +117,14 @@ def test_error_paths_carry_field_names():
         (_cfg(expectations={"slope_range": [0.5, float("inf")]}),
          "config.expectations.slope_range"),
         (_cfg(expectations={"h2": [0, 4]}), "config.expectations.h2[1]"),
+        # bounds, radii and grading exponents must be finite floats
+        (_cfg(problem={"lower": 10**400}), "config.problem.lower"),
+        (_cfg(problem={"lower": float("nan")}), "config.problem.lower"),
+        (_cfg(problem={"upper": float("nan")}), "config.problem.upper"),
+        (_cfg(corner_radii={"0": 10**400}), "config.corner_radii[0]"),
+        (_cfg(corner_radii={"0": float("nan")}), "config.corner_radii[0]"),
+        (_cfg(mesh={"kind": "triangulated", "grading": {"2": 10**400}}),
+         "config.mesh.grading[2]"),
     ]
     wrong_type = {TOLERANCE: "x", FACTOR: "x", BOOL: "yes", VERDICT: 3,
                   RANGE: 5, CORNERS: 3}

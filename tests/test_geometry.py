@@ -13,6 +13,7 @@ from dclab.geometry import (
     PolygonalDomain,
     SingularBoundaryData,
     UNBOUNDED,
+    _nonadjacent_side_clearance,
     admissible_p,
     build_domain,
     control_singular_coefficient,
@@ -71,6 +72,39 @@ def test_radius_override_and_validation():
         build_domain("l-shape", r_overrides={2: 0.9})  # wedge pokes out
     with pytest.raises(GeometryError):
         build_domain("l-shape", r_overrides={2: -0.1})
+    with pytest.raises(GeometryError, match="corners 0 and 1 overlap"):
+        PolygonalDomain(unit_square().vertices, r_overrides={0: 0.3, 1: 0.3})
+
+
+def _clearance_by_side_loop(verts, j):
+    """Distance from corner j to its non-adjacent sides, one side at a time."""
+    M = len(verts)
+    best = math.inf
+    for s in range(M):
+        if s in (j, (j - 1) % M):
+            continue
+        a, b = verts[s], verts[(s + 1) % M]
+        ab = b - a
+        t = min(1.0, max(0.0, float(np.dot(verts[j] - a, ab) / np.dot(ab, ab))))
+        best = min(best, float(np.linalg.norm(verts[j] - (a + t * ab))))
+    return best
+
+
+@pytest.mark.parametrize("spec,overrides", [
+    ("l-shape", None), ("unit-square", None), ("sector(3pi/2, 64)", {0: 0.3}),
+    ("sector(3pi/2, 16)", None), ("sector(1.9pi, 128)", None),
+])
+def test_corner_radii_match_side_loop(spec, overrides):
+    # the vectorized clearance may differ from the loop in the last bits,
+    # but no corner radius moves
+    dom = build_domain(spec, overrides)
+    verts, L = dom.vertices, dom.side_lengths
+    for j, c in enumerate(dom.corners):
+        clear = _clearance_by_side_loop(verts, j)
+        assert _nonadjacent_side_clearance(verts, j) == pytest.approx(clear, rel=1e-14)
+        nearest = np.delete(np.linalg.norm(verts[j] - verts, axis=1), j).min()
+        auto = min(0.25 * min(L[j], L[j - 1], 0.5 * nearest), 0.49 * clear)
+        assert c.radius == (overrides or {}).get(j, auto)
 
 
 def test_clockwise_polygon_rejected():

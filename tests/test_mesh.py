@@ -1,5 +1,6 @@
 """Mesh generation: structured lattices, Delaunay, grading, boundary traces."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from dclab.geometry import (
 from dclab.meshing import (
     MIN_ANGLE_DEG,
     MeshError,
+    _boundary_loop,
     _delaunay,
+    _smooth_interior,
     boundary_trace_space,
     mesh_ladder,
     refine_uniform,
@@ -57,6 +60,20 @@ def test_structured_needs_dividing_h():
         structured_mesh(unit_square(), 0.3)
     with pytest.raises(MeshError):
         structured_mesh(build_domain("sector(3pi/2, 16)"), 0.25)
+    # vertices on the grid, but a side that is not axis-parallel
+    with pytest.raises(MeshError):
+        structured_mesh(build_domain([(0, 0), (1, 0), (0, 1)]), 0.25)
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 32])
+def test_structured_mesh_depends_on_vertices_not_name(h):
+    named = structured_mesh(l_shape(), h)
+    listed = structured_mesh(build_domain(l_shape().vertices.tolist()), h)
+    assert listed.domain.name != named.domain.name
+    for attr in ("nodes", "triangles", "boundary_edges", "boundary_loop"):
+        a, b = getattr(named, attr), getattr(listed, attr)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------
@@ -131,6 +148,60 @@ def test_red_refinement_keeps_boundary_on_polygon():
     for p in bn:
         d = min(_seg_dist(p, *dom.side(j)) for j in range(len(dom)))
         assert d < 1e-12
+
+
+def _digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+# Counts and sha256 prefixes of nodes, triangles and boundary_edges
+# (float64, int64, int64; little-endian bytes) of meshes whose edge tables
+# go through every user: _finalize, refine_uniform and _smooth_interior.
+# Node digests are pinned where the coordinates are exact lattice and
+# midpoint arithmetic; a rotated lattice rounds through the BLAS, so its
+# nodes are checked by test_smoothing_sums_match_edge_loop instead.
+@pytest.mark.parametrize("build,counts,digests", [
+    (lambda: refine_uniform(structured_mesh(l_shape(), 1 / 8)), (833, 1536, 128),
+     ("5d7328b42d768638", "69998cd184340df5", "32f9d707790d55c5")),
+    (lambda: refine_uniform(triangulate(l_shape(), 0.23)), (283, 496, 68),
+     ("2f70a2e3d8cbfad4", "e64b40a4a5aa14ee", "a6d9ecaf5fca0dae")),
+    (lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), (943, 1756, 128),
+     (None, "87435d11c2f94d00", "8325b0d8c67efffe")),
+], ids=["refine-structured", "refine-triangulated", "smoothing-retry"])
+def test_mesh_arrays_are_pinned(build, counts, digests):
+    mesh = build()
+    arrays = (mesh.nodes, mesh.triangles, mesh.boundary_edges)
+    assert [a.dtype for a in arrays] == [np.float64, np.int64, np.int64]
+    assert (mesh.n_nodes, mesh.n_triangles, len(mesh.boundary_edges)) == counts
+    for a, want in zip(arrays, digests):
+        if want is not None:
+            assert _digest(a) == want
+
+
+def _smooth_by_edge_loop(mesh, n_bnd):
+    """Ungraded _smooth_interior, one edge at a time."""
+    pts = mesh.nodes.copy()
+    t = mesh.triangles
+    edges = np.unique(np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                              axis=1), axis=0)
+    nbr_sum = np.zeros_like(pts)
+    nbr_cnt = np.zeros(len(pts))
+    for a, b in edges:
+        nbr_sum[a] += pts[b]
+        nbr_sum[b] += pts[a]
+        nbr_cnt[a] += 1
+        nbr_cnt[b] += 1
+    inner = pts[n_bnd:]
+    inner += 0.6 * (nbr_sum[n_bnd:] / np.maximum(nbr_cnt[n_bnd:], 1)[:, None] - inner)
+    return inner[mesh.domain.contains(inner)]
+
+
+def test_smoothing_sums_match_edge_loop():
+    mesh = triangulate(l_shape(), 1 / 16, lattice_angle=0.011)
+    n_bnd = len(mesh.boundary_edges)  # boundary nodes come first
+    got = _smooth_interior(mesh.domain, mesh, n_bnd, {})
+    want = _smooth_by_edge_loop(mesh, n_bnd)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _seg_dist(p, a, b):
@@ -228,6 +299,22 @@ def test_trace_side_positions():
     assert np.all(np.diff(pts[:, 0]) > 0)
     # segment side tags partition the loop
     assert set(tr.side_of_segment.tolist()) == {0, 1, 2, 3}
+
+
+def test_boundary_walk_rejects_branching_and_split_loops():
+    # node 0 starts two boundary edges
+    branching = np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0], [0, 3, 1], [3, 0, 1]])
+    with pytest.raises(MeshError, match="not a simple loop"):
+        _boundary_loop(branching, 0)
+    two_loops = np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0],
+                          [3, 4, 1], [4, 5, 1], [5, 3, 1]])
+    with pytest.raises(MeshError, match="broken or disconnected"):
+        _boundary_loop(two_loops, 0)
+    with pytest.raises(MeshError, match="broken or disconnected"):
+        _boundary_loop(two_loops[:2], 0)
+    # rows are returned in loop order from the start node
+    one_loop = np.array([[2, 0, 0], [0, 1, 0], [1, 2, 0]])
+    assert _boundary_loop(one_loop, 0).tolist() == [1, 2, 0]
 
 
 def test_trace_l_shape_perimeter():
