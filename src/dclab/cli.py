@@ -75,9 +75,10 @@ def _cmd_mesh(args) -> int:
         return 2
     try:
         if args.structured:
-            if grading:
-                print("config error: structured meshes do not support "
-                      "grading", file=sys.stderr)
+            if grading or args.lattice_angle:
+                what = "grading" if grading else "a lattice angle"
+                print(f"config error: structured meshes do not support {what}",
+                      file=sys.stderr)
                 return 2
             mesh = structured_mesh(domain, args.h)
         else:

@@ -197,6 +197,9 @@ def resolve_config(cfg):
     else:
         m["grading"] = None
     m["lattice_angle"] = _number(mesh, "lattice_angle", "config.mesh", default=0.0)
+    if m["kind"] == "structured" and m["lattice_angle"] != 0.0:
+        _fail("config.mesh.lattice_angle",
+              "structured meshes do not support a lattice angle")
     out["mesh"] = m
 
     data = _get(cfg, "singular_data", "config", dict, default=None)

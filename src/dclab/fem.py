@@ -112,83 +112,70 @@ class DiscontinuityLine:
         return (np.atleast_2d(pts) - np.asarray(self.point)) @ nrm
 
 
-def _clip_triangle(tri: np.ndarray, line: DiscontinuityLine):
-    """Split a 3x2 triangle along the line into sub-triangles (1 to 3)."""
-    d = line.signed_distance(tri)
-    if np.all(d >= -1e-14) or np.all(d <= 1e-14):
-        return [tri]
-    polys = {1: [], -1: []}
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        da, db = d[k], d[(k + 1) % 3]
-        sa = 1 if da >= 0 else -1
-        polys[sa].append(a)
-        if (da > 0 > db) or (da < 0 < db):
-            cut = a + (da / (da - db)) * (b - a)
-            polys[1].append(cut)
-            polys[-1].append(cut)
-    out = []
-    for side in (1, -1):
-        poly = polys[side]
-        for k in range(1, len(poly) - 1):
-            out.append(np.array([poly[0], poly[k], poly[k + 1]]))
-    return out
+def _split_crossed(d: np.ndarray) -> np.ndarray:
+    """Barycentric split of triangles crossed by a line.
+
+    ``d`` holds the signed vertex distances (nc, 3) of triangles with
+    vertices strictly on both sides.  The lone vertex is the one whose
+    side the other two do not share (a vertex on the line shares both).
+    The line cuts the two edges at it; the lone vertex and the cuts make
+    one sub-triangle, the other side's quadrilateral two, one of which
+    has zero area when a vertex lies on the line.  Returns (nc, 3, 3, 3):
+    per triangle three sub-triangles, each a matrix whose rows are its
+    vertices in barycentric coordinates of the parent.
+    """
+    nc = len(d)
+    pos = d > 0.0
+    lone = np.where(pos.sum(axis=1) == 1, pos.argmax(axis=1),
+                    (d < 0.0).argmax(axis=1))
+    rows = np.arange(nc)
+    b1, b2 = (lone + 1) % 3, (lone + 2) % 3
+    da = d[rows, lone]
+    eye = np.eye(3)
+    ea, e1, e2 = eye[lone], eye[b1], eye[b2]
+    t1 = (da / (da - d[rows, b1]))[:, None]
+    t2 = (da / (da - d[rows, b2]))[:, None]
+    c1 = (1.0 - t1) * ea + t1 * e1
+    c2 = (1.0 - t2) * ea + t2 * e2
+    return np.stack([np.stack([ea, c1, c2], axis=1),
+                     np.stack([c1, e1, e2], axis=1),
+                     np.stack([c1, e2, c2], axis=1)], axis=1)
 
 
 def assemble_load(mesh: TriMesh, f, order: int = 2,
                   discontinuity: DiscontinuityLine | None = None) -> np.ndarray:
     """Load vector ell_i = int f phi_i via triangle quadrature.
 
-    ``f`` maps (x, y) arrays to values.  With a discontinuity line the
-    crossed triangles are clipped so the rule never straddles the jump.
+    ``f`` maps (x, y) arrays to values.  With a discontinuity line each
+    crossed triangle is split into three sub-triangles along it (see
+    ``_split_crossed``), so the rule never straddles the jump.  Every
+    (sub-)triangle is a barycentric matrix B in its parent (B = I when
+    uncrossed): its area is |det B| |T|, and at a rule point lam the
+    parent hats take the values lam B.
     """
     bary, w = tri_quadrature(order)
     p, t = mesh.nodes, mesh.triangles
-    out = np.zeros(mesh.n_nodes)
-
-    crossed = np.zeros(len(t), dtype=bool)
+    area = mesh.triangle_areas()
+    B = np.broadcast_to(np.eye(3), (len(t), 3, 3))
     if discontinuity is not None:
         d = discontinuity.signed_distance(p)[t]
         crossed = (d.max(axis=1) > 1e-14) & (d.min(axis=1) < -1e-14)
-
-    def accumulate(tsel):
-        corners = p[tsel]  # (nt, 3, 2)
-        u = corners[:, 1] - corners[:, 0]
-        v = corners[:, 2] - corners[:, 0]
-        area = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-        for lam, wq in zip(bary, w):
-            xq = np.einsum("k,tkd->td", lam, corners)
-            fv = np.asarray(f(xq[:, 0], xq[:, 1]), dtype=float)
-            for k in range(3):
-                np.add.at(out, tsel[:, k], wq * area * fv * lam[k])
-
-    if np.any(~crossed):
-        accumulate(t[~crossed])
-    for ti in np.where(crossed)[0]:
-        tri = p[t[ti]]
-        vids = t[ti]
-        for sub in _clip_triangle(tri, discontinuity):
-            u, v = sub[1] - sub[0], sub[2] - sub[0]
-            area = 0.5 * (u[0] * v[1] - u[1] * v[0])
-            if area <= 0:
-                sub = sub[[0, 2, 1]]
-                area = -area
-            if area < 1e-30:
-                continue
-            for lam, wq in zip(bary, w):
-                xq = lam @ sub
-                fv = float(np.asarray(
-                    f(np.array([xq[0]]), np.array([xq[1]]))).ravel()[0])
-                # P1 hats of the parent triangle evaluated at xq
-                lam_par = _barycentric(tri, xq)
-                out[vids] += wq * area * fv * lam_par
+        if np.any(crossed):
+            split = _split_crossed(d[crossed]).reshape(-1, 3, 3)
+            t = np.concatenate([t[~crossed], np.repeat(t[crossed], 3, axis=0)])
+            area = np.concatenate([area[~crossed], np.abs(np.linalg.det(split))
+                                   * np.repeat(area[crossed], 3)])
+            B = np.concatenate([B[~crossed], split])
+    corners = p[t]
+    ids = t.ravel()
+    out = np.zeros(mesh.n_nodes)
+    for lam, wq in zip(bary, w):
+        hats = np.einsum("k,skj->sj", lam, B)   # parent hats at the point
+        xq = np.einsum("sk,skd->sd", hats, corners)
+        fv = np.asarray(f(xq[:, 0], xq[:, 1]), dtype=float)
+        out += np.bincount(ids, weights=((wq * area * fv)[:, None] * hats).ravel(),
+                           minlength=mesh.n_nodes)
     return out
-
-
-def _barycentric(tri: np.ndarray, x: np.ndarray) -> np.ndarray:
-    T = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    ab = np.linalg.solve(T, x - tri[0])
-    return np.array([1.0 - ab[0] - ab[1], ab[0], ab[1]])
 
 
 # ---------------------------------------------------------------------
@@ -248,21 +235,15 @@ def _boundary_values_from(system: FemSystem, g, bc_mode: str) -> np.ndarray:
         if bc_mode == "interpolate":
             return vals
         if bc_mode == "l2project":
-            # 2-point Gauss per segment against the trace hat functions
-            n = tr.n
-            rhs = np.zeros(n)
-            s3 = 1.0 / math.sqrt(3.0)
-            for i in range(n):
-                k = (i + 1) % n
-                a, b = pts[i], pts[k]
-                L = tr.seg_lengths[i]
-                for xi in (-s3, s3):
-                    lam = 0.5 * (1.0 + xi)
-                    q = a + lam * (b - a)
-                    gv = float(np.asarray(g(np.array([q[0]]),
-                                            np.array([q[1]]))).ravel()[0])
-                    rhs[i] += 0.5 * L * gv * (1.0 - lam)
-                    rhs[k] += 0.5 * L * gv * lam
+            # 2-point Gauss per segment i (node i to node i + 1) against
+            # the trace hat functions of its two end nodes
+            nxt = np.roll(pts, -1, axis=0)
+            rhs = np.zeros(tr.n)
+            for xi in (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)):
+                lam = 0.5 * (1.0 + xi)
+                q = pts + lam * (nxt - pts)
+                gw = 0.5 * tr.seg_lengths * np.asarray(g(q[:, 0], q[:, 1]), dtype=float)
+                rhs += (1.0 - lam) * gw + np.roll(lam * gw, 1)
             return spla.spsolve(tr.mass.tocsc(), rhs)
         raise FemError(f"unknown bc_mode {bc_mode!r}")
     vals = np.asarray(g, dtype=float)

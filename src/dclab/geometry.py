@@ -312,20 +312,19 @@ def _parse_angle(text: str) -> float:
 
 def _named_domain(name: str, r_overrides) -> PolygonalDomain:
     key = name.strip().lower()
-    if key == "unit-square":
-        return unit_square()
-    if key == "l-shape":
-        dom = l_shape()
-        if r_overrides:
-            return PolygonalDomain(dom.vertices, r_overrides=r_overrides, name="l-shape")
-        return dom
     if key.startswith("sector(") and key.endswith(")"):
         inner = key[len("sector("):-1]
         parts = inner.split(",")
         omega = _parse_angle(parts[0])
         n_arc = int(parts[1]) if len(parts) > 1 else 64
         return sector(omega, n_arc, r_overrides=r_overrides)
-    raise GeometryError(f"unknown domain name {name!r}")
+    fixed = {"unit-square": unit_square, "l-shape": l_shape}.get(key)
+    if fixed is None:
+        raise GeometryError(f"unknown domain name {name!r}")
+    dom = fixed()
+    if r_overrides:
+        return PolygonalDomain(dom.vertices, r_overrides=r_overrides, name=dom.name)
+    return dom
 
 
 # -- local polar frames ----------------------------------------------

@@ -72,6 +72,7 @@ def test_error_paths_carry_field_names():
         (_cfg(mesh={"levels": 0}), "config.mesh.levels"),
         (_cfg(mesh={"kind": "hexahedral"}), "config.mesh.kind"),
         (_cfg(mesh={"grading": {0: 0.5}}), "config.mesh.grading"),
+        (_cfg(mesh={"lattice_angle": 0.3}), "config.mesh.lattice_angle"),
         (_cfg(problem={"nu": 0.0}), "config.problem.nu"),
         (_cfg(problem={"lower": 2.0, "upper": 1.0}), "config.problem"),
         (_cfg(analysis={"s_star": 1.5}), "config.analysis.s_star"),
@@ -272,4 +273,6 @@ def test_cli_mesh_subcommand(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "mesh_nodes.csv"))
     assert os.path.exists(os.path.join(out, "mesh_triangles.csv"))
     assert main(["mesh", "no-such-domain", "--h", "0.2"]) == 2
+    assert main(["mesh", "l-shape", "--h", "0.25", "--structured",
+                 "--lattice-angle", "0.3", "--out", out]) == 2
     capsys.readouterr()

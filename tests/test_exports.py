@@ -1,0 +1,81 @@
+"""Nodal CSV writers: byte-equal to the per-cell ``write_rows`` path."""
+
+import os
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from dclab import exports
+from dclab.geometry import l_shape
+from dclab.meshing import boundary_trace_space, structured_mesh
+
+SPECIAL = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308,
+           0.1, -2.5e-300, 1.0, 123456789.0]
+
+
+def _reference_mesh_csv(outdir, mesh):
+    exports.write_rows(os.path.join(outdir, "mesh_nodes.csv"), ["node", "x", "y"],
+                       ((i, p[0], p[1]) for i, p in enumerate(mesh.nodes)))
+    exports.write_rows(os.path.join(outdir, "mesh_triangles.csv"),
+                       ["triangle", "n0", "n1", "n2"],
+                       ((i, t[0], t[1], t[2]) for i, t in enumerate(mesh.triangles)))
+
+
+def _reference_field_csv(path, mesh, columns):
+    arrays = [np.asarray(a, dtype=float) for a in columns.values()]
+    exports.write_rows(path, ["node", "x", "y"] + list(columns),
+                       ((i, p[0], p[1], *(a[i] for a in arrays))
+                        for i, p in enumerate(mesh.nodes)))
+
+
+def _reference_boundary_csv(path, mesh, columns):
+    tr = boundary_trace_space(mesh)
+    arrays = [np.asarray(a, dtype=float) for a in columns.values()]
+    exports.write_rows(path, ["pos", "node", "side", "arc", "x", "y"] + list(columns),
+                       ((k, tr.node_ids[k], tr.side_of_segment[k], tr.arc[k],
+                         tr.points[k, 0], tr.points[k, 1], *(a[k] for a in arrays))
+                        for k in range(tr.n)))
+
+
+def _special_column(n, shift):
+    return np.resize(np.roll(SPECIAL, shift), n)
+
+
+@pytest.mark.parametrize("block_rows", [3, exports.BLOCK_ROWS])
+def test_nodal_writers_match_per_cell_rows(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(exports, "BLOCK_ROWS", block_rows)
+    mesh = structured_mesh(l_shape(), 1 / 4)
+    n = mesh.n_nodes
+    # special floats as coordinates and int64 ids beyond 32 bits
+    odd = SimpleNamespace(
+        nodes=np.column_stack([_special_column(n, 0), _special_column(n, 3)]),
+        triangles=mesh.triangles.astype(np.int64) + 2 ** 40)
+    fields = {"state": _special_column(n, 1), "ints": np.arange(n) - 3,
+              "bools": np.arange(n) % 2 == 0}
+    nb = boundary_trace_space(mesh).n
+    bnd = {"u": _special_column(nb, 5), "flux": np.linspace(-1.0, 1.0, nb)}
+    for sub, writers in {
+        "new": (exports.write_mesh_csv, exports.write_field_csv,
+                exports.write_boundary_csv),
+        "ref": (_reference_mesh_csv, _reference_field_csv,
+                _reference_boundary_csv),
+    }.items():
+        out = tmp_path / sub
+        out.mkdir()
+        write_mesh, write_field, write_boundary = writers
+        write_mesh(str(out), odd)
+        write_field(str(out / "fields.csv"), odd, fields)
+        write_boundary(str(out / "boundary.csv"), mesh, bnd)
+        (out / "empty").mkdir()
+        write_mesh(str(out / "empty"),
+                   SimpleNamespace(nodes=np.zeros((0, 2)),
+                                   triangles=np.zeros((0, 3), dtype=np.int64)))
+    for name in ("mesh_nodes.csv", "mesh_triangles.csv", "fields.csv",
+                 "boundary.csv", "empty/mesh_nodes.csv", "empty/mesh_triangles.csv"):
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "ref" / name).read_bytes(), name
+    text = (tmp_path / "new" / "mesh_nodes.csv").read_text()
+    assert "-0," in text and "nan" in text and "-inf" in text
+    assert "4.9406564584124654e-324" in text
+    assert str(2 ** 40) in (tmp_path / "new" / "mesh_triangles.csv").read_text()

@@ -8,8 +8,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dclab.geometry import l_shape, unit_square
-from dclab.meshing import mesh_ladder, structured_mesh, triangulate
+from dclab.config import resolve_config
+from dclab.geometry import PolygonalDomain, l_shape, unit_square
+from dclab.harness import _make_mesh, _make_target
+from dclab.meshing import TriMesh, mesh_ladder, structured_mesh, triangulate
 from dclab.fem import (
     DiscontinuityLine,
     FemError,
@@ -24,6 +26,7 @@ from dclab.fem import (
     l2_norm,
     solve_dirichlet,
     tri_quadrature,
+    _split_crossed,
     variational_normal_derivative,
 )
 
@@ -255,6 +258,41 @@ def test_discontinuous_load_clipped_exactly():
     # without clipping the quadrature misplaces the jump
     raw = assemble_load(mesh, step, order=2)
     assert abs(raw.sum() - 0.63) > 1e-3
+
+
+@pytest.mark.parametrize("on_line", [0, 1, 2])
+def test_split_with_vertex_on_line_keeps_area(on_line):
+    # right triangle cut by the line x = y through one of its vertices
+    tri = np.roll(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), on_line, axis=0)
+    mesh = TriMesh(PolygonalDomain(tri), tri, np.array([[0, 1, 2]]), 1.0, {}, ())
+    line = DiscontinuityLine((0.0, 0.0), (1.0, -1.0))
+    d = line.signed_distance(tri)[None, :]
+    sub = np.abs(np.linalg.det(_split_crossed(d)[0]))
+    assert sub.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.count_nonzero(sub) == 2  # one sub-triangle has zero area
+    # each side gets its own half: 0.25 * 1 + 0.25 * 3
+    step = lambda x, y: np.where(x > y, 1.0, 3.0)
+    ell = assemble_load(mesh, step, order=5, discontinuity=line)
+    assert ell.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_skew_step_target_integrates_exactly():
+    # ex38-skew level 0: the odd step across the bisector of the sector's
+    # corner integrates to 0 and its square to v^2 |Omega|
+    cfg, dom = resolve_config({
+        "domain": "sector(3pi/2, 64)", "corner_radii": {"0": 0.3},
+        "mesh": {"kind": "triangulated", "h0": 0.05},
+        "problem": {"nu": 1.0, "target": {"kind": "skew-step", "corner": 0,
+                                          "value": 1.5}}})
+    mesh = _make_mesh(dom, cfg, 0)
+    target = _make_target(dom, cfg["problem"]["target"])
+    line = target.discontinuity
+    assert np.any(np.abs(line.signed_distance(mesh.nodes)) < 1e-14)
+    odd = assemble_load(mesh, target.fn, order=5, discontinuity=line)
+    sq = assemble_load(mesh, lambda x, y: target.fn(x, y) ** 2, order=5,
+                       discontinuity=line)
+    assert abs(odd.sum()) < 1e-12
+    assert abs(sq.sum() - 1.5 ** 2 * dom.area) < 1e-12
 
 
 def test_l2project_matches_interpolation_for_trace_linears():

@@ -68,6 +68,9 @@ def test_l_shape_localization_radius():
 def test_radius_override_and_validation():
     dom = build_domain("l-shape", r_overrides={2: 0.3})
     assert dom.corners[2].radius == pytest.approx(0.3)
+    square = build_domain("unit-square", r_overrides={0: 0.1})
+    assert square.corners[0].radius == 0.1 and square.name == "unit-square"
+    assert square.corners[1].radius == unit_square().corners[1].radius
     with pytest.raises(GeometryError):
         build_domain("l-shape", r_overrides={2: 0.9})  # wedge pokes out
     with pytest.raises(GeometryError):

@@ -16,7 +16,10 @@ from dclab.meshing import (
     MIN_ANGLE_DEG,
     MeshError,
     _boundary_loop,
+    _boundary_segments,
     _delaunay,
+    _filter_interior,
+    _side_points,
     _smooth_interior,
     boundary_trace_space,
     mesh_ladder,
@@ -208,6 +211,42 @@ def _seg_dist(p, a, b):
     ab = b - a
     t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
     return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def _filter_interior_by_disk_loop(interior, bpts, bsegs):
+    """Reference: one pass over every candidate per disk."""
+    keep = np.ones(len(interior), dtype=bool)
+    ln = np.zeros(len(bpts))
+    for ia, ib in bsegs:
+        a, b = bpts[ia], bpts[ib]
+        L = float(np.linalg.norm(b - a))
+        ln[ia], ln[ib] = max(ln[ia], L), max(ln[ib], L)
+        d, r = interior - 0.5 * (a + b), 0.525 * L
+        keep &= (d[:, 0] ** 2 + d[:, 1] ** 2) > r * r
+    for i, p in enumerate(bpts):
+        d, r = interior - p, 0.45 * ln[i]
+        keep &= (d[:, 0] ** 2 + d[:, 1] ** 2) > r * r
+    return interior[keep]
+
+
+def test_interior_filter_matches_disk_loop():
+    # random candidates plus candidates placed on each disk's circle, where
+    # the KD-tree's own rounding would decide without the exact test
+    dom = l_shape()
+    bpts = _side_points(dom, 1 / 8, {2: 0.5})
+    segs = _boundary_segments(dom, bpts)
+    rng = np.random.default_rng(0)
+    a, b = bpts[[s[0] for s in segs]], bpts[[s[1] for s in segs]]
+    rad = 0.525 * np.linalg.norm(b - a, axis=1)
+    ang = rng.uniform(0.0, 2.0 * math.pi, len(segs))
+    on_circle = 0.5 * (a + b) + rad[:, None] * np.column_stack([np.cos(ang),
+                                                                np.sin(ang)])
+    interior = np.vstack([rng.uniform(-1.0, 1.0, (4000, 2)), on_circle])
+    ref = _filter_interior_by_disk_loop(interior, bpts, segs)
+    out = _filter_interior(dom, interior, bpts, segs)
+    assert 0 < len(out) < len(interior)
+    assert np.array_equal(out, ref)
+    assert len(_filter_interior(dom, interior[:0], bpts, segs)) == 0
 
 
 def test_mesh_ladder():
