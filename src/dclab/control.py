@@ -21,9 +21,18 @@ Constrained problems are solved by a primal-dual active set iteration
 (semismooth Newton): given active sets, the equality-constrained
 quadratic is solved by conjugate gradients on the inactive block of the
 reduced Hessian H = nu M_L + S^T M S (two cached-LU solves per apply),
-then the sets are updated from the unprojected candidate d / nu.  A
-projected-gradient fallback with Armijo backtracking guards against
-cycling.
+then the sets are updated from the unprojected candidate d / nu.
+
+A step that changes the active sets only has to pick the next sets, so
+CG runs to the loose CG_RTOL_SETS while the sets move (an inexact Newton
+step).  PDAS is exact once the sets are right, so the first step that
+leaves them unchanged switches to CG_RTOL for good: the same sets are
+solved again, warm-started from the current iterate, and the iteration
+returns only at unchanged sets whose fresh fields satisfy KKT_TOL.  A
+set pair that repeats among inexact steps switches to exact steps too;
+among exact steps it means cycling, and a projected-gradient fallback
+with Armijo backtracking, bounded by PG_MAX_SOLVES PDE solves, takes
+over.
 """
 
 from __future__ import annotations
@@ -48,6 +57,15 @@ KKT_TOL = 1e-10
 
 #: relative CG tolerance for the reduced Newton/unconstrained systems
 CG_RTOL = 1e-12
+
+#: relative CG tolerance of a PDAS step while the active sets still move
+CG_RTOL_SETS = 1e-3
+
+#: work budget of the projected-gradient fallback, in PDE solves
+PG_MAX_SOLVES = 20000
+
+#: backtracking halvings per projected-gradient step
+_PG_HALVINGS = 60
 
 
 class ControlError(RuntimeError):
@@ -85,12 +103,13 @@ def _target_data(system: FemSystem, target):
         t = c * (system.M @ np.ones(mesh.n_nodes))
         return t, 0.5 * c * c * mesh.domain.area
     if isinstance(target, CallableTarget):
-        t = assemble_load(mesh, target.fn, order=5,
-                          discontinuity=target.discontinuity)
-        sq = assemble_load(
-            mesh,
-            lambda x, y: np.asarray(target.fn(x, y), dtype=float) ** 2,
-            order=5, discontinuity=target.discontinuity)
+        def values_and_squares(x, y):
+            v = np.broadcast_to(np.asarray(target.fn(x, y), dtype=float),
+                                x.shape)
+            return np.stack([v, v * v])
+        # the hats sum to one, so the load of y_target^2 sums to its integral
+        t, sq = assemble_load(mesh, values_and_squares, order=5,
+                              discontinuity=target.discontinuity)
         return t, 0.5 * float(sq.sum())
     if isinstance(target, NodalTarget):
         v = np.asarray(target.values, dtype=float)
@@ -233,8 +252,9 @@ def _finish(problem: ControlProblem, u, iterations, converged, method, history,
 # solvers
 
 def _cg_on_subset(problem: ControlProblem, mask: np.ndarray, rhs: np.ndarray,
-                  x0: np.ndarray | None = None):
-    """CG for the inactive block of the reduced Hessian."""
+                  x0: np.ndarray | None = None, rtol: float = CG_RTOL):
+    """CG to relative residual ``rtol`` for the inactive block of the
+    reduced Hessian."""
     idx = np.where(mask)[0]
     n = len(idx)
 
@@ -250,7 +270,7 @@ def _cg_on_subset(problem: ControlProblem, mask: np.ndarray, rhs: np.ndarray,
         (n, n), matvec=lambda v: v / (problem.nu * problem.lumped[idx]),
         dtype=float)
     x, info = spla.cg(op, rhs[idx], x0=None if x0 is None else x0[idx],
-                      rtol=CG_RTOL, atol=0.0, M=pre, maxiter=5000)
+                      rtol=rtol, atol=0.0, M=pre, maxiter=5000)
     if info != 0:
         raise ControlError(f"inner CG failed to converge (info={info})")
     return x, idx
@@ -271,7 +291,8 @@ def solve_unconstrained(problem: ControlProblem,
 
 def solve_constrained(problem: ControlProblem, u0: np.ndarray | None = None,
                       max_iter: int = 200) -> OptimalSolution:
-    """Primal-dual active set iteration for the box-constrained problem."""
+    """Primal-dual active set iteration for the box-constrained problem,
+    with inexact steps while the active sets move (see module docstring)."""
     lo, hi = problem.lower, problem.upper
     if not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi))):
         return solve_unconstrained(problem, u0)
@@ -279,6 +300,8 @@ def solve_constrained(problem: ControlProblem, u0: np.ndarray | None = None,
     u = np.zeros(nb) if u0 is None else np.clip(np.asarray(u0, float), lo, hi)
     act_a = np.zeros(nb, dtype=bool)
     act_b = np.zeros(nb, dtype=bool)
+    rtol = CG_RTOL_SETS
+    g_fix = None
     seen = set()
     history = []
 
@@ -290,8 +313,9 @@ def solve_constrained(problem: ControlProblem, u0: np.ndarray | None = None,
         u_fix[act_b] = hi[act_b]
         inactive = ~(act_a | act_b)
         if np.any(inactive):
-            g_fix, _, _, _ = problem.gradient(u_fix)
-            x, idx = _cg_on_subset(problem, inactive, -g_fix, x0=u)
+            if g_fix is None:
+                g_fix, _, _, _ = problem.gradient(u_fix)
+            x, idx = _cg_on_subset(problem, inactive, -g_fix, x0=u, rtol=rtol)
             u = u_fix.copy()
             u[idx] = x
         else:
@@ -307,41 +331,56 @@ def solve_constrained(problem: ControlProblem, u0: np.ndarray | None = None,
                         "active_lower": int(new_a.sum()),
                         "active_upper": int(new_b.sum()),
                         "kkt": kkt.stationarity_max})
-        key = (new_a.tobytes(), new_b.tobytes())
-        if (np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
-                and kkt.satisfied):
+        same = np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
+        if same and kkt.satisfied:
             uc = np.clip(u, lo, hi)
             fields = (y, phi, d) if np.array_equal(uc, u) else None
             return _finish(problem, uc, it, True, "pdas", history, fields)
-        if key in seen:
+        key = (new_a.tobytes(), new_b.tobytes())
+        if rtol != CG_RTOL and (same or key in seen):
+            # the sets have settled (or repeat): exact steps from here on,
+            # and only a set pair repeated among them counts as cycling
+            rtol = CG_RTOL
+            seen.clear()
+        elif key in seen:
             # cycling: fall back to the globally convergent method
-            return _projected_gradient(problem, np.clip(u, lo, hi),
-                                       history, max_iter=20000)
+            return _projected_gradient(problem, np.clip(u, lo, hi), history)
         seen.add(key)
-        act_a, act_b = new_a, new_b
+        if not same:
+            act_a, act_b = new_a, new_b
+            g_fix = None
 
-    return _projected_gradient(problem, np.clip(u, lo, hi), history,
-                               max_iter=20000)
+    return _projected_gradient(problem, np.clip(u, lo, hi), history)
 
 
 def _projected_gradient(problem: ControlProblem, u: np.ndarray, history,
-                        max_iter: int = 20000) -> OptimalSolution:
-    """Projected gradient with Armijo backtracking (monotone, slow, safe)."""
+                        max_solves: int = PG_MAX_SOLVES) -> OptimalSolution:
+    """Projected gradient with Armijo backtracking (monotone, slow, safe).
+
+    At most ``max_solves`` PDE solves: a step costs one gradient (two
+    solves) and up to _PG_HALVINGS objectives (one each), the unconverged
+    result's fields two more, and a step starts only while that worst
+    case fits.  A run out of budget returns unconverged.
+    """
     lo, hi = problem.lower, problem.upper
     J = problem.objective(u)
+    solves = 1
     step = 1.0 / problem.nu
     it = 0
-    for it in range(1, max_iter + 1):
+    while solves + 2 + _PG_HALVINGS + 2 <= max_solves:
+        it += 1
         g, y, phi, d = problem.gradient(u)
+        solves += 2
         # Riesz representative of the gradient in the lumped metric
         gr = g / problem.lumped
         kkt = problem.kkt_residual(u, d)
         if kkt.satisfied:
             return _finish(problem, u, it, True, "pg", history, (y, phi, d))
         s = step
-        for _ in range(60):
+        for _ in range(_PG_HALVINGS):
             cand = np.clip(u - s * gr, lo, hi)
             Jc = problem.objective(cand)
+            solves += 1
             dec = float(g @ (cand - u))
             if Jc <= J + 1e-4 * dec or np.allclose(cand, u):
                 break

@@ -17,6 +17,7 @@ local and makes the discrete optimality system close exactly.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -44,18 +45,18 @@ TRI_QUAD_3 = (
     np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]),
 )
 
-_a1, _b1 = 0.059715871789770, 0.470142064105115
-_a2, _b2 = 0.797426985353087, 0.101286507323456
-#: degree-5 rule (7 points)
+_s15 = math.sqrt(15.0)
+_b1, _b2 = (6.0 + _s15) / 21.0, (6.0 - _s15) / 21.0
+_a1, _a2 = 1.0 - 2.0 * _b1, 1.0 - 2.0 * _b2
+_w1, _w2 = (155.0 + _s15) / 1200.0, (155.0 - _s15) / 1200.0
+#: degree-5 rule (7 points, Radon), in closed form
 TRI_QUAD_7 = (
     np.array([
         [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
         [_a1, _b1, _b1], [_b1, _a1, _b1], [_b1, _b1, _a1],
         [_a2, _b2, _b2], [_b2, _a2, _b2], [_b2, _b2, _a2],
     ]),
-    np.array([0.225,
-              0.132394152788506, 0.132394152788506, 0.132394152788506,
-              0.125939180544827, 0.125939180544827, 0.125939180544827]),
+    np.array([9.0 / 40.0, _w1, _w1, _w1, _w2, _w2, _w2]),
 )
 
 
@@ -146,12 +147,14 @@ def assemble_load(mesh: TriMesh, f, order: int = 2,
                   discontinuity: DiscontinuityLine | None = None) -> np.ndarray:
     """Load vector ell_i = int f phi_i via triangle quadrature.
 
-    ``f`` maps (x, y) arrays to values.  With a discontinuity line each
-    crossed triangle is split into three sub-triangles along it (see
-    ``_split_crossed``), so the rule never straddles the jump.  Every
-    (sub-)triangle is a barycentric matrix B in its parent (B = I when
-    uncrossed): its area is |det B| |T|, and at a rule point lam the
-    parent hats take the values lam B.
+    ``f`` maps (x, y) arrays to values, or to a stack of k value arrays
+    (shape (k, npts)); the result is then the (k, n_nodes) stack of
+    their loads, from one pass over the quadrature points.  With a
+    discontinuity line each crossed triangle is split into three
+    sub-triangles along it (see ``_split_crossed``), so the rule never
+    straddles the jump.  Every (sub-)triangle is a barycentric matrix B
+    in its parent (B = I when uncrossed): its area is |det B| |T|, and at
+    a rule point lam the parent hats take the values lam B.
     """
     bary, w = tri_quadrature(order)
     p, t = mesh.nodes, mesh.triangles
@@ -168,14 +171,15 @@ def assemble_load(mesh: TriMesh, f, order: int = 2,
             B = np.concatenate([B[~crossed], split])
     corners = p[t]
     ids = t.ravel()
-    out = np.zeros(mesh.n_nodes)
+    out = 0.0
     for lam, wq in zip(bary, w):
         hats = np.einsum("k,skj->sj", lam, B)   # parent hats at the point
         xq = np.einsum("sk,skd->sd", hats, corners)
         fv = np.asarray(f(xq[:, 0], xq[:, 1]), dtype=float)
-        out += np.bincount(ids, weights=((wq * area * fv)[:, None] * hats).ravel(),
-                           minlength=mesh.n_nodes)
-    return out
+        wts = ((wq * area * fv)[..., None] * hats).reshape(-1, ids.size)
+        out = out + np.array([np.bincount(ids, weights=r, minlength=mesh.n_nodes)
+                              for r in wts])
+    return out.reshape(fv.shape[:-1] + (mesh.n_nodes,))
 
 
 # ---------------------------------------------------------------------
@@ -191,6 +195,23 @@ class ScalarField:
     def boundary_values(self) -> np.ndarray:
         tr = boundary_trace_space(self.mesh)
         return self.values[tr.node_ids]
+
+
+def _find_malloc_trim(libc):
+    """glibc's ``malloc_trim`` from a loaded C library, or None where the
+    library has no such symbol."""
+    fn = getattr(libc, "malloc_trim", None)
+    if fn is not None:
+        fn.argtypes = [ctypes.c_size_t]
+        fn.restype = ctypes.c_int
+    return fn
+
+
+#: returns freed heap pages to the OS before a factorization; None off glibc
+try:
+    _MALLOC_TRIM = _find_malloc_trim(ctypes.CDLL(None))
+except (OSError, TypeError):   # no process symbol table (Windows)
+    _MALLOC_TRIM = None
 
 
 class FemSystem:
@@ -220,6 +241,10 @@ class FemSystem:
     @property
     def lu(self):
         if self._lu is None:
+            if _MALLOC_TRIM is not None:
+                # hand the freed heap back first: on a fragmented heap the
+                # factor's allocations raised the peak RSS by ~20 MiB at random
+                _MALLOC_TRIM(0)
             self._lu = spla.splu(self._aii, permc_spec="MMD_AT_PLUS_A")
         return self._lu
 

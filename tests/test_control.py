@@ -1,5 +1,7 @@
 """Boundary-control solver: objective, gradient, PDAS, optimality."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -8,7 +10,10 @@ from scipy.spatial import cKDTree
 from dclab.geometry import UNBOUNDED, l_shape, unit_square
 from dclab.meshing import structured_mesh, triangulate
 from dclab.fem import FemSystem, check_max_principle
+from dclab import control
 from dclab.control import (
+    CG_RTOL,
+    CG_RTOL_SETS,
     CallableTarget,
     ConstantTarget,
     ControlError,
@@ -19,7 +24,9 @@ from dclab.control import (
     solve_unconstrained,
     _cg_on_subset,
     _projected_gradient,
+    _target_data,
 )
+from dclab.fem import DiscontinuityLine, assemble_load
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +86,23 @@ def test_hessian_apply_consistent_with_gradient(wavy_problem):
     g_0, _, _, _ = p.gradient(np.zeros(nb))
     hu = p.hessian_apply(u)
     assert np.abs(g_u - g_0 - hu).max() < 1e-12 * np.abs(g_u).max()
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x, y: np.where(y > 0.3 + 0.2 * x, 1.5, -1.5),
+    lambda x, y: 0.7,
+])
+def test_callable_target_data_in_one_pass(square_system, fn):
+    # one quadrature pass gives the two-call load bit for bit, and the
+    # constant 1/2 int y_d^2 to round-off
+    target = CallableTarget(fn, DiscontinuityLine((0.0, 0.3), (-0.2, 1.0)))
+    t, const = _target_data(square_system, target)
+    mesh = square_system.mesh
+    kw = dict(order=5, discontinuity=target.discontinuity)
+    t2 = assemble_load(mesh, fn, **kw)
+    sq = assemble_load(mesh, lambda x, y: np.asarray(fn(x, y)) ** 2, **kw)
+    assert np.array_equal(t, t2)
+    assert const == pytest.approx(0.5 * sq.sum(), rel=1e-14)
 
 
 def test_problem_validation(square_system):
@@ -209,13 +233,102 @@ def test_converged_pdas_fields_match_fresh_solves(boxed_problem, monkeypatch):
 def test_projected_gradient_is_monotone(boxed_problem):
     hist = []
     nb = boxed_problem.system.trace.n
-    sol = _projected_gradient(boxed_problem, np.zeros(nb), hist, max_iter=150)
+    sol = _projected_gradient(boxed_problem, np.zeros(nb), hist,
+                              max_solves=1000)
     Js = [h["pg_objective"] for h in hist if "pg_objective" in h]
     assert all(Js[i + 1] <= Js[i] + 1e-14 for i in range(len(Js) - 1))
     # reaches the PDAS optimum from above
     ref = solve_constrained(boxed_problem)
     assert sol.objective >= ref.objective - 1e-12
     assert sol.objective - ref.objective < 1e-6
+
+
+def test_projected_gradient_stops_at_its_solve_budget(boxed_problem,
+                                                     monkeypatch):
+    p = boxed_problem
+    nb = p.system.trace.n
+    full = []
+    _projected_gradient(p, np.zeros(nb), full)
+    solves = []
+    solve = p.system.solve_interior
+    monkeypatch.setattr(p.system, "solve_interior",
+                        lambda rhs: solves.append(1) or solve(rhs))
+    hist = []
+    sol = _projected_gradient(p, np.zeros(nb), hist, max_solves=70)
+    assert not sol.converged and sol.method == "pg"
+    assert 0 < len(solves) <= 70
+    assert 0 < len(hist) < len(full)
+
+
+def _record_cg_rtols(monkeypatch):
+    rtols = []
+    cg = control._cg_on_subset
+    monkeypatch.setattr(control, "_cg_on_subset", lambda *a, **kw:
+                        rtols.append(kw["rtol"]) or cg(*a, **kw))
+    return rtols
+
+
+def test_pdas_steps_are_inexact_until_the_sets_settle(boxed_problem,
+                                                      monkeypatch):
+    rtols = _record_cg_rtols(monkeypatch)
+    sol = solve_constrained(boxed_problem)
+    assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
+    assert rtols[0] == CG_RTOL_SETS
+    assert rtols[-1] == CG_RTOL
+    # once exact, every later step stays exact
+    k = rtols.index(CG_RTOL)
+    assert set(rtols[:k]) == {CG_RTOL_SETS} and set(rtols[k:]) == {CG_RTOL}
+
+
+def test_all_active_sets_need_no_exact_step(square_system, monkeypatch):
+    # a negative target under the bound 0 makes every node active after
+    # the first step; that step is exact without CG
+    p = ControlProblem(square_system, nu=0.2, target=ConstantTarget(-1.0),
+                       lower=0.0)
+    rtols = _record_cg_rtols(monkeypatch)
+    sol = solve_constrained(p)
+    assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
+    assert sol.active_lower.all() and np.array_equal(sol.u, p.lower)
+    assert rtols == [CG_RTOL_SETS]
+    assert sol.iterations == 2
+
+
+@pytest.fixture(scope="module")
+def l_shape_system():
+    return FemSystem(structured_mesh(l_shape(), 1.0 / 32.0))
+
+
+#: the four problem kinds of the solve benchmark: (nu, lower, upper, target)
+SOLVE_FIXED_PROBLEMS = {
+    "upper-active": (0.24, -1.025, 1.025, 0.92),
+    "lower-active": (0.18, 0.0, math.inf, -0.925),
+    "tight-small-nu": (0.0095, -0.104, 0.104, 1.03),
+    "unbounded": (0.23, -math.inf, math.inf, 0.99),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SOLVE_FIXED_PROBLEMS))
+def test_inexact_pdas_matches_all_exact_steps(l_shape_system, label,
+                                              monkeypatch):
+    nu, lo, hi, target = SOLVE_FIXED_PROBLEMS[label]
+    p = ControlProblem(l_shape_system, nu, ConstantTarget(target),
+                       lower=lo, upper=hi)
+    applies = []
+    hess = p.hessian_apply
+    monkeypatch.setattr(p, "hessian_apply",
+                        lambda v: applies.append(1) or hess(v))
+    sol = solve_constrained(p)
+    n_inexact = len(applies)
+    applies.clear()
+    monkeypatch.setattr(control, "CG_RTOL_SETS", CG_RTOL)
+    ref = solve_constrained(p)
+    assert sol.converged and sol.kkt.satisfied
+    assert np.abs(sol.u - ref.u).max() <= 1e-10
+    if label == "unbounded":
+        # no bounds: the one CG solve is untouched
+        assert n_inexact == len(applies)
+    else:
+        assert n_inexact < len(applies)
 
 
 def test_equivariance_under_lattice_symmetry(square_system):

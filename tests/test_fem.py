@@ -1,5 +1,6 @@
 """Assembly, Dirichlet solves, flux recovery, norms, quadrature."""
 
+import ctypes
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dclab import fem
 from dclab.config import resolve_config
 from dclab.geometry import PolygonalDomain, l_shape, unit_square
 from dclab.harness import _make_mesh, _make_target
@@ -55,7 +57,8 @@ def test_quadrature_exactness(order, deg):
     bary, w = tri_quadrature(order)
     assert w.sum() == pytest.approx(1.0)
     # integrate x^a y^b over the reference triangle and compare with
-    # a! b! / (a + b + 2)!
+    # a! b! / (a + b + 2)!: the rules are given in closed form, so exact
+    # to round-off
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     for a in range(deg + 1):
         for b in range(deg + 1 - a):
@@ -63,9 +66,33 @@ def test_quadrature_exactness(order, deg):
             got = 0.5 * np.sum(w * xq[:, 0] ** a * xq[:, 1] ** b)
             want = (math.factorial(a) * math.factorial(b)
                     / math.factorial(a + b + 2))
-            assert got == pytest.approx(want, rel=1e-13)
+            assert abs(got - want) <= 1e-15 * want, (a, b)
     with pytest.raises(FemError):
         tri_quadrature(7)
+
+
+def test_factorization_without_malloc_trim(monkeypatch):
+    # a C library without the glibc symbol: no trim, the factor still works
+    class NoTrimLibc:
+        pass
+    assert fem._find_malloc_trim(NoTrimLibc()) is None
+    monkeypatch.setattr(fem, "_MALLOC_TRIM",
+                        fem._find_malloc_trim(NoTrimLibc()))
+    system = FemSystem(structured_mesh(unit_square(), 1 / 8))
+    b = np.ones(system._aii.shape[0])
+    x = system.solve_interior(b)
+    assert np.linalg.norm(system._aii @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_malloc_trim_runs_before_each_factorization(monkeypatch):
+    calls = []
+    trim = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_size_t)(
+        lambda pad: calls.append(pad) or 1)
+    monkeypatch.setattr(fem, "_MALLOC_TRIM", trim)
+    system = FemSystem(structured_mesh(unit_square(), 1 / 8))
+    system.lu
+    system.lu
+    assert calls == [0]
 
 
 def test_stiffness_structure():
@@ -273,7 +300,7 @@ def test_split_with_vertex_on_line_keeps_area(on_line):
     # each side gets its own half: 0.25 * 1 + 0.25 * 3
     step = lambda x, y: np.where(x > y, 1.0, 3.0)
     ell = assemble_load(mesh, step, order=5, discontinuity=line)
-    assert ell.sum() == pytest.approx(1.0, abs=1e-12)
+    assert ell.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_skew_step_target_integrates_exactly():
