@@ -16,7 +16,7 @@ from .geometry import (
     sobolev_exponents,
     unit_square,
 )
-from .meshing import MeshError, TriMesh, refine_uniform, structured_mesh, triangulate
+from .meshing import MeshError, TriMesh, structured_mesh, triangulate
 from .fem import DiscontinuityLine, FemError, FemSystem, ScalarField, solve_dirichlet
 from .control import (
     CallableTarget,

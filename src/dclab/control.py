@@ -49,6 +49,7 @@ from .fem import (
     ScalarField,
     assemble_load,
     solve_dirichlet,
+    variational_normal_derivative,
 )
 from .geometry import UNBOUNDED
 
@@ -157,7 +158,7 @@ class ControlProblem:
         sysm = self.system
         phi = np.zeros(sysm.mesh.n_nodes)
         phi[sysm.itr] = sysm.solve_interior(w[sysm.itr])
-        return phi, (sysm.A @ phi - w)[sysm.bnd] / self.lumped
+        return phi, variational_normal_derivative(sysm, phi, load=w)
 
     def adjoint(self, y: ScalarField):
         """Adjoint field and its lumped boundary flux d_phi."""
@@ -382,10 +383,12 @@ def _projected_gradient(problem: ControlProblem, u: np.ndarray, history,
             Jc = problem.objective(cand)
             solves += 1
             dec = float(g @ (cand - u))
-            if Jc <= J + 1e-4 * dec or np.allclose(cand, u):
+            if Jc <= J + 1e-4 * dec or np.array_equal(cand, u):
                 break
             s *= 0.5
-        if np.allclose(cand, u) and Jc >= J:
+        # stalled only when a step leaves u exactly unchanged: a relative
+        # tolerance (np.allclose's 1e-5) stops short of KKT_TOL
+        if np.array_equal(cand, u) and Jc >= J:
             break
         u, J = cand, Jc
         history.append({"iteration": len(history) + 1, "pg_objective": J,

@@ -7,12 +7,13 @@ discontinuity line, error norms, and a discrete maximum-principle check.
 
 The variational flux is the discrete outward normal derivative d solving
 
-    M_Gamma d = (A z - ell) restricted to boundary nodes,
+    M_L d = (A z - ell) restricted to boundary nodes,
 
-which is the exact distributional normal derivative of the finite element
-function z with volume load ell.  With ``lumped=True`` the boundary mass
-M_Gamma is replaced by its row sums; this keeps the recovery strictly
-local and makes the discrete optimality system close exactly.
+which is the distributional normal derivative of the finite element
+function z with volume load ell, tested against the boundary hats.  M_L
+is the lumped boundary mass (the row sums of M_Gamma); it keeps the
+recovery strictly local and makes the discrete optimality system of
+``control`` close exactly.
 """
 
 from __future__ import annotations
@@ -252,47 +253,27 @@ class FemSystem:
         return self.lu.solve(rhs)
 
 
-def _boundary_values_from(system: FemSystem, g, bc_mode: str) -> np.ndarray:
+def _boundary_values_from(system: FemSystem, g) -> np.ndarray:
     tr = system.trace
     if callable(g):
-        pts = tr.points
-        vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-        if bc_mode == "interpolate":
-            return vals
-        if bc_mode == "l2project":
-            # 2-point Gauss per segment i (node i to node i + 1) against
-            # the trace hat functions of its two end nodes
-            nxt = np.roll(pts, -1, axis=0)
-            rhs = np.zeros(tr.n)
-            for xi in (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)):
-                lam = 0.5 * (1.0 + xi)
-                q = pts + lam * (nxt - pts)
-                gw = 0.5 * tr.seg_lengths * np.asarray(g(q[:, 0], q[:, 1]), dtype=float)
-                rhs += (1.0 - lam) * gw + np.roll(lam * gw, 1)
-            return spla.spsolve(tr.mass.tocsc(), rhs)
-        raise FemError(f"unknown bc_mode {bc_mode!r}")
+        return np.asarray(g(tr.points[:, 0], tr.points[:, 1]), dtype=float)
     vals = np.asarray(g, dtype=float)
     if vals.shape != (tr.n,):
         raise FemError(f"boundary data must have length {tr.n}")
     return vals
 
 
-def solve_dirichlet(system: FemSystem, g, f=None, load: np.ndarray | None = None,
-                    bc_mode: str = "interpolate") -> ScalarField:
+def solve_dirichlet(system: FemSystem, g,
+                    load: np.ndarray | None = None) -> ScalarField:
     """Solve -Lap y = f with y = g on the boundary.
 
-    ``g`` is a callable or an array over trace nodes (counterclockwise
-    trace order).  The volume load may be given as a callable ``f`` or a
-    preassembled vector ``load``.
+    ``g`` is a callable, interpolated at the trace nodes, or an array over
+    trace nodes (counterclockwise trace order).  ``load`` is the
+    preassembled volume load of f (see ``assemble_load``); none means f = 0.
     """
-    gb = _boundary_values_from(system, g, bc_mode)
-    if load is None:
-        if f is None:
-            ell = np.zeros(system.mesh.n_nodes)
-        else:
-            ell = assemble_load(system.mesh, f)
-    else:
-        ell = np.asarray(load, dtype=float)
+    gb = _boundary_values_from(system, g)
+    ell = (np.zeros(system.mesh.n_nodes) if load is None
+           else np.asarray(load, dtype=float))
     rhs = ell[system.itr] - system._aib @ gb
     yi = system.solve_interior(rhs)
     vals = np.empty(system.mesh.n_nodes)
@@ -301,9 +282,8 @@ def solve_dirichlet(system: FemSystem, g, f=None, load: np.ndarray | None = None
     return ScalarField(system.mesh, vals)
 
 
-def variational_normal_derivative(system: FemSystem, z, load=None,
-                                  lumped: bool = True) -> np.ndarray:
-    """Discrete outward normal derivative of z on the boundary trace.
+def variational_normal_derivative(system: FemSystem, z, load=None) -> np.ndarray:
+    """Lumped discrete outward normal derivative of z on the boundary trace.
 
     ``z`` is a ScalarField or nodal array solving -Lap z = load (weakly
     against interior hats).  Returns the flux in trace order.
@@ -312,10 +292,7 @@ def variational_normal_derivative(system: FemSystem, z, load=None,
     res = system.A @ vals
     if load is not None:
         res = res - np.asarray(load, dtype=float)
-    res_b = res[system.bnd]
-    if lumped:
-        return res_b / system.trace.lumped
-    return spla.spsolve(system.trace.mass.tocsc(), res_b)
+    return res[system.bnd] / system.trace.lumped
 
 
 # ---------------------------------------------------------------------

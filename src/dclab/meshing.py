@@ -19,9 +19,10 @@ Two generators share one mesh type:
 Corner grading with exponent mu < 1 is the radial map
 r -> R_j (r / R_j)^(1/mu) applied to all generator points within R_j of
 the flagged corner; local element diameter then scales like
-h (r/R_j)^(1-mu).  Uniform (red) refinement quarters every triangle;
-graded meshes instead re-triangulate at h/2 so the grading family is
-preserved.
+h (r/R_j)^(1-mu).  A refinement ladder is one fresh generator call per
+level at h0/2^k: on the lattice that is the red refinement of the level
+below (the same triangles, numbered afresh), and a graded mesh stays in
+its grading family.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class TriMesh:
     domain: PolygonalDomain
     nodes: np.ndarray
     triangles: np.ndarray
-    h_target: float
-    grading: dict
-    provenance: tuple
     boundary_edges: np.ndarray = field(default=None)
     boundary_loop: np.ndarray = field(default=None)
     corner_nodes: dict = field(default_factory=dict)
@@ -289,8 +287,7 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
     for attempt in range(3):
         pts = np.vstack([bpts_g, interior_g])
         tris = _build_trimmed(domain, pts)
-        mesh = _finalize(domain, pts, tris, h, grading,
-                         ("cdt", domain, h, grading, lattice_angle))
+        mesh = _finalize(domain, pts, tris)
         if mesh.min_angle >= MIN_ANGLE_DEG or len(interior_g) == 0:
             return mesh
         interior_g = _smooth_interior(domain, mesh, len(bpts_g), grading)
@@ -376,14 +373,13 @@ def structured_mesh(domain: PolygonalDomain, h: float) -> TriMesh:
     tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
     # lattice nodes outside the polygon are dropped by _finalize
     nodes = np.column_stack([i.ravel() / n, j.ravel() / n])
-    return _finalize(domain, nodes, tris, h, {},
-                     ("structured", domain, h, {}, 0.0))
+    return _finalize(domain, nodes, tris)
 
 
 # ---------------------------------------------------------------------
 # finalize: tags, invariants
 
-def _finalize(domain, nodes, tris, h_target, grading, provenance) -> TriMesh:
+def _finalize(domain, nodes, tris) -> TriMesh:
     u = nodes[tris[:, 1]] - nodes[tris[:, 0]]
     v = nodes[tris[:, 2]] - nodes[tris[:, 0]]
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
@@ -424,7 +420,6 @@ def _finalize(domain, nodes, tris, h_target, grading, provenance) -> TriMesh:
     angles = _angles_deg(p)
 
     return TriMesh(domain=domain, nodes=nodes, triangles=tris,
-                   h_target=h_target, grading=grading, provenance=provenance,
                    boundary_edges=bed,
                    boundary_loop=_boundary_loop(bed, corner_nodes[0]),
                    corner_nodes=corner_nodes, h=h,
@@ -477,46 +472,6 @@ def _boundary_loop(bedges: np.ndarray, start: int) -> np.ndarray:
     if node != start or len(order) != len(heads):
         raise MeshError("boundary loop is broken or disconnected")
     return np.array(order, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------
-# refinement
-
-def refine_uniform(mesh: TriMesh) -> TriMesh:
-    """One refinement level.
-
-    Ungraded meshes are red-refined (each triangle into four via edge
-    midpoints; boundary midpoints stay on the polygon).  Graded meshes
-    are re-triangulated at h/2 within the same grading family.
-    """
-    kind, domain, h, grading, angle = mesh.provenance
-    if any(mu < 1.0 for mu in mesh.grading.values()):
-        return triangulate(domain, h / 2.0, grading, angle)
-
-    nodes = mesh.nodes
-    tris = mesh.triangles
-    _, uniq, inv, _ = _edges(tris, len(nodes))
-    mid = 0.5 * (nodes[uniq[:, 0]] + nodes[uniq[:, 1]])
-    new_nodes = np.vstack([nodes, mid])
-    # edge k's midpoint is node len(nodes) + k
-    e01, e12, e20 = (len(nodes) + inv).reshape(3, -1)
-    a, b, c = tris.T
-    new_tris = np.vstack([
-        np.column_stack([a, e01, e20]),
-        np.column_stack([e01, b, e12]),
-        np.column_stack([e20, e12, c]),
-        np.column_stack([e01, e12, e20]),
-    ])
-    return _finalize(mesh.domain, new_nodes, new_tris, mesh.h_target / 2.0,
-                     mesh.grading, (kind, domain, h / 2.0, grading, angle))
-
-
-def mesh_ladder(mesh0: TriMesh, levels: int) -> list[TriMesh]:
-    """mesh0 plus ``levels - 1`` successive refinements."""
-    out = [mesh0]
-    for _ in range(levels - 1):
-        out.append(refine_uniform(out[-1]))
-    return out
 
 
 # ---------------------------------------------------------------------

@@ -260,6 +260,18 @@ def test_projected_gradient_stops_at_its_solve_budget(boxed_problem,
     assert 0 < len(hist) < len(full)
 
 
+@pytest.mark.parametrize("nu", [0.08, 0.3, 1.0, 3.0])
+def test_projected_gradient_converges(square_system, nu):
+    # from u = 0 the fallback reaches KKT_TOL for every nu: it may stall
+    # only on an exactly unchanged control
+    target = CallableTarget(lambda x, y: np.exp(x) * np.sin(2.0 * y))
+    p = ControlProblem(square_system, nu=nu, target=target,
+                       lower=-0.2, upper=0.25)
+    sol = _projected_gradient(p, np.zeros(square_system.trace.n), [])
+    assert sol.converged and sol.kkt.satisfied
+    assert np.abs(sol.u - solve_constrained(p).u).max() < 1e-9
+
+
 def _record_cg_rtols(monkeypatch):
     rtols = []
     cg = control._cg_on_subset

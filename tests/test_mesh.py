@@ -22,8 +22,6 @@ from dclab.meshing import (
     _side_points,
     _smooth_interior,
     boundary_trace_space,
-    mesh_ladder,
-    refine_uniform,
     structured_mesh,
     triangulate,
 )
@@ -130,47 +128,22 @@ def test_triangulate_rejects_bad_input():
         _delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
 
 
-# ---------------------------------------------------------------------
-# refinement
-
-def test_red_refinement_counts():
-    mesh = structured_mesh(unit_square(), 0.25)
-    fine = refine_uniform(mesh)
-    assert fine.n_triangles == 4 * mesh.n_triangles
-    assert fine.h == pytest.approx(0.5 * mesh.h)
-    assert fine.nonobtuse
-    _check_invariants(fine)
-
-
-def test_red_refinement_keeps_boundary_on_polygon():
-    mesh = triangulate(l_shape(), 0.23)
-    fine = refine_uniform(mesh)
-    _check_invariants(fine)
-    bn = fine.nodes[fine.boundary_node_ids()]
-    dom = fine.domain
-    for p in bn:
-        d = min(_seg_dist(p, *dom.side(j)) for j in range(len(dom)))
-        assert d < 1e-12
-
-
 def _digest(a):
     return hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
 
 # Counts and sha256 prefixes of nodes, triangles and boundary_edges
 # (float64, int64, int64; little-endian bytes) of meshes whose edge tables
-# go through every user: _finalize, refine_uniform and _smooth_interior.
-# Node digests are pinned where the coordinates are exact lattice and
-# midpoint arithmetic; a rotated lattice rounds through the BLAS, so its
-# nodes are checked by test_smoothing_sums_match_edge_loop instead.
+# go through every user: _finalize (both generators) and _smooth_interior.
+# Node digests are pinned where the coordinates are exact lattice
+# arithmetic; a rotated lattice rounds through the BLAS, so its nodes are
+# checked by test_smoothing_sums_match_edge_loop instead.
 @pytest.mark.parametrize("build,counts,digests", [
-    (lambda: refine_uniform(structured_mesh(l_shape(), 1 / 8)), (833, 1536, 128),
-     ("5d7328b42d768638", "69998cd184340df5", "32f9d707790d55c5")),
-    (lambda: refine_uniform(triangulate(l_shape(), 0.23)), (283, 496, 68),
-     ("2f70a2e3d8cbfad4", "e64b40a4a5aa14ee", "a6d9ecaf5fca0dae")),
+    (lambda: structured_mesh(l_shape(), 1 / 16), (833, 1536, 128),
+     ("aa97ade078dca93e", "bda7cc03bc890a63", "b2e3fb697c8292d5")),
     (lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), (943, 1756, 128),
      (None, "87435d11c2f94d00", "8325b0d8c67efffe")),
-], ids=["refine-structured", "refine-triangulated", "smoothing-retry"])
+], ids=["structured", "smoothing-retry"])
 def test_mesh_arrays_are_pinned(build, counts, digests):
     mesh = build()
     arrays = (mesh.nodes, mesh.triangles, mesh.boundary_edges)
@@ -207,12 +180,6 @@ def test_smoothing_sums_match_edge_loop():
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _seg_dist(p, a, b):
-    ab = b - a
-    t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
 def _filter_interior_by_disk_loop(interior, bpts, bsegs):
     """Reference: one pass over every candidate per disk."""
     keep = np.ones(len(interior), dtype=bool)
@@ -247,16 +214,6 @@ def test_interior_filter_matches_disk_loop():
     assert 0 < len(out) < len(interior)
     assert np.array_equal(out, ref)
     assert len(_filter_interior(dom, interior[:0], bpts, segs)) == 0
-
-
-def test_mesh_ladder():
-    ladder = mesh_ladder(structured_mesh(unit_square(), 0.5), 3)
-    assert len(ladder) == 3
-    assert [m.h_target for m in ladder] == pytest.approx(
-        [0.5 * 2.0**-k for k in range(3)])
-    # actual mesh size halves too
-    assert [m.h for m in ladder] == pytest.approx(
-        [ladder[0].h * 2.0**-k for k in range(3)])
 
 
 # ---------------------------------------------------------------------
@@ -299,10 +256,9 @@ def test_graded_layer_spacing_follows_power_law():
 def test_graded_refinement_stays_graded():
     dom = l_shape()
     j = L_SHAPE_REENTRANT_CORNER
-    mesh = triangulate(dom, 1.0 / 16.0, grading={j: 0.5})
-    fine = refine_uniform(mesh)
+    # the next rung of a graded ladder is a fresh call at h/2
+    fine = triangulate(dom, 1.0 / 32.0, grading={j: 0.5})
     _check_invariants(fine)
-    assert fine.h_target == pytest.approx(1.0 / 32.0)
     d = np.hypot(fine.nodes[:, 0], fine.nodes[:, 1])
     bn = fine.boundary_node_ids()
     onx = bn[(np.abs(fine.nodes[bn, 1]) < 1e-12) & (fine.nodes[bn, 0] > 1e-12)]
