@@ -61,29 +61,30 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    from .config import resolve_mesh
     from .exports import write_mesh_csv
-    from .geometry import GeometryError, build_domain
+    from .geometry import build_domain
     from .meshing import MeshError, structured_mesh, triangulate
     try:
         domain = build_domain(args.domain)
         grading = {}
         for item in args.grading:
             j, mu = item.split(":", 1)
-            grading[int(j)] = float(mu)
-    except (GeometryError, ValueError) as exc:
+            grading[j] = float(mu)
+        m = resolve_mesh({"kind": "structured" if args.structured
+                          else "triangulated", "h0": args.h,
+                          "grading": grading,
+                          "lattice_angle": args.lattice_angle},
+                         len(domain.corners))
+    except ValueError as exc:  # as are ConfigError and GeometryError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         if args.structured:
-            if grading or args.lattice_angle:
-                what = "grading" if grading else "a lattice angle"
-                print(f"config error: structured meshes do not support {what}",
-                      file=sys.stderr)
-                return 2
-            mesh = structured_mesh(domain, args.h)
+            mesh = structured_mesh(domain, m["h0"])
         else:
-            mesh = triangulate(domain, args.h, grading=grading or None,
-                               lattice_angle=args.lattice_angle)
+            mesh = triangulate(domain, m["h0"], grading=m["grading"],
+                               lattice_angle=m["lattice_angle"])
     except MeshError as exc:
         print(f"mesh generation failed: {exc}", file=sys.stderr)
         return 3

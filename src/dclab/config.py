@@ -133,6 +133,37 @@ def _expectations(raw, n_corners):
     return out
 
 
+def resolve_mesh(mesh, n_corners) -> dict:
+    """Validate and normalize the ``mesh`` block of a configuration for a
+    domain with ``n_corners`` corners."""
+    m = {}
+    m["kind"] = _get(mesh, "kind", "config.mesh", str, default="triangulated")
+    if m["kind"] not in _MESH_KINDS:
+        _fail("config.mesh.kind", f"must be one of {sorted(_MESH_KINDS)}")
+    m["h0"] = _number(mesh, "h0", "config.mesh", required=True, positive=True)
+    levels = _get(mesh, "levels", "config.mesh", int, default=1)
+    if levels < 1:
+        _fail("config.mesh.levels", "must be an integer >= 1")
+    m["levels"] = levels
+    grading = _get(mesh, "grading", "config.mesh", dict, default=None)
+    if grading:
+        g = _corner_map(grading, "config.mesh.grading")
+        for j, mu in g.items():
+            _corner_index(j, n_corners, f"config.mesh.grading[{j}]")
+            if not 0.0 < mu <= 1.0:
+                _fail(f"config.mesh.grading[{j}]", "exponent must lie in (0, 1]")
+        if m["kind"] == "structured":
+            _fail("config.mesh.grading", "structured meshes do not support grading")
+        m["grading"] = g
+    else:
+        m["grading"] = None
+    m["lattice_angle"] = _number(mesh, "lattice_angle", "config.mesh", default=0.0)
+    if m["kind"] == "structured" and m["lattice_angle"] != 0.0:
+        _fail("config.mesh.lattice_angle",
+              "structured meshes do not support a lattice angle")
+    return m
+
+
 def validate_config(cfg) -> dict:
     """Normalize and validate a configuration dict.
 
@@ -174,33 +205,8 @@ def resolve_config(cfg):
     for j in out["corner_radii"] or {}:
         _corner_index(j, n_corners, f"config.corner_radii[{j}]")
 
-    mesh = _get(cfg, "mesh", "config", dict, required=True)
-    m = {}
-    m["kind"] = _get(mesh, "kind", "config.mesh", str, default="triangulated")
-    if m["kind"] not in _MESH_KINDS:
-        _fail("config.mesh.kind", f"must be one of {sorted(_MESH_KINDS)}")
-    m["h0"] = _number(mesh, "h0", "config.mesh", required=True, positive=True)
-    levels = _get(mesh, "levels", "config.mesh", int, default=1)
-    if levels < 1:
-        _fail("config.mesh.levels", "must be an integer >= 1")
-    m["levels"] = levels
-    grading = _get(mesh, "grading", "config.mesh", dict, default=None)
-    if grading:
-        g = _corner_map(grading, "config.mesh.grading")
-        for j, mu in g.items():
-            _corner_index(j, n_corners, f"config.mesh.grading[{j}]")
-            if not 0.0 < mu <= 1.0:
-                _fail(f"config.mesh.grading[{j}]", "exponent must lie in (0, 1]")
-        if m["kind"] == "structured":
-            _fail("config.mesh.grading", "structured meshes do not support grading")
-        m["grading"] = g
-    else:
-        m["grading"] = None
-    m["lattice_angle"] = _number(mesh, "lattice_angle", "config.mesh", default=0.0)
-    if m["kind"] == "structured" and m["lattice_angle"] != 0.0:
-        _fail("config.mesh.lattice_angle",
-              "structured meshes do not support a lattice angle")
-    out["mesh"] = m
+    out["mesh"] = resolve_mesh(
+        _get(cfg, "mesh", "config", dict, required=True), n_corners)
 
     data = _get(cfg, "singular_data", "config", dict, default=None)
     prob = _get(cfg, "problem", "config", dict, default=None)

@@ -62,6 +62,9 @@ CG_RTOL = 1e-12
 #: relative CG tolerance of a PDAS step while the active sets still move
 CG_RTOL_SETS = 1e-3
 
+#: PDAS iterations before the projected-gradient fallback takes over
+PDAS_MAX_ITER = 200
+
 #: work budget of the projected-gradient fallback, in PDE solves
 PG_MAX_SOLVES = 20000
 
@@ -290,8 +293,8 @@ def solve_unconstrained(problem: ControlProblem,
                    method="cg", history=[])
 
 
-def solve_constrained(problem: ControlProblem, u0: np.ndarray | None = None,
-                      max_iter: int = 200) -> OptimalSolution:
+def solve_constrained(problem: ControlProblem,
+                      u0: np.ndarray | None = None) -> OptimalSolution:
     """Primal-dual active set iteration for the box-constrained problem,
     with inexact steps while the active sets move (see module docstring)."""
     lo, hi = problem.lower, problem.upper
@@ -306,7 +309,7 @@ def solve_constrained(problem: ControlProblem, u0: np.ndarray | None = None,
     seen = set()
     history = []
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, PDAS_MAX_ITER + 1):
         # equality-constrained step: pin active nodes, zero the gradient
         # on the inactive block
         u_fix = np.zeros(nb)

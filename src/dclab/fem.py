@@ -298,9 +298,10 @@ def variational_normal_derivative(system: FemSystem, z, load=None) -> np.ndarray
 # ---------------------------------------------------------------------
 # norms and checks
 
-def l2_norm(mesh: TriMesh, vals, exact=None, order: int = 5) -> float:
-    """L2 norm of the P1 function, or of its error against ``exact``."""
-    bary, w = tri_quadrature(order)
+def l2_norm(mesh: TriMesh, vals, exact=None) -> float:
+    """L2 norm of the P1 function, or of its error against ``exact``
+    (degree-5 quadrature)."""
+    bary, w = tri_quadrature(5)
     p, t = mesh.nodes, mesh.triangles
     corners = p[t]
     area = mesh.triangle_areas()
@@ -315,9 +316,9 @@ def l2_norm(mesh: TriMesh, vals, exact=None, order: int = 5) -> float:
     return math.sqrt(total)
 
 
-def h1_seminorm(mesh: TriMesh, vals, grad_exact=None, order: int = 5) -> float:
+def h1_seminorm(mesh: TriMesh, vals, grad_exact=None) -> float:
     """H1 seminorm of the P1 function, or of its error against an exact
-    gradient ``grad_exact(x, y) -> (gx, gy)``."""
+    gradient ``grad_exact(x, y) -> (gx, gy)`` (degree-5 quadrature)."""
     p, t = mesh.nodes, mesh.triangles
     p0, p1, p2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
     area = mesh.triangle_areas()
@@ -328,7 +329,7 @@ def h1_seminorm(mesh: TriMesh, vals, grad_exact=None, order: int = 5) -> float:
     gh = np.einsum("tk,tkd->td", v[t], perp) / (2.0 * area)[:, None]
     if grad_exact is None:
         return math.sqrt(float(np.sum(area * (gh * gh).sum(axis=1))))
-    bary, w = tri_quadrature(order)
+    bary, w = tri_quadrature(5)
     corners = p[t]
     total = 0.0
     for lam, wq in zip(bary, w):
@@ -356,8 +357,9 @@ class MaxPrincipleReport:
     satisfied: bool
 
 
-def check_max_principle(system: FemSystem, field, tol: float = 1e-10) -> MaxPrincipleReport:
-    """Discrete maximum principle: interior range within boundary range."""
+def check_max_principle(system: FemSystem, field) -> MaxPrincipleReport:
+    """Discrete maximum principle: interior range within boundary range,
+    up to 1e-10."""
     vals = field.values if isinstance(field, ScalarField) else np.asarray(field)
     vi = vals[system.itr]
     vb = vals[system.bnd]
@@ -368,4 +370,4 @@ def check_max_principle(system: FemSystem, field, tol: float = 1e-10) -> MaxPrin
     viol = max(0.0, bmin - imin, imax - bmax)
     return MaxPrincipleReport(interior_min=imin, interior_max=imax,
                               boundary_min=bmin, boundary_max=bmax,
-                              violation=viol, satisfied=bool(viol <= tol))
+                              violation=viol, satisfied=bool(viol <= 1e-10))

@@ -329,12 +329,12 @@ def _named_domain(name: str, r_overrides) -> PolygonalDomain:
 
 # -- local polar frames ----------------------------------------------
 
-def local_polar(domain: PolygonalDomain, j: int, point, tol: float = 1e-12) -> LocalPolar:
+def local_polar(domain: PolygonalDomain, j: int, point) -> LocalPolar:
     """Polar coordinates of a point in the frame of corner j.
 
     theta = 0 along Gamma_j, growing counterclockwise to omega_j on
-    Gamma_{j-1}.  Points outside the closed wedge (beyond an angular
-    tolerance) raise GeometryError.  The corner itself maps to (0, 0).
+    Gamma_{j-1}.  Points outside the closed wedge (by more than an arc of
+    1e-12) raise GeometryError.  The corner itself maps to (0, 0).
     """
     c = domain.corners[j]
     p = np.asarray(point, dtype=float) - np.asarray(c.vertex)
@@ -343,9 +343,9 @@ def local_polar(domain: PolygonalDomain, j: int, point, tol: float = 1e-12) -> L
         return LocalPolar(0.0, 0.0)
     theta = (math.atan2(p[1], p[0]) - c.frame_angle) % (2.0 * math.pi)
     if theta > c.angle:
-        if theta <= c.angle + tol / max(r, tol):
+        if theta <= c.angle + 1e-12 / max(r, 1e-12):
             theta = c.angle
-        elif theta >= 2.0 * math.pi - tol / max(r, tol):
+        elif theta >= 2.0 * math.pi - 1e-12 / max(r, 1e-12):
             theta = 0.0
         else:
             raise GeometryError(
@@ -463,18 +463,18 @@ def admissible_p(domain: PolygonalDomain, s_star: float, h_sets) -> float:
 
 # -- side signs, traces, normal derivatives ---------------------------
 
-def jump_chi(domain: PolygonalDomain, j: int, point, tol: float = 1e-9) -> int:
+def jump_chi(domain: PolygonalDomain, j: int, point) -> int:
     """Side sign chi_j at a boundary point near corner j: +1 on Gamma_j,
     -1 on Gamma_{j-1}.  The corner itself (and points on neither side)
     raise GeometryError."""
     c = domain.corners[j]
     p = np.asarray(point, dtype=float)
-    scale = max(c.radius, 1.0)
-    if np.linalg.norm(p - np.asarray(c.vertex)) <= tol * scale:
+    tol = 1e-9 * max(c.radius, 1.0)
+    if np.linalg.norm(p - np.asarray(c.vertex)) <= tol:
         raise GeometryError(f"chi is undefined at corner {j} itself")
     ends = np.array([domain.side(j), domain.side(j - 1)])
     dist, _ = point_segment_distance(p, ends[:, 0], ends[:, 1])
-    on_next, on_prev = dist <= tol * scale
+    on_next, on_prev = dist <= tol
     if on_next and not on_prev:
         return 1
     if on_prev and not on_next:

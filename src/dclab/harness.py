@@ -117,8 +117,9 @@ def _solve_summary(system, sol):
     }
 
 
-def _corner_log_slope(domain, mesh, u, j, drop: float = 1e-12):
-    """Log-log slope of |u| against corner distance on [1.5 r_min, R/2]."""
+def _corner_log_slope(domain, mesh, u, j):
+    """Log-log slope of |u| against corner distance on [1.5 r_min, R/2],
+    over the nodes with |u| > 1e-12."""
     tr = boundary_trace_space(mesh)
     c = domain.corners[j]
     r = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
@@ -127,7 +128,7 @@ def _corner_log_slope(domain, mesh, u, j, drop: float = 1e-12):
     if not np.any(pos):
         return None
     lo = 1.5 * r[pos].min()
-    sel = (r >= lo) & (r <= 0.5 * c.radius) & (np.abs(u) > drop)
+    sel = (r >= lo) & (r <= 0.5 * c.radius) & (np.abs(u) > 1e-12)
     if np.count_nonzero(sel) < 4:
         return None
     return float(np.polyfit(np.log(r[sel]), np.log(np.abs(u[sel])), 1)[0])
@@ -172,60 +173,53 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
     rec.profile = (tr.arc.copy(), np.asarray(main.u, dtype=float),
                    tr.perimeter())
 
-    # per-corner diagnostics on the primary solve's adjoint and control
+    # per-corner diagnostics on the primary solve's adjoint and control;
+    # a corner's first failure is the note it keeps
+    bounds = (lo, hi) if primary == "constrained" else (-UNBOUNDED, UNBOUNDED)
     for j in ana["corners"]:
         try:
             rec.fits[j] = extract_coefficients(domain, mesh, main.phi.values,
                                                j, modes=tuple(ana["modes"]))
         except AnalysisError as exc:
             rec.skipped[j] = str(exc)
+        fit = rec.fits.get(j)
 
-    if ana["flatness"] and "constrained" in sols:
-        uc = sols["constrained"].u
-        for j in ana["corners"]:
-            fit = rec.fits.get(j)
+        if ana["flatness"] and "constrained" in sols:
             c1 = fit.coefficients.get(1) if fit is not None else None
             if c1 is not None and math.isnan(c1):
                 c1 = None
             try:
-                rec.flatness[j] = flatness_diagnostic(domain, mesh, uc, lo,
-                                                      hi, j, c1=c1)
+                rec.flatness[j] = flatness_diagnostic(
+                    domain, mesh, sols["constrained"].u, lo, hi, j, c1=c1)
             except AnalysisError as exc:
                 rec.skipped.setdefault(j, str(exc))
 
-    if ana["structure"]:
-        for j in ana["corners"]:
-            fit = rec.fits.get(j)
-            if fit is None:
-                continue
-            fl = rec.flatness.get(j)
-            if fl is not None and fl.verdict in ("flat-at-a", "flat-at-b"):
-                # locally constant control: nothing singular to subtract
-                terms = {}
-            elif primary == "unconstrained":
-                terms = predicted_control_terms(domain, j, fit.coefficients,
-                                                prob["nu"], -UNBOUNDED,
-                                                UNBOUNDED)
-            else:
-                terms = predicted_control_terms(domain, j, fit.coefficients,
-                                                prob["nu"], lo, hi)
-            rec.terms[j] = terms
-            try:
-                rec.structure[j] = structural_fit_control(domain, mesh,
-                                                          main.u, j, terms)
-            except AnalysisError as exc:
-                rec.skipped.setdefault(j, str(exc))
-            c = domain.corners[j]
-            alpha = 2.0 * c.lam - 1.0
-            if c.reentrant and 0.0 < alpha < 1.0:
-                q_raw = holder_quotient(domain, mesh, main.u, j, alpha)
-                pred = control_singular_profile(domain, mesh, j, terms)
-                q_rem = holder_quotient(domain, mesh, main.u - pred, j, alpha)
-                rec.holder[j] = (q_raw, q_rem)
-            if c.reentrant:
-                s = _corner_log_slope(domain, mesh, main.u, j)
-                if s is not None:
-                    rec.slopes[j] = s
+        if not ana["structure"] or fit is None:
+            continue
+        fl = rec.flatness.get(j)
+        if fl is not None and fl.verdict in ("flat-at-a", "flat-at-b"):
+            # locally constant control: nothing singular to subtract
+            terms = {}
+        else:
+            terms = predicted_control_terms(domain, j, fit.coefficients,
+                                            prob["nu"], *bounds)
+        rec.terms[j] = terms
+        try:
+            rec.structure[j] = structural_fit_control(domain, mesh, main.u,
+                                                      j, terms)
+        except AnalysisError as exc:
+            rec.skipped.setdefault(j, str(exc))
+        c = domain.corners[j]
+        alpha = 2.0 * c.lam - 1.0
+        if c.reentrant and 0.0 < alpha < 1.0:
+            q_raw = holder_quotient(domain, mesh, main.u, j, alpha)
+            pred = control_singular_profile(domain, mesh, j, terms)
+            q_rem = holder_quotient(domain, mesh, main.u - pred, j, alpha)
+            rec.holder[j] = (q_raw, q_rem)
+        if c.reentrant:
+            s = _corner_log_slope(domain, mesh, main.u, j)
+            if s is not None:
+                rec.slopes[j] = s
 
     # artifacts
     fields = {"state": main.y.values, "adjoint": main.phi.values}

@@ -11,8 +11,11 @@ against the wedge modes r^(m lam) sin(m lam theta) plus a smooth
 background {l1 l2, l1 l2 x, l1 l2 y} built from the two lines through the
 corner's sides (so every background function vanishes on both wedge
 walls, like the fields being analyzed).  Columns are rescaled to unit
-size; if the scaled design matrix has condition number above 1e8 the
-highest mode is dropped and the fit is flagged.
+size; if the scaled design matrix has condition number above COND_MAX
+the highest mode is dropped and the fit is flagged.  The annulus must hold
+MIN_ANNULUS_NODES nodes.  The flatness scan counts a control within
+FLAT_TOL of a bound as on it, and the sign of c_{j,1} predicts the flat
+bound once |c_{j,1}| > C1_SIGN_MIN.
 """
 
 from __future__ import annotations
@@ -44,9 +47,25 @@ MIN_ANNULUS_NODES = 30
 #: a control value within this distance of a bound counts as on it
 FLAT_TOL = 1e-8
 
+#: smallest |c_{j,1}| whose sign predicts the flat bound
+C1_SIGN_MIN = 1e-3
+
 
 class AnalysisError(RuntimeError):
     pass
+
+
+def _corner_sides(domain: PolygonalDomain, tr, j: int, r_max: float):
+    """(side, trace positions, corner distances) on Gamma_j and then on
+    Gamma_{j-1}, for the boundary nodes with 1e-14 < r < r_max."""
+    vertex = np.asarray(domain.corners[j].vertex)
+    out = []
+    for side in (j, (j - 1) % len(domain.vertices)):
+        pos = tr.side_positions(side)
+        radii = np.linalg.norm(tr.points[pos] - vertex, axis=1)
+        keep = (radii > 1e-14) & (radii < r_max)
+        out.append((side, pos[keep], radii[keep]))
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -67,32 +86,14 @@ class CoefficientFit:
     warning: str | None = None
 
 
-def _local_frame(domain: PolygonalDomain, j: int, points):
-    r, theta = _polar_arrays(domain, j, points)
-    xl = r * np.cos(theta)
-    yl = r * np.sin(theta)
-    return r, theta, xl, yl
-
-
-def _background_columns(domain, j, r, theta, xl, yl):
-    # products of the linear forms of the two wedge walls; they vanish on
-    # both sides, as adjoint-type fields do
-    w = domain.corners[j].angle
-    l1 = yl
-    l2 = math.sin(w) * xl - math.cos(w) * yl
-    b0 = l1 * l2
-    return [b0, b0 * xl, b0 * yl]
-
-
 def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
-                         j: int, modes=(1, 2), annulus=None,
-                         min_nodes: int = MIN_ANNULUS_NODES) -> CoefficientFit:
+                         j: int, modes=(1, 2), annulus=None) -> CoefficientFit:
     """Least-squares wedge-mode coefficients of a nodal field at corner j.
 
     The field must vanish on the boundary near the corner (adjoint type);
     subtract boundary data first if it does not.  The default annulus
     [R_j/4, R_j/2] is widened toward 0.95 R_j if it holds fewer than
-    ``min_nodes`` mesh nodes.
+    MIN_ANNULUS_NODES mesh nodes.
     """
     c = domain.corners[j]
     lam = c.lam
@@ -103,21 +104,25 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
     if not modes or modes[0] < 1:
         raise AnalysisError("mode orders must be positive integers")
 
-    r_all, _ = _polar_arrays(domain, j, mesh.nodes)
+    r_all, theta_all = _polar_arrays(domain, j, mesh.nodes)
     lo, hi = (0.25 * c.radius, 0.5 * c.radius) if annulus is None else annulus
     if not 0.0 < lo < hi <= c.radius:
         raise AnalysisError("annulus must satisfy 0 < r1 < r2 <= R_j")
     sel = np.where((r_all >= lo) & (r_all <= hi))[0]
-    while len(sel) < min_nodes and hi < 0.95 * c.radius - 1e-15:
+    while len(sel) < MIN_ANNULUS_NODES and hi < 0.95 * c.radius - 1e-15:
         hi = min(1.25 * hi, 0.95 * c.radius)
         sel = np.where((r_all >= lo) & (r_all <= hi))[0]
-    if len(sel) < min_nodes:
+    if len(sel) < MIN_ANNULUS_NODES:
         raise AnalysisError(
             f"extraction annulus at corner {j} holds {len(sel)} nodes "
-            f"(< {min_nodes}); refine the mesh or widen the annulus")
+            f"(< {MIN_ANNULUS_NODES}); refine the mesh or widen the annulus")
 
-    pts = mesh.nodes[sel]
-    r, theta, xl, yl = _local_frame(domain, j, pts)
+    r, theta = r_all[sel], theta_all[sel]
+    xl = r * np.cos(theta)
+    yl = r * np.sin(theta)
+    # products of the linear forms of the two wedge walls; they vanish on
+    # both sides, as adjoint-type fields do
+    b0 = yl * (math.sin(c.angle) * xl - math.cos(c.angle) * yl)
     y = vals[sel]
 
     active = list(modes)
@@ -125,7 +130,7 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
     warning = None
     while True:
         cols = [r ** (m * lam) * np.sin(m * lam * theta) for m in active]
-        cols += _background_columns(domain, j, r, theta, xl, yl)
+        cols += [b0, b0 * xl, b0 * yl]
         A = np.column_stack(cols)
         scale = np.abs(A).max(axis=0)
         scale[scale == 0.0] = 1.0
@@ -250,44 +255,35 @@ class FlatnessVerdict:
     contradiction: bool
 
 
-def _side_flat_scan(u, radii, lower, upper, tol):
-    """Walk nodes outward from the corner; classify the run at a bound."""
+def _side_flat_scan(u, radii, lower, upper):
+    """Classify the run of nodes at a bound, outward from the corner.
+
+    The radius is the midpoint between the last node of the longer run
+    and the first node off both bounds (the last node if there is none).
+    """
     order = np.argsort(radii)
-    at_a = at_b = True
-    rad_a = rad_b = 0.0
-    last_r = 0.0
-    for k in order:
-        if at_a and abs(u[k] - lower[k]) <= tol:
-            rad_a = radii[k]
-        else:
-            at_a = False
-        if at_b and abs(u[k] - upper[k]) <= tol:
-            rad_b = radii[k]
-        else:
-            at_b = False
-        if not (at_a or at_b):
-            first_off = radii[k]
-            break
-        last_r = radii[k]
-    else:
-        first_off = last_r
-    if rad_a == 0.0 and rad_b == 0.0:
+    r = radii[order]
+    n_a = int(np.cumprod(np.abs(u - lower)[order] <= FLAT_TOL).sum())
+    n_b = int(np.cumprod(np.abs(u - upper)[order] <= FLAT_TOL).sum())
+    if n_a == n_b == 0:
         return None, 0.0
+    rad_a = r[n_a - 1] if n_a else 0.0
+    rad_b = r[n_b - 1] if n_b else 0.0
+    first_off = r[min(max(n_a, n_b), len(r) - 1)]
     if rad_a >= rad_b:
-        return "a", 0.5 * (rad_a + max(first_off, rad_a))
-    return "b", 0.5 * (rad_b + max(first_off, rad_b))
+        return "a", 0.5 * (rad_a + first_off)
+    return "b", 0.5 * (rad_b + first_off)
 
 
 def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
-                        lower, upper, j: int, c1: float | None = None,
-                        tol: float = FLAT_TOL,
-                        c1_threshold: float = 1e-3) -> FlatnessVerdict:
+                        lower, upper, j: int,
+                        c1: float | None = None) -> FlatnessVerdict:
     """Scan the control near corner j for a flat run at a bound.
 
     For corners where 0 is admissible the phenomenon only occurs at
     non-convex corners, so convex corners are rejected there.  The sign
-    rule links the flat bound to the leading adjoint coefficient: c1 > 0
-    predicts the lower bound, c1 < 0 the upper bound.
+    rule links the flat bound to the leading adjoint coefficient: c1 >
+    C1_SIGN_MIN predicts the lower bound, c1 < -C1_SIGN_MIN the upper.
     """
     c = domain.corners[j]
     tr = boundary_trace_space(mesh)
@@ -302,18 +298,8 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
             f"flatness diagnostic undefined at convex corner {j} "
             "when 0 is admissible")
 
-    M = len(domain.vertices)
-    per_side = {}
-    for side in (j, (j - 1) % M):
-        pos = tr.side_positions(side)
-        radii = np.linalg.norm(tr.points[pos] - np.asarray(c.vertex), axis=1)
-        keep = (radii > 1e-14) & (radii < c.radius)
-        pos, radii = pos[keep], radii[keep]
-        if len(pos) == 0:
-            per_side[side] = (None, 0.0)
-            continue
-        bound, rad = _side_flat_scan(u[pos], radii, lo[pos], hi[pos], tol)
-        per_side[side] = (bound, rad)
+    per_side = {side: _side_flat_scan(u[pos], radii, lo[pos], hi[pos])
+                for side, pos, radii in _corner_sides(domain, tr, j, c.radius)}
 
     bounds_seen = {b for b, _ in per_side.values() if b is not None}
     radius = min((rad for b, rad in per_side.values() if b is not None),
@@ -333,7 +319,7 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
         flat_value = None
 
     predicted = None
-    if c1 is not None and abs(c1) > c1_threshold:
+    if c1 is not None and abs(c1) > C1_SIGN_MIN:
         predicted = "a" if c1 > 0 else "b"
     consistent = (predicted is None or verdict == f"flat-at-{predicted}")
     contradiction = (predicted is not None and verdict == "not-flat")
@@ -385,12 +371,8 @@ def control_singular_profile(domain: PolygonalDomain, mesh: TriMesh, j: int,
     c = domain.corners[j]
     lam = c.lam
     out = np.zeros(tr.n)
-    M = len(domain.vertices)
-    for side, sign_base in ((j, 1.0), ((j - 1) % M, -1.0)):
-        pos = tr.side_positions(side)
-        radii = np.linalg.norm(tr.points[pos] - np.asarray(c.vertex), axis=1)
-        keep = (radii > 1e-14) & (radii < 2.0 * c.radius)
-        pos, radii = pos[keep], radii[keep]
+    sides = _corner_sides(domain, tr, j, 2.0 * c.radius)
+    for sign_base, (_, pos, radii) in zip((1.0, -1.0), sides):
         xi = cutoff(domain, j, radii)
         for m, am in terms.items():
             if am == 0.0:
@@ -401,10 +383,9 @@ def control_singular_profile(domain: PolygonalDomain, mesh: TriMesh, j: int,
 
 
 def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
-                           j: int, terms: dict,
-                           max_shells: int = 12) -> StructureFitReport:
+                           j: int, terms: dict) -> StructureFitReport:
     """Compare the raw control against the singular-subtracted remainder
-    over geometric shells shrinking toward corner j."""
+    over at most 12 geometric shells shrinking toward corner j."""
     tr = boundary_trace_space(mesh)
     u = np.asarray(u, dtype=float)
     pred = control_singular_profile(domain, mesh, j, terms)
@@ -413,7 +394,7 @@ def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
     radii = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
 
     shells = []
-    for k in range(max_shells):
+    for k in range(12):
         r_out = c.radius / 2.0 ** k
         r_in = 0.5 * r_out
         sel = (radii > 1e-14) & (radii >= r_in) & (radii < r_out)
@@ -442,8 +423,7 @@ def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
 
 
 def structure_refinement_trend(coarse: StructureFitReport,
-                               fine: StructureFitReport,
-                               tol: float = 0.9) -> tuple:
+                               fine: StructureFitReport) -> tuple:
     """Per-shell remainder ratios fine/coarse on shells both levels resolve.
 
     Outer shells are dominated by the regular part, which converges to a
@@ -451,7 +431,7 @@ def structure_refinement_trend(coarse: StructureFitReport,
     shells (outer radius <= R/4) where the subtracted singular term
     dominates and the remainder is discretization error.  Returns
     (ratios, decayed) with ``decayed`` true when the geometric-mean inner
-    ratio is below ``tol``.
+    ratio is at most 0.9.
     """
     by_radius = {round(math.log2(s[1])): s for s in coarse.shells}
     R = coarse.shells[0][1]
@@ -468,13 +448,13 @@ def structure_refinement_trend(coarse: StructureFitReport,
     if not inner:
         raise AnalysisError("no common inner shells between refinement levels")
     gm = math.exp(np.mean([math.log(max(q, 1e-300)) for q in inner]))
-    return ratios, bool(gm <= tol)
+    return ratios, bool(gm <= 0.9)
 
 
 def holder_quotient(domain: PolygonalDomain, mesh: TriMesh, u, j: int,
-                    alpha: float, radius: float | None = None) -> float:
+                    alpha: float) -> float:
     """Largest discrete Hölder quotient |u(x)-u(y)| / |x-y|^alpha over
-    boundary-node pairs within ``radius`` of corner j (default R_j).
+    boundary-node pairs within R_j of corner j.
 
     A field behaving like r^alpha near the corner has a bounded quotient
     that is dominated by node pairs straddling the corner; subtracting
@@ -482,18 +462,15 @@ def holder_quotient(domain: PolygonalDomain, mesh: TriMesh, u, j: int,
     """
     tr = boundary_trace_space(mesh)
     c = domain.corners[j]
-    rad = c.radius if radius is None else radius
     u = np.asarray(u, dtype=float)
     r = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
-    sel = np.where(r < rad)[0]
+    sel = np.where(r < c.radius)[0]
     if len(sel) < 2:
         raise AnalysisError("not enough boundary nodes for the quotient")
-    pts = tr.points[sel]
-    uv = u[sel]
-    du = np.abs(uv[:, None] - uv[None, :])
-    dx = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    iu = np.triu_indices(len(sel), k=1)
-    return float((du[iu] / dx[iu] ** alpha).max())
+    # imported here: scipy.spatial adds ~0.1 s to ``import dclab``
+    from scipy.spatial.distance import pdist
+    q = pdist(u[sel, None], "cityblock") / pdist(tr.points[sel]) ** alpha
+    return float(q.max())
 
 
 # ---------------------------------------------------------------------
@@ -523,13 +500,8 @@ def singular_boundary_values(domain: PolygonalDomain, mesh: TriMesh,
     tr = boundary_trace_space(mesh)
     c = domain.corners[data.corner]
     out = np.zeros(tr.n)
-    M = len(domain.vertices)
-    for side, sgn in ((data.corner, 1.0),
-                      ((data.corner - 1) % M, float(data.side_sign()))):
-        pos = tr.side_positions(side)
-        radii = np.linalg.norm(tr.points[pos] - np.asarray(c.vertex), axis=1)
-        keep = (radii > 1e-14) & (radii < 2.0 * c.radius)
-        pos, radii = pos[keep], radii[keep]
+    sides = _corner_sides(domain, tr, data.corner, 2.0 * c.radius)
+    for sgn, (_, pos, radii) in zip((1.0, float(data.side_sign())), sides):
         out[pos] = (data.amplitude * sgn * cutoff(domain, data.corner, radii)
                     * radii ** data.eta)
     return out
@@ -551,15 +523,15 @@ def wedge_lift(domain: PolygonalDomain, mesh: TriMesh,
 
 def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
                               state_values, data: SingularBoundaryData,
-                              modes=(1, 2), n_balls: int = 5) -> SingularDataReport:
+                              modes=(1, 2)) -> SingularDataReport:
     """Check the structural expansion of the state for a singular datum.
 
     Subtracts the closed-form wedge lift from the computed state and
-    measures the remainder over shrinking balls: the remainder must decay
-    strictly faster than r^eta (it consists of wedge modes and a regular
-    part).  Also reports the remainder's trace residual near the corner
-    (continuity across the corner) and fits the remainder's own wedge
-    modes.
+    measures the remainder over at most five balls of radius R_j / 2^k:
+    the remainder must decay strictly faster than r^eta (it consists of
+    wedge modes and a regular part).  Also reports the remainder's trace
+    residual near the corner (continuity across the corner) and fits the
+    remainder's own wedge modes.
     """
     j = data.corner
     c = domain.corners[j]
@@ -569,7 +541,7 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
 
     r, _ = _polar_arrays(domain, j, mesh.nodes)
     rows = []
-    for k in range(n_balls):
+    for k in range(5):
         rho = c.radius / 2.0 ** k
         sel = (r > 1e-14) & (r < rho)
         if np.count_nonzero(sel) < 3:

@@ -276,3 +276,22 @@ def test_cli_mesh_subcommand(tmp_path, capsys):
     assert main(["mesh", "l-shape", "--h", "0.25", "--structured",
                  "--lattice-angle", "0.3", "--out", out]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--h", "nan"], "config.mesh.h0"),
+    (["--h", "inf"], "config.mesh.h0"),
+    (["--h", "0.2", "--lattice-angle", "nan"], "config.mesh.lattice_angle"),
+    (["--h", "-1"], "config.mesh.h0"),
+    (["--h", "0.2", "--grading", "2:1.5"], "config.mesh.grading[2]"),
+    (["--h", "0.2", "--grading", "2:nan"], "config.mesh.grading[2]"),
+    (["--h", "0.2", "--grading", "9:0.5"], "config.mesh.grading[9]"),
+], ids=["h-nan", "h-inf", "lattice-angle-nan", "h-negative",
+        "grading-above-1", "grading-nan", "grading-no-corner"])
+def test_cli_mesh_bad_arguments_are_exit_2(tmp_path, capsys, args, field):
+    # the mesh subcommand checks its arguments with the config's mesh rules
+    out = str(tmp_path / "m")
+    assert main(["mesh", "l-shape", *args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert not os.path.exists(out)

@@ -209,14 +209,42 @@ def test_flatness_rejects_convex_corner_with_zero_admissible():
         singular.flatness_diagnostic(geo.unit_square(), mesh, u, -1.0, 1.0, 0)
 
 
-def test_flatness_convex_corner_allowed_without_zero():
-    # bounds [1, 2]: the control is flat near convex corners too
+@pytest.mark.parametrize("marks, verdict, radius, per_side", [
+    # all lower
+    ({0: (1.0, math.inf), 3: (1.0, math.inf)}, "flat-at-a", 0.09375,
+     {0: ("a", 0.09375), 3: ("a", 0.09375)}),
+    # lower to r <= 0.04 on both sides
+    ({0: (1.0, 0.04), 3: (1.0, 0.04)}, "flat-at-a", 0.046875,
+     {0: ("a", 0.046875), 3: ("a", 0.046875)}),
+    # lower to 0.07 on side 0 and to 0.04 on side 3
+    ({0: (1.0, 0.07), 3: (1.0, 0.04)}, "flat-at-a", 0.046875,
+     {0: ("a", 0.078125), 3: ("a", 0.046875)}),
+    # lower to 0.04 on side 0 and upper to 0.07 on side 3
+    ({0: (1.0, 0.04), 3: (2.0, 0.07)}, "one-sided", 0.078125,
+     {0: ("a", 0.046875), 3: ("b", 0.078125)}),
+    # lower to 0.07 on side 0 only
+    ({0: (1.0, 0.07)}, "one-sided", 0.078125,
+     {0: ("a", 0.078125), 3: (None, 0.0)}),
+], ids=["all-lower", "lower-to-0.04", "lower-to-0.07-and-0.04",
+        "lower-and-upper", "lower-on-one-side"])
+def test_flatness_convex_corner_allowed_without_zero(marks, verdict, radius,
+                                                     per_side):
+    # bounds [1, 2]: the control is flat near convex corners too; on the
+    # h = 1/32 lattice the side nodes sit at r = k/32, and a flat radius is
+    # the midpoint between the last node at the bound and the next one
     dom = geo.unit_square()
     mesh = meshing.structured_mesh(dom, 1.0 / 32.0)
-    u = np.full(meshing.boundary_trace_space(mesh).n, 1.0)
+    tr = meshing.boundary_trace_space(mesh)
+    u = np.full(tr.n, 1.5)
+    for side, (value, r_max) in marks.items():
+        pos = tr.side_positions(side)
+        r = np.linalg.norm(tr.points[pos] - np.asarray(dom.corners[0].vertex),
+                           axis=1)
+        u[pos[r <= r_max]] = value
     rep = singular.flatness_diagnostic(dom, mesh, u, 1.0, 2.0, 0)
-    assert rep.verdict == "flat-at-a"
-    assert rep.radius > 0.0
+    assert rep.verdict == verdict
+    assert rep.radius == radius
+    assert rep.per_side == per_side
 
 
 def test_flatness_not_flat_with_contradiction_flag():
