@@ -61,22 +61,24 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    from .config import resolve_mesh
+    from .config import ConfigError, resolve_domain, resolve_mesh
     from .exports import write_mesh_csv
-    from .geometry import build_domain
     from .meshing import MeshError, structured_mesh, triangulate
-    try:
-        domain = build_domain(args.domain)
-        grading = {}
-        for item in args.grading:
-            j, mu = item.split(":", 1)
+    grading = {}
+    for item in args.grading:
+        j, _, mu = item.partition(":")
+        try:
             grading[j] = float(mu)
+        except ValueError:  # resolve_mesh rejects it with its field path
+            grading[j] = mu
+    try:
+        _, _, domain = resolve_domain({"domain": args.domain})
         m = resolve_mesh({"kind": "structured" if args.structured
                           else "triangulated", "h0": args.h,
                           "grading": grading,
                           "lattice_angle": args.lattice_angle},
                          len(domain.corners))
-    except ValueError as exc:  # as are ConfigError and GeometryError
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -73,16 +73,6 @@ def _corner_list(corners, n_corners, path):
     return list(corners)
 
 
-def _build_domain(out):
-    spec = out["domain"]
-    try:
-        return build_domain(spec["vertices"] if isinstance(spec, dict) else spec,
-                            r_overrides=out["corner_radii"])
-    except ValueError as exc:
-        # a GeometryError, or a malformed number in a name like "sector(x)"
-        _fail("config.domain", str(exc))
-
-
 def _corner_map(raw, path):
     out = {}
     for k, v in raw.items():
@@ -131,6 +121,40 @@ def _expectations(raw, n_corners):
                 _fail(where, "must be non-negative")
         out[key] = v
     return out
+
+
+def _vertex(v, path):
+    if (not isinstance(v, (list, tuple)) or len(v) != 2
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                       for c in v)):
+        _fail(path, "expected [x, y]")
+    return [_finite(c, path) for c in v]
+
+
+def resolve_domain(cfg):
+    """Validate the ``domain`` and ``corner_radii`` fields of a
+    configuration and build the domain.
+
+    Returns (normalized domain, normalized radii, PolygonalDomain).
+    """
+    dom = _get(cfg, "domain", "config", (str, dict), required=True)
+    if isinstance(dom, dict):
+        verts = _get(dom, "vertices", "config.domain", list, required=True)
+        if len(verts) < 3:
+            _fail("config.domain.vertices", "need at least 3 vertices")
+        dom = {"vertices": [_vertex(v, f"config.domain.vertices[{i}]")
+                            for i, v in enumerate(verts)]}
+    radii = _get(cfg, "corner_radii", "config", dict, default=None)
+    radii = _corner_map(radii, "config.corner_radii") if radii else None
+    try:
+        domain = build_domain(dom["vertices"] if isinstance(dom, dict) else dom,
+                              r_overrides=radii)
+    except GeometryError as exc:
+        _fail("config.domain", str(exc))
+    # build_domain ignores radius overrides of corners it does not have
+    for j in radii or {}:
+        _corner_index(j, len(domain.corners), f"config.corner_radii[{j}]")
+    return dom, radii, domain
 
 
 def resolve_mesh(mesh, n_corners) -> dict:
@@ -185,25 +209,8 @@ def resolve_config(cfg):
     out = {}
     out["name"] = _get(cfg, "name", "config", str, default="run")
 
-    dom = _get(cfg, "domain", "config", (str, dict), required=True)
-    if isinstance(dom, dict):
-        verts = _get(dom, "vertices", "config.domain", list, required=True)
-        if len(verts) < 3:
-            _fail("config.domain.vertices", "need at least 3 vertices")
-        for i, v in enumerate(verts):
-            if (not isinstance(v, (list, tuple)) or len(v) != 2
-                    or not all(isinstance(c, (int, float)) for c in v)):
-                _fail(f"config.domain.vertices[{i}]", "expected [x, y]")
-        out["domain"] = {"vertices": [[float(a), float(b)] for a, b in verts]}
-    else:
-        out["domain"] = dom
-    radii = _get(cfg, "corner_radii", "config", dict, default=None)
-    out["corner_radii"] = _corner_map(radii, "config.corner_radii") if radii else None
-    domain = _build_domain(out)
+    out["domain"], out["corner_radii"], domain = resolve_domain(cfg)
     n_corners = len(domain.corners)
-    # build_domain ignores radius overrides of corners it does not have
-    for j in out["corner_radii"] or {}:
-        _corner_index(j, n_corners, f"config.corner_radii[{j}]")
 
     out["mesh"] = resolve_mesh(
         _get(cfg, "mesh", "config", dict, required=True), n_corners)

@@ -13,15 +13,14 @@ theta_j = omega_j on Gamma_{j-1}.  This module holds everything about a
 domain that can be written down in closed form: the corner frames, the
 C^2 cut-off functions localizing each corner, the index sets of
 non-smooth modes at integrability p, the critical Sobolev exponents, the
-side-dependent sign chi_j, boundary traces and outward normal derivatives
-of the wedge modes, and the corner profiles s_{j,n}(theta) used to build
-singular Dirichlet data.
+masked wedge fields xi_j(r) r^k profile(theta) on nodes, and the corner
+profiles s_{j,n}(theta) used to build singular Dirichlet data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,10 @@ UNBOUNDED = math.inf
 
 #: Tolerance for the integer-resonance guard on exponent arithmetic.
 RESONANCE_TOL = 1e-9
+
+#: Largest vertex coordinate magnitude: squared side lengths, pairwise
+#: vertex distances and the signed area stay finite below it.
+COORD_MAX = 1e150
 
 
 class GeometryError(ValueError):
@@ -63,20 +66,12 @@ class CornerData:
 
 
 @dataclass(frozen=True)
-class LocalPolar:
-    """Local polar coordinates (r, theta) of a point at a given corner."""
-
-    r: float
-    theta: float
-
-
-@dataclass(frozen=True)
 class SingularBoundaryData:
     """Singular Dirichlet datum concentrated at one corner.
 
-    The trace is amplitude * xi_j(r) * r^eta on Gamma_j and
-    amplitude * sigma * xi_j(r) * r^eta on Gamma_{j-1}, where sigma = +1
-    for parity n=1 and sigma = -1 for n=2 (the chi-type datum).  Validity
+    The trace is amplitude * chi^(n+1) * xi_j(r) * r^eta, with the side
+    sign chi = +1 on Gamma_j and -1 on Gamma_{j-1}: parity n=1 keeps the
+    sign across the corner, n=2 flips it (the chi-type datum).  Validity
     requires eta > -1/2 for n=1, eta > 0 for n=2, and eta/lam_j not an
     integer (resonance with a wedge mode).
     """
@@ -85,9 +80,6 @@ class SingularBoundaryData:
     n: int
     eta: float
     amplitude: float = 1.0
-
-    def side_sign(self) -> int:
-        return 1 if self.n == 1 else -1
 
 
 class PolygonalDomain:
@@ -102,6 +94,10 @@ class PolygonalDomain:
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise GeometryError("need at least 3 vertices of shape (M, 2)")
+        if not np.abs(verts).max() <= COORD_MAX:
+            raise GeometryError(
+                f"vertex coordinates must be finite and at most {COORD_MAX:g} "
+                "in magnitude; larger ones overflow the side lengths and area")
         self.vertices = verts
         self.name = name
         M = len(verts)
@@ -263,8 +259,9 @@ def point_segment_distance(p, a, b):
 def build_domain(spec, r_overrides=None) -> PolygonalDomain:
     """Build a domain from a name or an explicit CCW vertex list.
 
-    Accepted names: "unit-square", "l-shape", "sector(omega, n_arc)" with
-    omega in radians (the token "pi" is understood, e.g. "sector(3pi/2, 64)").
+    Accepted names: "unit-square", "l-shape", "sector(omega[, n_arc])" with
+    omega in radians, a number or [c]pi[/d] (e.g. "sector(3pi/2, 64)"), and
+    n_arc 64 by default; any other name raises GeometryError.
     """
     if isinstance(spec, str):
         return _named_domain(spec, r_overrides)
@@ -301,22 +298,32 @@ def sector(omega: float, n_arc: int = 64, r_overrides=None) -> PolygonalDomain:
 
 
 def _parse_angle(text: str) -> float:
-    t = text.strip().lower().replace(" ", "")
-    if "pi" in t:
-        head, _, tail = t.partition("pi")
-        num = float(head) if head not in ("", "+", "-") else float(head + "1")
-        den = float(tail[1:]) if tail.startswith("/") else 1.0
-        return num * math.pi / den
-    return float(t)
+    """A number, or [c]pi[/d] with numbers c and d != 0, as in "3pi/2"."""
+    head, pi, tail = text.replace(" ", "").partition("pi")
+    if not pi:
+        return float(head)
+    num = float(head) if head not in ("", "+", "-") else float(head + "1")
+    if not tail:
+        return num * math.pi
+    den = float(tail[1:]) if tail.startswith("/") else 0.0
+    if den == 0.0:
+        raise ValueError(f"bad denominator {tail!r}")
+    return num * math.pi / den
 
 
 def _named_domain(name: str, r_overrides) -> PolygonalDomain:
     key = name.strip().lower()
     if key.startswith("sector(") and key.endswith(")"):
-        inner = key[len("sector("):-1]
-        parts = inner.split(",")
-        omega = _parse_angle(parts[0])
-        n_arc = int(parts[1]) if len(parts) > 1 else 64
+        args = key[len("sector("):-1].split(",")
+        try:
+            if len(args) > 2:
+                raise ValueError(f"{len(args)} arguments")
+            omega = _parse_angle(args[0])
+            n_arc = int(args[1]) if len(args) == 2 else 64
+        except ValueError as exc:
+            raise GeometryError(
+                f"malformed domain name {name!r}: expected sector(omega[, "
+                f"n_arc]) with omega a number or [c]pi[/d] ({exc})") from None
         return sector(omega, n_arc, r_overrides=r_overrides)
     fixed = {"unit-square": unit_square, "l-shape": l_shape}.get(key)
     if fixed is None:
@@ -329,32 +336,13 @@ def _named_domain(name: str, r_overrides) -> PolygonalDomain:
 
 # -- local polar frames ----------------------------------------------
 
-def local_polar(domain: PolygonalDomain, j: int, point) -> LocalPolar:
-    """Polar coordinates of a point in the frame of corner j.
-
-    theta = 0 along Gamma_j, growing counterclockwise to omega_j on
-    Gamma_{j-1}.  Points outside the closed wedge (by more than an arc of
-    1e-12) raise GeometryError.  The corner itself maps to (0, 0).
-    """
-    c = domain.corners[j]
-    p = np.asarray(point, dtype=float) - np.asarray(c.vertex)
-    r = float(np.hypot(p[0], p[1]))
-    if r == 0.0:
-        return LocalPolar(0.0, 0.0)
-    theta = (math.atan2(p[1], p[0]) - c.frame_angle) % (2.0 * math.pi)
-    if theta > c.angle:
-        if theta <= c.angle + 1e-12 / max(r, 1e-12):
-            theta = c.angle
-        elif theta >= 2.0 * math.pi - 1e-12 / max(r, 1e-12):
-            theta = 0.0
-        else:
-            raise GeometryError(
-                f"point {point} lies outside the wedge of corner {j}")
-    return LocalPolar(r, theta)
-
-
 def _polar_arrays(domain: PolygonalDomain, j: int, points):
-    """Vectorized frame transform; returns (r, theta mod 2pi) without wedge checks."""
+    """Polar coordinates (r, theta) of points in the frame of corner j.
+
+    theta = 0 along Gamma_j, growing counterclockwise (mod 2pi) to omega_j
+    on Gamma_{j-1}; the corner itself maps to (0, 0).  Points outside the
+    wedge are not rejected.
+    """
     c = domain.corners[j]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = pts - np.asarray(c.vertex)
@@ -418,11 +406,6 @@ def singular_set_for_exponents(lams, p: float, m: int) -> set[int]:
     return out
 
 
-def singular_sets(domain: PolygonalDomain, p: float, m: int) -> set[int]:
-    """Corners whose m-th wedge mode fails W^{2,p} regularity (see above)."""
-    return singular_set_for_exponents(domain.lambdas, p, m)
-
-
 @dataclass(frozen=True)
 class SobolevExponents:
     """Critical exponents of the domain: p_omega (W^{2,p} limit for the
@@ -441,47 +424,23 @@ def sobolev_exponents(domain: PolygonalDomain) -> SobolevExponents:
     return SobolevExponents(p_omega=p_omega, t_omega=1.0 + lam1, p_dirichlet=p_dir)
 
 
-def admissible_p(domain: PolygonalDomain, s_star: float, h_sets) -> float:
-    """Largest usable integrability exponent given the active-mode sets.
+# -- wedge fields, profiles, coefficients ----------------------------
 
-    h_sets maps m in {1, 2, 3} to the set of corners whose m-th mode has a
-    nonvanishing coefficient.  Each such corner enforces the strict bound
-    p < 2/(2 - m*lam_j); the returned value is the minimum of s_star and
-    all strict bounds, with a 1e-6 margin subtracted whenever a strict
-    bound is the binding one.  With all sets empty the answer is s_star.
+def wedge_field(domain: PolygonalDomain, j: int, points, amplitude: float,
+                exponent: float, profile) -> np.ndarray:
+    """amplitude * xi_j(r) * r^exponent * profile(theta) at the given points.
+
+    Zero at the corner itself and outside the wedge support (theta beyond
+    omega_j or r >= 2 R_j); ``profile`` maps an array of angles to values.
     """
-    strict = UNBOUNDED
-    for m, js in h_sets.items():
-        for j in js:
-            mlam = m * domain.corners[j].lam
-            if mlam < 2.0:
-                strict = min(strict, 2.0 / (2.0 - mlam))
-    if math.isinf(strict):
-        return s_star
-    return min(s_star, strict - 1e-6)
-
-
-# -- side signs, traces, normal derivatives ---------------------------
-
-def jump_chi(domain: PolygonalDomain, j: int, point) -> int:
-    """Side sign chi_j at a boundary point near corner j: +1 on Gamma_j,
-    -1 on Gamma_{j-1}.  The corner itself (and points on neither side)
-    raise GeometryError."""
     c = domain.corners[j]
-    p = np.asarray(point, dtype=float)
-    tol = 1e-9 * max(c.radius, 1.0)
-    if np.linalg.norm(p - np.asarray(c.vertex)) <= tol:
-        raise GeometryError(f"chi is undefined at corner {j} itself")
-    ends = np.array([domain.side(j), domain.side(j - 1)])
-    dist, _ = point_segment_distance(p, ends[:, 0], ends[:, 1])
-    on_next, on_prev = dist <= tol
-    if on_next and not on_prev:
-        return 1
-    if on_prev and not on_next:
-        return -1
-    if on_next and on_prev:
-        raise GeometryError(f"point {point} touches both sides of corner {j}")
-    raise GeometryError(f"point {point} is not on a side adjacent to corner {j}")
+    r, theta = _polar_arrays(domain, j, points)
+    vals = np.zeros_like(r)
+    mask = (r > 0.0) & (r < 2.0 * c.radius) & (theta <= c.angle + 1e-12)
+    r = r[mask]
+    vals[mask] = (amplitude * cutoff(domain, j, r) * r ** exponent
+                  * profile(theta[mask]))
+    return vals
 
 
 def eval_singular_volume(domain: PolygonalDomain, j: int, m: int, points) -> np.ndarray:
@@ -490,38 +449,11 @@ def eval_singular_volume(domain: PolygonalDomain, j: int, m: int, points) -> np.
     Zero outside the wedge support (theta beyond omega_j or r >= 2 R_j);
     harmonic where the cutoff is inactive.
     """
-    c = domain.corners[j]
-    r, theta = _polar_arrays(domain, j, points)
-    k = m * c.lam
-    vals = np.zeros_like(r)
-    mask = (r > 0.0) & (r < 2.0 * c.radius) & (theta <= c.angle + 1e-12)
-    if np.any(mask):
-        xi = cutoff(domain, j, r[mask])
-        vals[mask] = xi * r[mask] ** k * np.sin(k * theta[mask])
+    k = m * domain.corners[j].lam
+    vals = wedge_field(domain, j, points, 1.0, k, lambda t: np.sin(k * t))
     if np.ndim(points) == 1:
         return float(vals[0])
     return vals
-
-
-def singular_normal_derivative(domain: PolygonalDomain, j: int, m: int,
-                               r: float, side_index: int) -> float:
-    """Outward normal derivative of the m-th wedge mode of corner j on an
-    adjacent side, at distance r < R_j from the corner.
-
-    On Gamma_j (theta=0):      -m lam_j r^{m lam_j - 1}
-    On Gamma_{j-1} (theta=w):  (-1)^m m lam_j r^{m lam_j - 1}
-    """
-    c = domain.corners[j]
-    M = len(domain.vertices)
-    if not 0.0 < r < c.radius:
-        raise GeometryError(
-            f"normal-derivative formula needs 0 < r < R_j = {c.radius}")
-    k = m * c.lam
-    if side_index % M == j:
-        return -k * r ** (k - 1.0)
-    if side_index % M == (j - 1) % M:
-        return ((-1.0) ** m) * k * r ** (k - 1.0)
-    raise GeometryError(f"side {side_index} is not adjacent to corner {j}")
 
 
 def eval_s_profile(domain: PolygonalDomain, j: int, n: int, eta: float, theta) -> np.ndarray:

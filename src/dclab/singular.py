@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,8 +33,9 @@ from .geometry import (
     cutoff,
     eval_s_profile,
     eval_singular_volume,
-    singular_sets,
+    singular_set_for_exponents,
     validate_singular_boundary_data,
+    wedge_field,
     _polar_arrays,
 )
 from .meshing import TriMesh, boundary_trace_space
@@ -216,9 +218,8 @@ def classify_H_sets(domain: PolygonalDomain, s_star: float,
     ``extraction_history`` is a sequence (one entry per refinement level,
     coarse to fine) of dicts corner -> CoefficientFit.
     """
-    j1 = singular_sets(domain, s_star, 1)
-    j2 = singular_sets(domain, s_star, 2)
-    j3 = singular_sets(domain, s_star, 3)
+    j1, j2, j3 = (singular_set_for_exponents(domain.lambdas, s_star, m)
+                  for m in (1, 2, 3))
     h1 = {j for j in j1 if domain.corners[j].lam > 1.0}
     h2, h3, und = set(), set(), set()
     trends = {}
@@ -363,23 +364,29 @@ def predicted_control_terms(domain: PolygonalDomain, j: int, c_fit: dict,
             for m, cm in c_fit.items() if not math.isnan(cm)}
 
 
+def _trace_terms(domain: PolygonalDomain, mesh: TriMesh, j: int,
+                 terms) -> np.ndarray:
+    """Trace-order field sum amplitude chi^(parity+1) xi(r) r^exponent over
+    the (amplitude, parity, exponent) terms, on Gamma_j (chi = +1) and
+    Gamma_{j-1} (chi = -1) within 2R_j of corner j; zero elsewhere."""
+    tr = boundary_trace_space(mesh)
+    out = np.zeros(tr.n)
+    sides = _corner_sides(domain, tr, j, 2.0 * domain.corners[j].radius)
+    for chi, (_, pos, radii) in zip((1.0, -1.0), sides):
+        xi = cutoff(domain, j, radii)
+        for amplitude, parity, exponent in terms:
+            out[pos] += amplitude * chi ** (parity + 1) * xi * radii ** exponent
+    return out
+
+
 def control_singular_profile(domain: PolygonalDomain, mesh: TriMesh, j: int,
                              terms: dict) -> np.ndarray:
     """Trace-order field sum_m a_m chi^(m+1) xi(r) r^(m lam - 1) near
     corner j (zero beyond the cutoff support)."""
-    tr = boundary_trace_space(mesh)
-    c = domain.corners[j]
-    lam = c.lam
-    out = np.zeros(tr.n)
-    sides = _corner_sides(domain, tr, j, 2.0 * c.radius)
-    for sign_base, (_, pos, radii) in zip((1.0, -1.0), sides):
-        xi = cutoff(domain, j, radii)
-        for m, am in terms.items():
-            if am == 0.0:
-                continue
-            chi_pow = sign_base ** (m + 1)  # +1 for odd m, chi for even m
-            out[pos] += am * chi_pow * xi * radii ** (m * lam - 1.0)
-    return out
+    lam = domain.corners[j].lam
+    return _trace_terms(domain, mesh, j, [(am, m, m * lam - 1.0)
+                                          for m, am in terms.items()
+                                          if am != 0.0])
 
 
 def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
@@ -388,16 +395,17 @@ def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
     over at most 12 geometric shells shrinking toward corner j."""
     tr = boundary_trace_space(mesh)
     u = np.asarray(u, dtype=float)
-    pred = control_singular_profile(domain, mesh, j, terms)
-    rem = u - pred
+    rem = u - control_singular_profile(domain, mesh, j, terms)
     c = domain.corners[j]
-    radii = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
+    _, pos, radii = zip(*_corner_sides(domain, tr, j, c.radius))
+    pos, radii = np.concatenate(pos), np.concatenate(radii)
+    u, rem = u[pos], rem[pos]
 
     shells = []
     for k in range(12):
         r_out = c.radius / 2.0 ** k
         r_in = 0.5 * r_out
-        sel = (radii > 1e-14) & (radii >= r_in) & (radii < r_out)
+        sel = (radii >= r_in) & (radii < r_out)
         if not np.any(sel):
             break
         ur, rr = u[sel], rem[sel]
@@ -497,28 +505,17 @@ def singular_boundary_values(domain: PolygonalDomain, mesh: TriMesh,
     if data.eta <= 0.0:
         raise AnalysisError("nodal imposition needs a continuous datum "
                             "(eta > 0)")
-    tr = boundary_trace_space(mesh)
-    c = domain.corners[data.corner]
-    out = np.zeros(tr.n)
-    sides = _corner_sides(domain, tr, data.corner, 2.0 * c.radius)
-    for sgn, (_, pos, radii) in zip((1.0, float(data.side_sign())), sides):
-        out[pos] = (data.amplitude * sgn * cutoff(domain, data.corner, radii)
-                    * radii ** data.eta)
-    return out
+    return _trace_terms(domain, mesh, data.corner,
+                        [(data.amplitude, data.n, data.eta)])
 
 
 def wedge_lift(domain: PolygonalDomain, mesh: TriMesh,
                data: SingularBoundaryData) -> np.ndarray:
     """Nodal field amplitude xi(r) r^eta s(theta): the closed-form
     harmonic lift whose trace equals the singular datum near the corner."""
-    c = domain.corners[data.corner]
-    r, theta = _polar_arrays(domain, data.corner, mesh.nodes)
-    out = np.zeros(mesh.n_nodes)
-    mask = (r > 0.0) & (r < 2.0 * c.radius) & (theta <= c.angle + 1e-12)
-    s = eval_s_profile(domain, data.corner, data.n, data.eta, theta[mask])
-    out[mask] = (data.amplitude * cutoff(domain, data.corner, r[mask])
-                 * r[mask] ** data.eta * s)
-    return out
+    return wedge_field(domain, data.corner, mesh.nodes, data.amplitude,
+                       data.eta, partial(eval_s_profile, domain, data.corner,
+                                         data.n, data.eta))
 
 
 def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
@@ -555,10 +552,10 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
     peaks = np.array([max(row[1], 1e-300) for row in rows])
     slope = float(np.polyfit(np.log(rhos), np.log(peaks), 1)[0])
 
+    # the corner node is left out: its remainder is 0 (datum and lift both vanish)
     tr = boundary_trace_space(mesh)
-    rb = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
-    near = rb < c.radius
-    bres = float(np.abs(rem[tr.node_ids][near]).max()) if np.any(near) else 0.0
+    _, pos, _ = zip(*_corner_sides(domain, tr, j, c.radius))
+    bres = float(np.abs(rem[tr.node_ids[np.concatenate(pos)]]).max(initial=0.0))
 
     w = c.angle
     endpoint = float(eval_s_profile(domain, j, data.n, data.eta, w))

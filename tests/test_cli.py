@@ -11,6 +11,8 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dclab.cli import main
 from dclab.config import ConfigError, load_config, validate_config
@@ -161,6 +163,31 @@ def test_vertex_domain_accepted():
     assert out["domain"]["vertices"][1] == [2.0, 0.0]
 
 
+COORD = (st.integers(-3, 3) | st.floats() | st.booleans()
+         | st.sampled_from([10**399, 1e200, -1e200, 1e-200]))
+ANGLE = (st.sampled_from(["pi", "3pi/2", "1.9pi", "-pi", "2pi", "pipi",
+                          "pi/0", "pi/", "pi/pi", "/2", "x", ""])
+         | st.floats().map(repr))
+SECTOR = st.builds("sector({}{})".format, ANGLE, st.sampled_from(
+    ["", ", 8", ",16", ", 3", ", 8, 3", ",", ", x", ", 8.5", ", True"]))
+DOMAIN = (st.sampled_from(["l-shape", "unit-square", "hexagon"]) | SECTOR
+          | st.text(max_size=12) | st.none() | st.integers() | st.floats()
+          | st.lists(st.lists(COORD, min_size=2, max_size=2),
+                     min_size=3, max_size=6).map(lambda v: {"vertices": v})
+          | st.lists(st.lists(COORD, max_size=3) | COORD | st.text(max_size=2),
+                     max_size=5).map(lambda v: {"vertices": v})
+          | st.dictionaries(st.text(max_size=8), COORD, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOMAIN)
+def test_any_domain_validates_or_names_its_path(domain):
+    try:
+        validate_config(_cfg(domain=domain))
+    except ConfigError as exc:
+        assert str(exc).startswith("config.domain"), str(exc)
+
+
 def test_load_config_reports_json_errors(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -193,6 +220,13 @@ def test_every_preset_expands_to_valid_configs():
 def test_levels_override():
     for _, cfg in expand_preset("lshape-constrained", levels=1):
         assert cfg["mesh"]["levels"] == 1
+    # an override, and any edit of what expand_preset returned, stays in
+    # the caller's copy
+    for name in PRESETS:
+        before = expand_preset(name)
+        for _, cfg in expand_preset(name, levels=1):
+            cfg["mesh"]["h0"] = None
+        assert expand_preset(name) == before
 
 
 def test_unknown_preset_raises():
@@ -222,10 +256,14 @@ def test_cli_square_smoke_roundtrip(tmp_path, capsys):
     assert cfg["name"] == "square-smoke"
 
 
-def test_cli_outputs_deterministic(tmp_path):
+@pytest.mark.parametrize("name", ["square-smoke", "ex38-skew",
+                                  "lemma25-check"])
+def test_cli_outputs_deterministic(tmp_path, name):
+    # ex38-skew runs the control's singular profile and the structure
+    # shells, lemma25-check the singular datum and its wedge lift
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["preset", "square-smoke", "--out", a]) == 0
-    assert main(["preset", "square-smoke", "--out", b]) == 0
+    assert main(["preset", name, "--out", a]) == 0
+    assert main(["preset", name, "--out", b]) == 0
     for root, _, files in os.walk(a):
         for f in files:
             pa = os.path.join(root, f)
@@ -286,8 +324,11 @@ def test_cli_mesh_subcommand(tmp_path, capsys):
     (["--h", "0.2", "--grading", "2:1.5"], "config.mesh.grading[2]"),
     (["--h", "0.2", "--grading", "2:nan"], "config.mesh.grading[2]"),
     (["--h", "0.2", "--grading", "9:0.5"], "config.mesh.grading[9]"),
+    (["--h", "0.2", "--grading", "2"], "config.mesh.grading[2]"),
+    (["--h", "0.2", "--grading", "2:abc"], "config.mesh.grading[2]"),
 ], ids=["h-nan", "h-inf", "lattice-angle-nan", "h-negative",
-        "grading-above-1", "grading-nan", "grading-no-corner"])
+        "grading-above-1", "grading-nan", "grading-no-corner",
+        "grading-no-exponent", "grading-not-a-number"])
 def test_cli_mesh_bad_arguments_are_exit_2(tmp_path, capsys, args, field):
     # the mesh subcommand checks its arguments with the config's mesh rules
     out = str(tmp_path / "m")
@@ -295,3 +336,30 @@ def test_cli_mesh_bad_arguments_are_exit_2(tmp_path, capsys, args, field):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ")
     assert not os.path.exists(out)
+
+
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("domain", [
+    {"vertices": [[float("nan"), 1]] + TRIANGLE[1:]},
+    "sector(pi/0, 8)",
+    {"vertices": [[10**399, 0]] + TRIANGLE[1:]},
+    {"vertices": [[True, 1]] + TRIANGLE[1:]},
+    "sector(pipi, 8)",
+    "sector(pi, 8, 3)",
+    {"vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
+], ids=["vertex-nan", "sector-zero-denominator", "vertex-400-digits",
+        "vertex-bool", "sector-pipi", "sector-three-arguments",
+        "vertices-overflow"])
+def test_cli_bad_domain_is_exit_2(tmp_path, capsys, domain):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(_cfg(domain=domain)))
+    out = tmp_path / "o"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.domain")
+    if isinstance(domain, str):
+        assert main(["mesh", domain, "--h", "0.2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config.domain: ")
+    assert not out.exists()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
+from dclab import singular
 from dclab.geometry import (
     GeometryError,
     L_SHAPE_REENTRANT_CORNER,
@@ -14,22 +15,19 @@ from dclab.geometry import (
     SingularBoundaryData,
     UNBOUNDED,
     _nonadjacent_side_clearance,
-    admissible_p,
+    _polar_arrays,
     build_domain,
     control_singular_coefficient,
     cutoff,
     eval_s_profile,
     eval_singular_volume,
-    jump_chi,
     l_shape,
-    local_polar,
     sector,
-    singular_normal_derivative,
     singular_set_for_exponents,
-    singular_sets,
     sobolev_exponents,
     unit_square,
 )
+from dclab.meshing import boundary_trace_space, structured_mesh
 
 
 # ---------------------------------------------------------------------
@@ -153,16 +151,12 @@ def test_contains():
 def test_local_polar_l_shape():
     dom = l_shape()
     j = L_SHAPE_REENTRANT_CORNER
-    lp = local_polar(dom, j, (0.5, 0.0))
-    assert lp.r == pytest.approx(0.5) and lp.theta == pytest.approx(0.0)
-    lp = local_polar(dom, j, (0.0, 0.7))
-    assert lp.theta == pytest.approx(0.5 * math.pi)
-    lp = local_polar(dom, j, (0.0, -0.5))
-    assert lp.theta == pytest.approx(1.5 * math.pi)  # on Gamma_{j-1}
-    origin = local_polar(dom, j, (0.0, 0.0))
-    assert origin.r == 0.0 and origin.theta == 0.0
-    with pytest.raises(GeometryError):
-        local_polar(dom, 3, (2.0, 0.0))  # beyond the wedge of corner (1,0)
+    r, theta = _polar_arrays(dom, j, [(0.5, 0.0), (0.0, 0.7), (0.0, -0.5),
+                                      (0.0, 0.0)])
+    assert r[0] == pytest.approx(0.5) and theta[0] == pytest.approx(0.0)
+    assert theta[1] == pytest.approx(0.5 * math.pi)
+    assert theta[2] == pytest.approx(1.5 * math.pi)  # on Gamma_{j-1}
+    assert r[3] == 0.0 and theta[3] == 0.0  # the corner itself
 
 
 @settings(max_examples=200)
@@ -174,9 +168,9 @@ def test_local_polar_round_trip(r, frac):
     theta = frac * c.angle
     ang = c.frame_angle + theta
     p = (c.vertex[0] + r * math.cos(ang), c.vertex[1] + r * math.sin(ang))
-    lp = local_polar(dom, j, p)
-    assert lp.r == pytest.approx(r, rel=1e-12)
-    assert lp.theta == pytest.approx(theta, abs=1e-9)
+    (got_r,), (got_theta,) = _polar_arrays(dom, j, p)
+    assert got_r == pytest.approx(r, rel=1e-12)
+    assert got_theta == pytest.approx(theta, abs=1e-9)
 
 
 # ---------------------------------------------------------------------
@@ -225,20 +219,20 @@ def test_cutoff_monotone():
 # index sets and Sobolev exponents
 
 def test_singular_sets_l_shape():
-    dom = l_shape()
-    assert singular_sets(dom, 2.0, 1) == {L_SHAPE_REENTRANT_CORNER}
-    assert singular_sets(dom, 2.0, 2) == set()
-    assert singular_sets(dom, 2.0, 3) == set()
+    lams = l_shape().lambdas
+    assert singular_set_for_exponents(lams, 2.0, 1) == {L_SHAPE_REENTRANT_CORNER}
+    assert singular_set_for_exponents(lams, 2.0, 2) == set()
+    assert singular_set_for_exponents(lams, 2.0, 3) == set()
     # below the W^{2,p} threshold p_omega = 3/2 nothing is singular
-    assert singular_sets(dom, 1.4, 1) == set()
+    assert singular_set_for_exponents(lams, 1.4, 1) == set()
     # second mode enters only for p > 3
-    assert singular_sets(dom, 4.0, 2) == {L_SHAPE_REENTRANT_CORNER}
+    assert singular_set_for_exponents(lams, 4.0, 2) == {L_SHAPE_REENTRANT_CORNER}
 
 
 def test_singular_sets_square_empty():
-    dom = unit_square()
+    lams = unit_square().lambdas
     for m in (1, 2, 3):
-        assert singular_sets(dom, 2.0, m) == set()
+        assert singular_set_for_exponents(lams, 2.0, m) == set()
 
 
 def test_resonance_guard():
@@ -275,19 +269,6 @@ def test_sobolev_exponents_square():
     assert se.p_dirichlet == UNBOUNDED
 
 
-def test_admissible_p():
-    dom = l_shape()
-    j = L_SHAPE_REENTRANT_CORNER
-    # first mode active at the re-entrant corner: p < 2/(2 - 2/3) = 3/2
-    p = admissible_p(dom, 6.0, {1: {j}})
-    assert p == pytest.approx(1.5 - 1e-6)
-    # no active modes: capped by s_star only
-    assert admissible_p(dom, 6.0, {1: set(), 2: set()}) == pytest.approx(6.0)
-    # second mode: p < 2/(2 - 4/3) = 3
-    p = admissible_p(dom, 6.0, {2: {j}})
-    assert p == pytest.approx(3.0 - 1e-6)
-
-
 # ---------------------------------------------------------------------
 # wedge modes: values, harmonicity, traces, fluxes
 
@@ -321,31 +302,51 @@ def test_singular_volume_harmonic_in_plateau():
 
 
 def test_singular_normal_derivative_frozen():
+    # the outward normal derivative of the m-th wedge mode on both sides
+    # is the control's singular profile with coefficient -m lam (nu = 1):
+    # -m lam chi^(m+1) r^(m lam - 1)
     dom = l_shape()
     j = L_SHAPE_REENTRANT_CORNER
-    # -(2/3) (1/16)^(-1/3) = -1.6798947...
-    got = singular_normal_derivative(dom, j, 1, 1.0 / 16.0, side_index=j)
-    assert got == pytest.approx(-1.6798947, abs=1e-6)
-    # opposite side carries the parity sign (-1)^m
-    other = singular_normal_derivative(dom, j, 1, 1.0 / 16.0, side_index=j - 1)
-    assert other == pytest.approx(got)
-    even = singular_normal_derivative(dom, j, 2, 1.0 / 16.0, side_index=j - 1)
-    assert even > 0.0
-    with pytest.raises(GeometryError):
-        singular_normal_derivative(dom, j, 1, 0.5, side_index=j)  # r >= R_j
-    with pytest.raises(GeometryError):
-        singular_normal_derivative(dom, j, 1, 0.05, side_index=4)
+    mesh = structured_mesh(dom, 1.0 / 16.0)
+    tr = boundary_trace_space(mesh)
+    at = np.isclose(np.hypot(*tr.points.T), 1.0 / 16.0) & (tr.points[:, 0] >= 0.0)
+    east, south = tr.points[at, 1] == 0.0, tr.points[at, 0] == 0.0
+    assert east.sum() == south.sum() == 1  # one node on Gamma_j, Gamma_{j-1}
+
+    def profile(m):
+        terms = singular.predicted_control_terms(dom, j, {m: 1.0}, 1.0,
+                                                 -UNBOUNDED, UNBOUNDED)
+        return singular.control_singular_profile(dom, mesh, j, terms)[at]
+
+    # -(2/3) (1/16)^(-1/3) = -1.6798947... on both sides for odd m
+    assert profile(1) == pytest.approx([-1.6798947] * 2, abs=1e-6)
+    # the even mode carries the side sign chi
+    even = profile(2)
+    assert even[east] == pytest.approx(-0.529134, abs=1e-6)
+    assert even[south] == pytest.approx(0.529134, abs=1e-6)
 
 
 def test_jump_chi():
+    # the side sign chi_j is +1 on Gamma_j and -1 on Gamma_{j-1}: the side
+    # order of the corner walk, carried by the parity-2 datum; the corner
+    # and the non-adjacent sides take no sign
     dom = l_shape()
     j = L_SHAPE_REENTRANT_CORNER
-    assert jump_chi(dom, j, (0.5, 0.0)) == 1
-    assert jump_chi(dom, j, (0.0, -0.5)) == -1
-    with pytest.raises(GeometryError):
-        jump_chi(dom, j, (0.0, 0.0))
-    with pytest.raises(GeometryError):
-        jump_chi(dom, j, (0.5, 0.5))
+    mesh = structured_mesh(dom, 1.0 / 16.0)
+    tr = boundary_trace_space(mesh)
+    (next_side, next_pos, _), (prev_side, prev_pos, _) = singular._corner_sides(
+        dom, tr, j, 1.0)
+    assert (next_side, prev_side) == (j, j - 1)
+    assert np.all((tr.points[next_pos, 0] > 0.0) & (tr.points[next_pos, 1] == 0.0))
+    assert np.all((tr.points[prev_pos, 0] == 0.0) & (tr.points[prev_pos, 1] < 0.0))
+    g = singular.singular_boundary_values(
+        dom, mesh, SingularBoundaryData(corner=j, n=2, eta=0.25))
+    near = np.hypot(*tr.points.T) < 2.0 * dom.corners[j].radius
+    assert np.all(g[next_pos[near[next_pos]]] > 0.0)
+    assert np.all(g[prev_pos[near[prev_pos]]] < 0.0)
+    rest = np.ones(tr.n, dtype=bool)
+    rest[next_pos] = rest[prev_pos] = False
+    assert rest[tr.corner_pos[j]] and np.all(g[rest] == 0.0)
 
 
 def test_s_profile_endpoints():
@@ -382,7 +383,6 @@ def test_singular_boundary_data_validation():
     j = L_SHAPE_REENTRANT_CORNER
     ok = SingularBoundaryData(corner=j, n=2, eta=0.25)
     validate_singular_boundary_data(dom, ok)
-    assert ok.side_sign() == -1
     with pytest.raises(GeometryError):
         validate_singular_boundary_data(
             dom, SingularBoundaryData(corner=j, n=2, eta=-0.1))

@@ -181,7 +181,7 @@ def test_h1_rule_is_exact():
     # land in H1 without any extraction; the re-entrant corner never does
     dom = geo.build_domain("sector(3pi/2, 64)")
     rep = singular.classify_H_sets(dom, 4.0, [])
-    j1 = geo.singular_sets(dom, 4.0, 1)
+    j1 = geo.singular_set_for_exponents(dom.lambdas, 4.0, 1)
     assert rep.h1 == {j for j in j1 if dom.corners[j].lam > 1.0}
     assert 0 not in rep.h1
     assert rep.h1  # arc corners are present
@@ -273,6 +273,15 @@ def test_flatness_one_sided():
 
 # ---------------------------------------------------------------- structure
 
+def _near_corner(mesh, radius):
+    """Trace positions and radii of the boundary nodes with r < radius,
+    selected by their distance to the corner over the whole trace."""
+    tr = meshing.boundary_trace_space(mesh)
+    radii = np.linalg.norm(tr.points - np.asarray(DOM.corners[J].vertex), axis=1)
+    near = radii < radius
+    return np.flatnonzero(near), radii[near]
+
+
 def test_structure_fit_unconstrained_blowup_removed():
     reports = []
     for hinv in (32, 64):
@@ -284,6 +293,14 @@ def test_structure_fit_unconstrained_blowup_removed():
         assert terms[1] == pytest.approx(-lam * fit.coefficients[1] / 0.2)
         rep = singular.structural_fit_control(DOM, mesh, sol.u, J, terms)
         reports.append(rep)
+        # the shells hold every boundary node within R_j except the corner
+        pos, radii = _near_corner(mesh, DOM.corners[J].radius)
+        u = sol.u[pos]
+        rem = u - singular.control_singular_profile(DOM, mesh, J, terms)[pos]
+        for r_in, r_out, *sizes in rep.shells:
+            sel = (radii > 1e-14) & (radii >= r_in) & (radii < r_out)
+            assert sizes == [np.abs(u[sel]).max(), np.ptp(u[sel]),
+                             np.abs(rem[sel]).max(), np.ptp(rem[sel])]
         assert rep.raw_blows_up
         assert rep.slope_raw < -0.2
         assert rep.removed_fraction > 0.8
@@ -377,6 +394,10 @@ def test_expansion_lshape_corner_parity2():
     rep = singular.verify_singular_expansion(DOM, mesh, y.values, data)
     assert rep.slope > 1.0 / 3.0
     assert rep.boundary_residual < 1e-12
+    pos, _ = _near_corner(mesh, DOM.corners[J].radius)
+    ids = meshing.boundary_trace_space(mesh).node_ids[pos]
+    rem = y.values - singular.wedge_lift(DOM, mesh, data)
+    assert rep.boundary_residual == np.abs(rem[ids]).max()
     assert rep.endpoint_value == pytest.approx(-1.0)  # sign flip on the far side
     assert rep.mode_fit is not None
 
