@@ -23,16 +23,27 @@ quadratic is solved by conjugate gradients on the inactive block of the
 reduced Hessian H = nu M_L + S^T M S (two cached-LU solves per apply),
 then the sets are updated from the unprojected candidate d / nu.
 
+Each PDE solve is paid once.  State and adjoint are solved at the start
+point u0, and the first active sets are the PDAS rule there
+(d/nu < a, d/nu > b; Hintermueller, Ito & Kunisch 2002), not empty sets.
+J is quadratic, so after a CG correction x the gradient is carried as
+g + H x, with H x summed from the applies CG makes anyway; fresh fields
+are solved for again only where pinning a newly active node moves the
+control, and at a step whose carried gradient says converged.  Returned
+fields and KKT report are always fresh; where they disagree with the
+carried gradient, PDAS goes on from them.
+
 A step that changes the active sets only has to pick the next sets, so
 CG runs to the loose CG_RTOL_SETS while the sets move (an inexact Newton
 step).  PDAS is exact once the sets are right, so the first step that
 leaves them unchanged switches to CG_RTOL for good: the same sets are
-solved again, warm-started from the current iterate, and the iteration
-returns only at unchanged sets whose fresh fields satisfy KKT_TOL.  A
-set pair that repeats among inexact steps switches to exact steps too;
-among exact steps it means cycling, and a projected-gradient fallback
-with Armijo backtracking, bounded by PG_MAX_SOLVES PDE solves, takes
-over.
+solved again, from the current iterate, and the iteration returns only
+at unchanged sets whose fresh fields satisfy KKT_TOL.  Both tolerances
+scale one residual size per solve, taken at the start point (or, where
+it is 0 there, at the first pinned control).  A set pair that repeats
+among inexact steps switches to exact steps too; among exact steps it
+means cycling, and a projected-gradient fallback with Armijo
+backtracking, bounded by PG_MAX_SOLVES PDE solves, takes over.
 """
 
 from __future__ import annotations
@@ -41,7 +52,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fem import (
     DiscontinuityLine,
@@ -70,6 +80,9 @@ PG_MAX_SOLVES = 20000
 
 #: backtracking halvings per projected-gradient step
 _PG_HALVINGS = 60
+
+#: CG iterations before a PDAS step or unconstrained solve gives up
+_CG_MAX_ITER = 5000
 
 
 class ControlError(RuntimeError):
@@ -255,87 +268,122 @@ def _finish(problem: ControlProblem, u, iterations, converged, method, history,
 # ---------------------------------------------------------------------
 # solvers
 
-def _cg_on_subset(problem: ControlProblem, mask: np.ndarray, rhs: np.ndarray,
-                  x0: np.ndarray | None = None, rtol: float = CG_RTOL):
-    """CG to relative residual ``rtol`` for the inactive block of the
-    reduced Hessian."""
-    idx = np.where(mask)[0]
-    n = len(idx)
+def _residual_scale(problem: ControlProblem, u: np.ndarray,
+                    d: np.ndarray) -> float:
+    """CG's stopping scale for one solve: the sizes of the two terms of
+    grad J = M_L (nu u - d) at the start point.  At u = 0 this is
+    ||grad J(0)||; at a converged nonzero control, where grad J itself is
+    round-off, it is not."""
+    return float(np.linalg.norm(problem.nu * problem.lumped * u)
+                 + np.linalg.norm(problem.lumped * d))
 
-    def apply(v):
-        full = np.zeros(problem.system.trace.n)
-        full[idx] = v
-        return problem.hessian_apply(full)[idx]
 
-    # an explicit dtype keeps scipy from probing matvec (one discarded
-    # Hessian apply, i.e. two PDE solves) to infer it
-    op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
-    pre = spla.LinearOperator(
-        (n, n), matvec=lambda v: v / (problem.nu * problem.lumped[idx]),
-        dtype=float)
-    x, info = spla.cg(op, rhs[idx], x0=None if x0 is None else x0[idx],
-                      rtol=rtol, atol=0.0, M=pre, maxiter=5000)
-    if info != 0:
-        raise ControlError(f"inner CG failed to converge (info={info})")
-    return x, idx
+def _pcg(problem: ControlProblem, idx: np.ndarray, rhs: np.ndarray,
+         rtol: float, scale: float):
+    """Preconditioned CG from zero for the inactive block H_II x = rhs.
+
+    Stops at residual ``rtol * scale`` and returns x with its full-trace
+    image H x (zero off ``idx``), summed from the applies CG makes
+    anyway: one per iteration, none for the initial residual.
+    """
+    nb = problem.system.trace.n
+    diag = problem.nu * problem.lumped[idx]
+    x = np.zeros(len(idx))
+    hx = np.zeros(nb)
+    r = rhs.copy()
+    tol = rtol * scale
+    for it in range(_CG_MAX_ITER):
+        if np.linalg.norm(r) <= tol:
+            return x, hx
+        z = r / diag
+        rho = float(r @ z)
+        p = z if it == 0 else z + (rho / rho_prev) * p
+        full = np.zeros(nb)
+        full[idx] = p
+        hp = problem.hessian_apply(full)
+        q = hp[idx]
+        alpha = rho / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        hx += alpha * hp
+        rho_prev = rho
+    raise ControlError(f"inner CG failed to converge in {_CG_MAX_ITER} "
+                       "iterations")
 
 
 def solve_unconstrained(problem: ControlProblem,
                         u0: np.ndarray | None = None) -> OptimalSolution:
-    """Solve the bound-free problem: H u = -grad J(0) by CG."""
+    """Solve the bound-free problem: H (u - u0) = -grad J(u0) by CG."""
     nb = problem.system.trace.n
-    g0, _, _, _ = problem.gradient(np.zeros(nb))
-    mask = np.ones(nb, dtype=bool)
-    x, idx = _cg_on_subset(problem, mask, -g0, x0=u0)
-    u = np.zeros(nb)
-    u[idx] = x
-    return _finish(problem, u, iterations=1, converged=True,
-                   method="cg", history=[])
+    u = np.zeros(nb) if u0 is None else np.asarray(u0, dtype=float)
+    g, y, phi, d = problem.gradient(u)
+    x, _ = _pcg(problem, np.arange(nb), -g, CG_RTOL,
+                _residual_scale(problem, u, d))
+    fields = None if x.any() else (y, phi, d)
+    return _finish(problem, u + x, iterations=1, converged=True,
+                   method="cg", history=[], fields=fields)
 
 
 def solve_constrained(problem: ControlProblem,
                       u0: np.ndarray | None = None) -> OptimalSolution:
     """Primal-dual active set iteration for the box-constrained problem,
-    with inexact steps while the active sets move (see module docstring)."""
+    seeded at the start point, with the gradient carried through CG and
+    inexact steps while the active sets move (see module docstring)."""
     lo, hi = problem.lower, problem.upper
     if not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi))):
         return solve_unconstrained(problem, u0)
+    nu = problem.nu
     nb = problem.system.trace.n
     u = np.zeros(nb) if u0 is None else np.clip(np.asarray(u0, float), lo, hi)
-    act_a = np.zeros(nb, dtype=bool)
-    act_b = np.zeros(nb, dtype=bool)
+    g, y, phi, d = problem.gradient(u)
+    fresh = True        # y, phi, d were solved for at this very u
+    scale = _residual_scale(problem, u, d)
+
+    def rule(u, d):
+        """The PDAS sets at (u, d), and the KKT residual there."""
+        cand = d / nu
+        return cand < lo, cand > hi, problem.kkt_residual(u, d)
+
+    act_a, act_b, _ = rule(u, d)
     rtol = CG_RTOL_SETS
-    g_fix = None
     seen = set()
     history = []
 
     for it in range(1, PDAS_MAX_ITER + 1):
-        # equality-constrained step: pin active nodes, zero the gradient
-        # on the inactive block
-        u_fix = np.zeros(nb)
-        u_fix[act_a] = lo[act_a]
-        u_fix[act_b] = hi[act_b]
-        inactive = ~(act_a | act_b)
-        if np.any(inactive):
-            if g_fix is None:
-                g_fix, _, _, _ = problem.gradient(u_fix)
-            x, idx = _cg_on_subset(problem, inactive, -g_fix, x0=u, rtol=rtol)
-            u = u_fix.copy()
-            u[idx] = x
-        else:
-            u = u_fix
+        # equality-constrained step: pin the active nodes (fresh fields
+        # only if that moves the control), then zero the gradient on the
+        # inactive block by a CG correction
+        pinned = np.where(act_a, lo, np.where(act_b, hi, u))
+        if not np.array_equal(pinned, u):
+            u = pinned
+            g, y, phi, d = problem.gradient(u)
+            fresh = True
+            scale = scale or _residual_scale(problem, u, d)
+        idx = np.flatnonzero(~(act_a | act_b))
+        if len(idx):
+            x, hx = _pcg(problem, idx, -g[idx], rtol=rtol, scale=scale)
+            if x.any():
+                u = u.copy()
+                u[idx] += x
+                g = g + hx
+                fresh = False
+                d = nu * u - g / problem.lumped
 
-        y = problem.state(u)
-        phi, d = problem.adjoint(y)
-        cand = d / problem.nu
-        new_a = cand < lo
-        new_b = cand > hi
-        kkt = problem.kkt_residual(u, d)
+        new_a, new_b, kkt = rule(u, d)
+        same = np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
+        drifted = False
+        if same and kkt.satisfied and not fresh:
+            # the carried gradient says converged: decide on fresh fields,
+            # and where they disagree go on from them
+            g, y, phi, d = problem.gradient(u)
+            fresh = True
+            new_a, new_b, kkt = rule(u, d)
+            same = np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
+            drifted = same and not kkt.satisfied
         history.append({"iteration": it,
                         "active_lower": int(new_a.sum()),
                         "active_upper": int(new_b.sum()),
                         "kkt": kkt.stationarity_max})
-        same = np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
         if same and kkt.satisfied:
             uc = np.clip(u, lo, hi)
             fields = (y, phi, d) if np.array_equal(uc, u) else None
@@ -346,13 +394,12 @@ def solve_constrained(problem: ControlProblem,
             # and only a set pair repeated among them counts as cycling
             rtol = CG_RTOL
             seen.clear()
-        elif key in seen:
+        elif key in seen and not drifted:
             # cycling: fall back to the globally convergent method
             return _projected_gradient(problem, np.clip(u, lo, hi), history)
         seen.add(key)
         if not same:
             act_a, act_b = new_a, new_b
-            g_fix = None
 
     return _projected_gradient(problem, np.clip(u, lo, hi), history)
 

@@ -218,9 +218,10 @@ except (OSError, TypeError):   # no process symbol table (Windows)
 class FemSystem:
     """Assembled operators of a mesh plus a cached interior factorization.
 
-    Attributes: A (stiffness), M (mass), trace (boundary structure),
-    interior/boundary index arrays.  The LU factorization of the interior
-    block A_II is computed on first use and reused by every solve.  A_II
+    Attributes: A (stiffness), A_bnd (its boundary rows, for the flux),
+    M (mass), trace (boundary structure), interior/boundary index arrays.
+    The LU factorization of the interior block A_II is computed on first
+    use and reused by every solve.  A_II
     is symmetric, so its columns are ordered by minimum degree on the
     pattern of A + A^T, which gives a sparser factor (and cheaper solves)
     than SuperLU's default COLAMD ordering of A^T A.
@@ -235,8 +236,10 @@ class FemSystem:
         mask = np.ones(mesh.n_nodes, dtype=bool)
         mask[self.bnd] = False
         self.itr = np.where(mask)[0]
-        self._aii = self.A[self.itr][:, self.itr].tocsc()
-        self._aib = self.A[self.itr][:, self.bnd].tocsr()
+        a_i = self.A[self.itr]
+        self._aii = a_i[:, self.itr].tocsc()
+        self._aib = a_i[:, self.bnd].tocsr()
+        self.A_bnd = self.A[self.bnd]
         self._lu = None
 
     @property
@@ -289,10 +292,10 @@ def variational_normal_derivative(system: FemSystem, z, load=None) -> np.ndarray
     against interior hats).  Returns the flux in trace order.
     """
     vals = z.values if isinstance(z, ScalarField) else np.asarray(z, dtype=float)
-    res = system.A @ vals
+    res = system.A_bnd @ vals
     if load is not None:
-        res = res - np.asarray(load, dtype=float)
-    return res[system.bnd] / system.trace.lumped
+        res = res - np.asarray(load, dtype=float)[system.bnd]
+    return res / system.trace.lumped
 
 
 # ---------------------------------------------------------------------

@@ -34,6 +34,9 @@ RESONANCE_TOL = 1e-9
 #: vertex distances and the signed area stay finite below it.
 COORD_MAX = 1e150
 
+#: side pairs tested at once by the simplicity check (bounds its memory)
+_PAIR_BLOCK = 1 << 18
+
 
 class GeometryError(ValueError):
     """Invalid polygon, corner query, or resonant exponent combination."""
@@ -202,39 +205,47 @@ class PolygonalDomain:
 
 
 def _check_simple(verts: np.ndarray, scale: float) -> None:
-    """Reject self-intersecting polygons (non-adjacent side crossings)."""
+    """Reject self-intersecting polygons: the first pair of non-adjacent
+    sides i < j, in lexicographic order, that cross or touch."""
     M = len(verts)
     tol = 1e-12 * scale * scale
-    for i in range(M):
-        a1, a2 = verts[i], verts[(i + 1) % M]
-        for j in range(i + 1, M):
-            if j == i or (j + 1) % M == i or (i + 1) % M == j:
-                continue
-            b1, b2 = verts[j], verts[(j + 1) % M]
-            if _segments_cross(a1, a2, b1, b2, tol):
-                raise GeometryError(f"sides {i} and {j} intersect")
+    ends = np.roll(verts, -1, axis=0)
+    j = np.arange(M)
+    rows = max(1, _PAIR_BLOCK // M)
+    for i0 in range(0, M, rows):
+        i = np.arange(i0, min(i0 + rows, M))[:, None]
+        pairs = (j >= i + 2) & ~((i == 0) & (j == M - 1))
+        hit = pairs & _segments_cross(verts[i], ends[i], verts[j], ends[j], tol)
+        if hit.any():
+            k, jk = np.unravel_index(np.argmax(hit), hit.shape)
+            raise GeometryError(f"sides {i0 + k} and {jk} intersect")
 
 
-def _segments_cross(a1, a2, b1, b2, tol) -> bool:
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _orient(p, q, r):
+    return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
 
-    d1 = orient(b1, b2, a1)
-    d2 = orient(b1, b2, a2)
-    d3 = orient(a1, a2, b1)
-    d4 = orient(a1, a2, b2)
-    if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and \
-       ((d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)):
-        return True
 
-    def on_seg(p, q, r):
-        return (abs(orient(p, q, r)) <= tol
-                and min(p[0], q[0]) - tol <= r[0] <= max(p[0], q[0]) + tol
-                and min(p[1], q[1]) - tol <= r[1] <= max(p[1], q[1]) + tol)
-
-    return any((abs(d) <= tol and on_seg(p, q, r)) for d, (p, q, r) in [
-        (d1, (b1, b2, a1)), (d2, (b1, b2, a2)),
-        (d3, (a1, a2, b1)), (d4, (a1, a2, b2))])
+def _segments_cross(a1, a2, b1, b2, tol):
+    """Whether segments [a1, a2] and [b1, b2] cross, or touch within tol
+    (collinear overlap included), elementwise over broadcast leading axes
+    of the (..., 2) point arrays."""
+    d1 = _orient(b1, b2, a1)
+    d2 = _orient(b1, b2, a2)
+    d3 = _orient(a1, a2, b1)
+    d4 = _orient(a1, a2, b2)
+    hit = ((((d1 > tol) & (d2 < -tol)) | ((d1 < -tol) & (d2 > tol)))
+           & (((d3 > tol) & (d4 < -tol)) | ((d3 < -tol) & (d4 > tol))))
+    for d, (p, q, r) in ((d1, (b1, b2, a1)), (d2, (b1, b2, a2)),
+                         (d3, (a1, a2, b1)), (d4, (a1, a2, b2))):
+        # r lies on [p, q]: collinear and inside its bounding box
+        on = np.abs(d) <= tol
+        for c in (0, 1):
+            lo = np.minimum(p[..., c], q[..., c])
+            hi = np.maximum(p[..., c], q[..., c])
+            on &= (lo - tol <= r[..., c]) & (r[..., c] <= hi + tol)
+        hit |= on
+    return hit
 
 
 def _nonadjacent_side_clearance(verts: np.ndarray, j: int) -> float:

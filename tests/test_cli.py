@@ -257,10 +257,11 @@ def test_cli_square_smoke_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["square-smoke", "ex38-skew",
-                                  "lemma25-check"])
+                                  "lemma25-check", "case-a0"])
 def test_cli_outputs_deterministic(tmp_path, name):
     # ex38-skew runs the control's singular profile and the structure
-    # shells, lemma25-check the singular datum and its wedge lift
+    # shells, lemma25-check the singular datum and its wedge lift, case-a0
+    # PDAS from active sets seeded at the start point
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["preset", name, "--out", a]) == 0
     assert main(["preset", name, "--out", b]) == 0

@@ -22,7 +22,7 @@ from dclab.control import (
     NodalTarget,
     solve_constrained,
     solve_unconstrained,
-    _cg_on_subset,
+    _pcg,
     _projected_gradient,
     _target_data,
 )
@@ -194,22 +194,55 @@ def test_active_bounds_have_correct_multiplier_sign(boxed_problem):
 
 
 def test_cg_makes_no_discarded_hessian_applies(boxed_problem, monkeypatch):
-    # from a nonzero start CG applies the Hessian once for the initial
-    # residual and once per iteration, and for nothing else
+    # from the zero correction CG applies the Hessian once per iteration
+    # and not for the initial residual: scipy's cg from zero, on the same
+    # block, preconditioner and stopping residual, counts the iterations
     p = boxed_problem
     nb = p.system.trace.n
     g0, _, _, _ = p.gradient(np.zeros(nb))
-    applies, iterations = [], []
+    idx = np.flatnonzero(np.arange(nb) % 3 != 0)
+    rhs, scale = -g0[idx], float(np.linalg.norm(g0))
+
+    def block(v):
+        full = np.zeros(nb)
+        full[idx] = v
+        return p.hessian_apply(full)[idx]
+    n = len(idx)
+    iterations = []
+    ref, info = spla.cg(
+        spla.LinearOperator((n, n), matvec=block, dtype=float), rhs,
+        rtol=0.0, atol=CG_RTOL * scale,
+        M=spla.LinearOperator((n, n), dtype=float,
+                              matvec=lambda v: v / (p.nu * p.lumped[idx])),
+        callback=lambda xk: iterations.append(1))
+    assert info == 0 and iterations
+    applies = []
     hess = p.hessian_apply
     monkeypatch.setattr(p, "hessian_apply",
                         lambda v: applies.append(1) or hess(v))
-    cg = spla.cg
-    monkeypatch.setattr(spla, "cg", lambda *a, **kw: cg(
-        *a, callback=lambda xk: iterations.append(1), **kw))
-    mask = np.arange(nb) % 3 != 0
-    _cg_on_subset(p, mask, -g0, x0=np.full(nb, 0.1))
-    assert iterations
-    assert len(applies) <= len(iterations) + 1
+    x, _ = _pcg(p, idx, rhs, rtol=CG_RTOL, scale=scale)
+    assert len(applies) == len(iterations)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    # a right-hand side already inside the tolerance costs no apply
+    applies.clear()
+    x, hx = _pcg(p, idx, rhs, rtol=CG_RTOL, scale=2.0 * scale / CG_RTOL)
+    assert not applies and not x.any() and not hx.any()
+
+
+def test_cg_carries_the_hessian_image(boxed_problem):
+    # the image H x that CG sums from its applies is the Hessian apply of
+    # the returned correction, zero off the block included
+    p = boxed_problem
+    nb = p.system.trace.n
+    g0, _, _, _ = p.gradient(np.zeros(nb))
+    idx = np.flatnonzero(np.arange(nb) % 3 != 0)
+    for rtol in (CG_RTOL_SETS, CG_RTOL):
+        x, hx = _pcg(p, idx, -g0[idx], rtol=rtol,
+                     scale=float(np.linalg.norm(g0)))
+        full = np.zeros(nb)
+        full[idx] = x
+        want = p.hessian_apply(full)
+        assert np.abs(hx - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_converged_pdas_fields_match_fresh_solves(boxed_problem, monkeypatch):
@@ -274,8 +307,8 @@ def test_projected_gradient_converges(square_system, nu):
 
 def _record_cg_rtols(monkeypatch):
     rtols = []
-    cg = control._cg_on_subset
-    monkeypatch.setattr(control, "_cg_on_subset", lambda *a, **kw:
+    cg = control._pcg
+    monkeypatch.setattr(control, "_pcg", lambda *a, **kw:
                         rtols.append(kw["rtol"]) or cg(*a, **kw))
     return rtols
 
@@ -293,16 +326,16 @@ def test_pdas_steps_are_inexact_until_the_sets_settle(boxed_problem,
 
 
 def test_all_active_sets_need_no_exact_step(square_system, monkeypatch):
-    # a negative target under the bound 0 makes every node active after
-    # the first step; that step is exact without CG
+    # a negative target under the bound 0 makes every node active at the
+    # start point already: the seeded sets need no CG and one iteration
     p = ControlProblem(square_system, nu=0.2, target=ConstantTarget(-1.0),
                        lower=0.0)
     rtols = _record_cg_rtols(monkeypatch)
     sol = solve_constrained(p)
     assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
     assert sol.active_lower.all() and np.array_equal(sol.u, p.lower)
-    assert rtols == [CG_RTOL_SETS]
-    assert sol.iterations == 2
+    assert rtols == []
+    assert sol.iterations == 1
 
 
 @pytest.fixture(scope="module")
@@ -339,8 +372,113 @@ def test_inexact_pdas_matches_all_exact_steps(l_shape_system, label,
     if label == "unbounded":
         # no bounds: the one CG solve is untouched
         assert n_inexact == len(applies)
-    else:
+    elif label == "upper-active":
         assert n_inexact < len(applies)
+    else:
+        # the seeded sets hold every node: no CG on either path
+        assert n_inexact == len(applies) == 0
+
+
+#: most LU solves of each solve-benchmark problem at h = 1/32: two per
+#: Hessian apply and two per set of fresh fields, which are solved for at
+#: the start point, at a pinning that moves the control and before
+#: returning (the parent's counts were 48, 14, 20 and 30)
+SOLVE_FIXED_LU_SOLVES = {
+    "upper-active": 46,
+    "lower-active": 2,
+    "tight-small-nu": 4,
+    "unbounded": 30,
+}
+
+
+@pytest.mark.parametrize("label", sorted(SOLVE_FIXED_PROBLEMS))
+def test_each_pde_solve_is_paid_once(l_shape_system, label, monkeypatch):
+    nu, lo, hi, target = SOLVE_FIXED_PROBLEMS[label]
+    p = ControlProblem(l_shape_system, nu, ConstantTarget(target),
+                       lower=lo, upper=hi)
+    solves = []
+    solve = l_shape_system.solve_interior
+    monkeypatch.setattr(l_shape_system, "solve_interior",
+                        lambda rhs: solves.append(1) or solve(rhs))
+    sol = solve_constrained(p)
+    assert sol.converged and sol.kkt.satisfied
+    assert len(solves) <= SOLVE_FIXED_LU_SOLVES[label]
+
+
+@pytest.mark.parametrize("bounds", [(-0.2, 0.25), (-1e6, 1e6), None],
+                         ids=["active-nodes", "no-active-nodes",
+                              "unconstrained"])
+def test_warm_start_at_the_solution_returns(square_system, bounds,
+                                            monkeypatch):
+    # restarted at its own solution a solve returns at once: the CG scale
+    # is not the round-off gradient there, against which CG would run
+    # 5 (no-active-nodes) and 18 (unconstrained) more iterations
+    target = CallableTarget(lambda x, y: np.exp(x) * np.sin(2.0 * y))
+    if bounds is None:
+        p = ControlProblem(square_system, nu=0.08, target=target)
+        solve = solve_unconstrained
+    else:
+        p = ControlProblem(square_system, nu=0.08, target=target,
+                           lower=bounds[0], upper=bounds[1])
+        solve = solve_constrained
+    first = solve(p)
+    assert first.kkt.satisfied
+    assert (first.active_upper.any() or first.active_lower.any()) \
+        == (bounds == (-0.2, 0.25))
+    applies = []
+    hess = p.hessian_apply
+    monkeypatch.setattr(p, "hessian_apply",
+                        lambda v: applies.append(1) or hess(v))
+    again = solve(p, u0=first.u)
+    assert again.converged and again.kkt.satisfied
+    assert again.iterations <= 2
+    assert len(applies) <= 2 < control._CG_MAX_ITER
+    assert np.abs(again.u - first.u).max() <= KKT_TOL
+
+
+def test_fresh_fields_overrule_the_carried_gradient(boxed_problem,
+                                                    monkeypatch):
+    # the first exact step returns a correction off by 1e-6 with the image
+    # of the exact one: the carried gradient passes KKT_TOL, the fresh
+    # fields do not, and PDAS goes on from them to the true solution
+    ref = solve_constrained(boxed_problem)
+    cg = control._pcg
+    spoiled = []
+
+    def spoil(*a, **kw):
+        x, hx = cg(*a, **kw)
+        if kw["rtol"] == CG_RTOL and not spoiled:
+            spoiled.append(1)
+            x = x * (1.0 + 1e-6)
+        return x, hx
+    monkeypatch.setattr(control, "_pcg", spoil)
+    sol = solve_constrained(boxed_problem)
+    assert spoiled
+    assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
+    assert sol.iterations == ref.iterations + 1
+    assert np.abs(sol.u - ref.u).max() <= 1e-10
+
+
+def test_zero_start_gradient_still_scales_cg(square_system, monkeypatch):
+    # target 0, no source, u0 = 0: the gradient there is exactly 0, and
+    # pinning the bound 0.1 on the left side gives CG a nonzero
+    # right-hand side, which needs a nonzero stopping scale: at scale 0
+    # CG runs on until its residual is exactly 0 (129 applies)
+    pts = square_system.trace.points
+    lower = np.where(pts[:, 0] < 0.5, 0.1, -np.inf)
+    p = ControlProblem(square_system, nu=0.1, target=ConstantTarget(0.0),
+                       lower=lower)
+    g0, _, _, _ = p.gradient(np.zeros(square_system.trace.n))
+    assert not g0.any()
+    applies = []
+    hess = p.hessian_apply
+    monkeypatch.setattr(p, "hessian_apply",
+                        lambda v: applies.append(1) or hess(v))
+    sol = solve_constrained(p)
+    assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
+    assert sol.active_lower.any() and not sol.active_lower.all()
+    # fewer than the inactive block's size, over both steps
+    assert len(applies) < (~sol.active_lower).sum()
 
 
 def test_equivariance_under_lattice_symmetry(square_system):

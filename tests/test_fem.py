@@ -229,6 +229,22 @@ def test_flux_compatibility():
     assert total == pytest.approx(-sysm.mesh.domain.area, abs=1e-12)
 
 
+def test_flux_takes_the_boundary_rows_bit_for_bit():
+    # A_bnd holds A's boundary rows in trace order with each row's entries
+    # in A's order, so the flux equals the whole product restricted to
+    # the trace, bit for bit
+    sysm = FemSystem(triangulate(l_shape(), 0.17))
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=sysm.mesh.n_nodes)
+    ell = rng.normal(size=sysm.mesh.n_nodes)
+    lumped = sysm.trace.lumped
+    assert sysm.A_bnd.shape == (sysm.trace.n, sysm.mesh.n_nodes)
+    assert (variational_normal_derivative(sysm, z).tobytes()
+            == ((sysm.A @ z)[sysm.bnd] / lumped).tobytes())
+    assert (variational_normal_derivative(sysm, z, load=ell).tobytes()
+            == ((sysm.A @ z - ell)[sysm.bnd] / lumped).tobytes())
+
+
 def test_flux_converges_to_manufactured():
     f = lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
     errs = []

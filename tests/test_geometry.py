@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from dclab import singular
+from dclab import geometry, singular
 from dclab.geometry import (
     GeometryError,
     L_SHAPE_REENTRANT_CORNER,
     PolygonalDomain,
     SingularBoundaryData,
     UNBOUNDED,
+    _check_simple,
     _nonadjacent_side_clearance,
     _polar_arrays,
     build_domain,
@@ -116,6 +117,76 @@ def test_clockwise_polygon_rejected():
 def test_self_intersecting_polygon_rejected():
     with pytest.raises(GeometryError):
         PolygonalDomain([(0, 0), (1, 1), (1, 0), (0, 1)])  # bowtie
+
+
+def _scalar_check_simple(verts, scale):
+    """The side-pair loop that ``_check_simple`` replaces, as reference:
+    the first crossing pair (i, j) in loop order, or None."""
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    def on_seg(p, q, r):
+        return (abs(orient(p, q, r)) <= tol
+                and min(p[0], q[0]) - tol <= r[0] <= max(p[0], q[0]) + tol
+                and min(p[1], q[1]) - tol <= r[1] <= max(p[1], q[1]) + tol)
+
+    def cross(a1, a2, b1, b2):
+        d1 = orient(b1, b2, a1)
+        d2 = orient(b1, b2, a2)
+        d3 = orient(a1, a2, b1)
+        d4 = orient(a1, a2, b2)
+        if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and \
+           ((d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)):
+            return True
+        return any((abs(d) <= tol and on_seg(p, q, r)) for d, (p, q, r) in [
+            (d1, (b1, b2, a1)), (d2, (b1, b2, a2)),
+            (d3, (a1, a2, b1)), (d4, (a1, a2, b2))])
+
+    M = len(verts)
+    tol = 1e-12 * scale * scale
+    for i in range(M):
+        for j in range(i + 1, M):
+            if j == i or (j + 1) % M == i or (i + 1) % M == j:
+                continue
+            if cross(verts[i], verts[(i + 1) % M],
+                     verts[j], verts[(j + 1) % M]):
+                return i, j
+    return None
+
+
+def _first_crossing(verts, scale):
+    try:
+        _check_simple(verts, scale)
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def test_simplicity_check_matches_the_side_pair_loop(monkeypatch):
+    # random polygons on a coarse integer grid (collinear sides, vertices
+    # on sides and touching ends are common there) and on the plane, the
+    # self-intersecting bowtie, and valid domains; small blocks of pairs
+    # make the block walk keep the loop's order
+    rng = np.random.default_rng(17)
+    cases = [np.array([(0, 0), (1, 1), (1, 0), (0, 1)], dtype=float),
+             np.array([(0, 0), (2, 0), (2, 2), (1, -1), (0, 2)], dtype=float),
+             l_shape().vertices, sector(1.5 * math.pi, 40).vertices]
+    for _ in range(300):
+        m = int(rng.integers(4, 12))
+        cases.append(rng.integers(0, 4, size=(m, 2)).astype(float))
+        cases.append(rng.normal(size=(m, 2)))
+    found = 0
+    for block in (geometry._PAIR_BLOCK, 7):
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        for verts in cases:
+            scale = float(np.linalg.norm(
+                np.roll(verts, -1, axis=0) - verts, axis=1).max())
+            want = _scalar_check_simple(verts, scale)
+            got = _first_crossing(verts, scale)
+            assert got == (None if want is None
+                           else f"sides {want[0]} and {want[1]} intersect")
+            found += want is not None
+    assert 0 < found < 2 * len(cases)
 
 
 def test_zero_length_side_rejected():
