@@ -37,11 +37,11 @@ def _cmd_run(args) -> int:
     from .harness import run_config
     try:
         cfg = load_config(args.config)
+        result = run_config(cfg, args.out
+                            or os.path.join("dclab-out", cfg["name"]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = args.out or os.path.join("dclab-out", cfg["name"])
-    result = run_config(cfg, outdir)
     _report(result)
     return result.exit_code
 
@@ -61,7 +61,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    from .config import ConfigError, resolve_domain, resolve_mesh
+    from .config import ConfigError, check_node_budget, resolve_mesh
     from .exports import write_mesh_csv
     from .meshing import MeshError, structured_mesh, triangulate
     grading = {}
@@ -72,12 +72,11 @@ def _cmd_mesh(args) -> int:
         except ValueError:  # resolve_mesh rejects it with its field path
             grading[j] = mu
     try:
-        _, _, domain = resolve_domain({"domain": args.domain})
-        m = resolve_mesh({"kind": "structured" if args.structured
-                          else "triangulated", "h0": args.h,
-                          "grading": grading,
-                          "lattice_angle": args.lattice_angle},
-                         len(domain.corners))
+        m, domain = resolve_mesh(args.domain, {
+            "kind": "structured" if args.structured else "triangulated",
+            "h0": args.h, "grading": grading,
+            "lattice_angle": args.lattice_angle})
+        check_node_budget(m, domain)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

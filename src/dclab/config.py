@@ -3,18 +3,27 @@
 A configuration is a JSON-compatible dict describing one experiment: a
 domain, a mesh ladder, either a control problem or a singular boundary
 datum, the analyses to run, and optional expectations the harness turns
-into pass/fail verdicts.  Validation reports the offending field path.
+into pass/fail verdicts.  One walker checks a config against SCHEMA,
+fills in defaults and rejects any key a block does not list; the rules
+that tie fields together run after it.  Errors name the field path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 from .expectations import (BOOL, CORNERS, FACTOR, FLAT_VERDICTS, RANGE,
-                           TABLE, VERDICT)
+                           TABLE, TOLERANCE, VERDICT)
 from .geometry import (GeometryError, SingularBoundaryData, build_domain,
                        validate_singular_boundary_data)
+
+#: Node budget of a ladder's finest level.  Its estimate, domain area /
+#: h_finest**2, is a lower bound for both mesh generators.  It is 49,152
+#: for lshape-constrained's finest level (57,769 actual nodes), which
+#: leaves about 17x headroom.
+MAX_NODES = 10**6
 
 
 class ConfigError(ValueError):
@@ -25,176 +34,233 @@ def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _get(d, key, path, types, required=False, default=None):
-    # an explicit JSON null counts as absent, which also makes
-    # re-validating an already normalized config a no-op
-    if key not in d or d[key] is None:
-        if required:
-            _fail(f"{path}.{key}", "required field missing")
-        return default
-    v = d[key]
-    accepted = types if isinstance(types, tuple) else (types,)
+def _typed(v, path, *types):
     # bool is a subclass of int; accept it only where it is asked for
-    if not isinstance(v, accepted) or (isinstance(v, bool) and bool not in accepted):
-        tn = " or ".join(t.__name__ for t in accepted)
-        _fail(f"{path}.{key}", f"expected {tn}, got {type(v).__name__}")
+    if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
+        tn = " or ".join(t.__name__ for t in types)
+        _fail(path, f"expected {tn}, got {type(v).__name__}")
     return v
 
 
-def _finite(v, path):
+# A kind is a name in _KINDS, a tuple of that name and its arguments, or a
+# block: a dict of field -> (kind, required, default).  A kind's walker
+# returns the normalized value, and appends (path, index) to corners for
+# each corner index, to be checked once the domain is built.
+
+STR, NUMBER, COUNT, CORNER, VERTICES = (
+    "str", "number", "count", "corner", "vertices")
+ENUM, LIST, MAP, TAGGED, NAME_OR = "enum", "list", "map", "tagged", "name-or"
+
+#: default of a field that the normalized block leaves out when absent
+OMIT = object()
+
+
+def _number(v, path, corners, test=None, msg=None):
+    _typed(v, path, int, float)
     # rejects NaN and infinities, and an int too large for a float, on
     # which float() raises OverflowError
     if not abs(v) <= sys.float_info.max:
         _fail(path, "must be finite")
+    if test is not None and not test(float(v)):
+        _fail(path, msg)
     return float(v)
 
 
-def _number(d, key, path, required=False, default=None, positive=False):
-    v = _get(d, key, path, (int, float), required=required, default=default)
-    if v is None:
-        return None
-    v = _finite(v, f"{path}.{key}")
-    if positive and v <= 0.0:
-        _fail(f"{path}.{key}", "must be positive")
+def _count(v, path, corners):
+    if _typed(v, path, int) < 1:
+        _fail(path, "must be an integer >= 1")
     return v
 
 
-def _corner_index(j, n_corners, path):
-    if not 0 <= j < n_corners:
-        _fail(path, f"corner {j} does not exist; the domain has corners "
-                    f"0..{n_corners - 1}")
+def _corner(v, path, corners):
+    corners.append((path, _typed(v, path, int)))
+    return v
 
 
-def _corner_list(corners, n_corners, path):
-    for i, j in enumerate(corners):
-        if not isinstance(j, int) or isinstance(j, bool):
-            _fail(f"{path}[{i}]", "expected an integer")
-        _corner_index(j, n_corners, f"{path}[{i}]")
-    return list(corners)
+def _range(v, path, corners):
+    if len(_typed(v, path, list)) != 2:
+        _fail(path, "expected [lo, hi]")
+    lo, hi = (_number(x, path, corners) for x in v)
+    if lo > hi:
+        _fail(path, "lo exceeds hi")
+    return [lo, hi]
 
 
-def _corner_map(raw, path):
+def _vertices(v, path, corners):
+    if len(_typed(v, path, list)) < 3:
+        _fail(path, "need at least 3 vertices")
+    out = []
+    for i, xy in enumerate(v):
+        if not isinstance(xy, (list, tuple)) or len(xy) != 2:
+            _fail(f"{path}[{i}]", "expected [x, y]")
+        out.append([_number(c, f"{path}[{i}]", corners) for c in xy])
+    return out
+
+
+def _enum(v, path, corners, choices):
+    if _typed(v, path, type(choices[0])) not in choices:
+        _fail(path, f"must be one of {list(choices)}")
+    return v
+
+
+def _list(v, path, corners, kind):
+    return [_walk(kind, x, f"{path}[{i}]", corners)
+            for i, x in enumerate(_typed(v, path, list))]
+
+
+def _corner_map(v, path, corners, kind):
+    """Corner index -> value of kind; an empty map normalizes to None."""
     out = {}
-    for k, v in raw.items():
+    for k, x in _typed(v, path, dict).items():
         try:
             j = int(k)
         except (TypeError, ValueError):
             _fail(path, f"corner index {k!r} is not an integer")
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            _fail(f"{path}[{k}]", "expected a number")
-        out[j] = _finite(v, f"{path}[{k}]")
-    return out
+        corners.append((f"{path}[{j}]", j))
+        out[j] = _walk(kind, x, f"{path}[{k}]", corners)
+    return out or None
 
 
-_TARGET_KINDS = {"constant", "skew-step"}
-_SOLVE_MODES = {"constrained", "unconstrained", "both"}
-_MESH_KINDS = {"triangulated", "structured"}
+def _tagged(v, path, corners, key, variants):
+    """A block whose fields are those of variants[v[key]]."""
+    tag = _typed(v, path, dict).get(key)
+    if tag is None:
+        _fail(f"{path}.{key}", "required field missing")
+    _enum(tag, f"{path}.{key}", corners, tuple(variants))
+    return _block(variants[tag], v, path, corners)
 
 
-def _expectations(raw, n_corners):
-    """Check each expectation value against the kind its table entry names."""
-    path = "config.expectations"
+def _name_or(v, path, corners, fields):
+    if isinstance(v, str):
+        return v
+    return _block(fields, _typed(v, path, str, dict), path, corners)
+
+
+def _block(fields, v, path, corners):
+    for key in _typed(v, path, dict):
+        if key not in fields:
+            _fail(f"{path}.{key}", "unknown field")
     out = {}
-    for key, v in raw.items():
-        where = f"{path}.{key}"
-        if key not in TABLE:
-            _fail(where, "unknown expectation")
-        if v is None:  # an explicit null counts as absent, as in _get
-            continue
-        kind = TABLE[key][0]
-        if kind == BOOL:
-            _get(raw, key, path, bool)
-        elif kind == VERDICT:
-            if _get(raw, key, path, str) not in FLAT_VERDICTS:
-                _fail(where, f"must be one of {list(FLAT_VERDICTS)}")
-        elif kind == RANGE:
-            if len(_get(raw, key, path, list)) != 2:
-                _fail(where, "expected [lo, hi]")
-            v = [_number({key: x}, key, path, required=True) for x in v]
-            if v[0] > v[1]:
-                _fail(where, "lo exceeds hi")
-        elif kind == CORNERS:
-            v = _corner_list(_get(raw, key, path, list), n_corners, where)
-        else:
-            v = _number(raw, key, path, positive=kind == FACTOR)
-            if v < 0.0:
-                _fail(where, "must be non-negative")
-        out[key] = v
+    for key, (kind, required, default) in fields.items():
+        # an explicit JSON null counts as absent, which also makes
+        # re-validating an already normalized config a no-op
+        x = v.get(key)
+        if x is None and required:
+            _fail(f"{path}.{key}", "required field missing")
+        x = default if x is None else x
+        if x is not OMIT:
+            out[key] = (None if x is None
+                        else _walk(kind, x, f"{path}.{key}", corners))
     return out
 
 
-def _vertex(v, path):
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                       for c in v)):
-        _fail(path, "expected [x, y]")
-    return [_finite(c, path) for c in v]
+_KINDS = {STR: lambda v, path, corners: _typed(v, path, str),
+          BOOL: lambda v, path, corners: _typed(v, path, bool),
+          NUMBER: _number, COUNT: _count, CORNER: _corner, RANGE: _range,
+          VERTICES: _vertices, ENUM: _enum, LIST: _list, MAP: _corner_map,
+          TAGGED: _tagged, NAME_OR: _name_or}
 
 
-def resolve_domain(cfg):
-    """Validate the ``domain`` and ``corner_radii`` fields of a
-    configuration and build the domain.
+def _walk(kind, v, path, corners):
+    if isinstance(kind, dict):
+        return _block(kind, v, path, corners)
+    name, *args = kind if isinstance(kind, tuple) else (kind,)
+    return _KINDS[name](v, path, corners, *args)
 
-    Returns (normalized domain, normalized radii, PolygonalDomain).
-    """
-    dom = _get(cfg, "domain", "config", (str, dict), required=True)
-    if isinstance(dom, dict):
-        verts = _get(dom, "vertices", "config.domain", list, required=True)
-        if len(verts) < 3:
-            _fail("config.domain.vertices", "need at least 3 vertices")
-        dom = {"vertices": [_vertex(v, f"config.domain.vertices[{i}]")
-                            for i, v in enumerate(verts)]}
-    radii = _get(cfg, "corner_radii", "config", dict, default=None)
-    radii = _corner_map(radii, "config.corner_radii") if radii else None
+
+POSITIVE = (NUMBER, lambda v: v > 0.0, "must be positive")
+_EXPECTATION_KINDS = {
+    TOLERANCE: (NUMBER, lambda v: v >= 0.0, "must be non-negative"),
+    FACTOR: POSITIVE, BOOL: BOOL, VERDICT: (ENUM, FLAT_VERDICTS),
+    RANGE: RANGE, CORNERS: (LIST, CORNER)}
+
+#: block -> field -> (kind, required, default).  A field that is absent or
+#: null takes its default, which is validated like a given value.
+SCHEMA = {
+    "name": (STR, False, "run"),
+    "domain": ((NAME_OR, {"vertices": (VERTICES, True, None)}), True, None),
+    "corner_radii": ((MAP, NUMBER), False, None),
+    "mesh": ({
+        "kind": ((ENUM, ("structured", "triangulated")), False,
+                 "triangulated"),
+        "h0": (POSITIVE, True, None),
+        "levels": (COUNT, False, 1),
+        "grading": ((MAP, (NUMBER, lambda mu: 0.0 < mu <= 1.0,
+                           "exponent must lie in (0, 1]")), False, None),
+        "lattice_angle": (NUMBER, False, 0.0),
+    }, True, None),
+    "problem": ({
+        "nu": (POSITIVE, True, None),
+        "lower": (NUMBER, False, None),
+        "upper": (NUMBER, False, None),
+        "target": ((TAGGED, "kind", {
+            "constant": {"kind": (STR, True, None),
+                         "value": (NUMBER, True, None)},
+            "skew-step": {"kind": (STR, True, None),
+                          "corner": (CORNER, True, None),
+                          "value": (NUMBER, False, 1.0)},
+        }), True, None),
+        # None until the bounds decide it
+        "solve": ((ENUM, ("both", "constrained", "unconstrained")), False,
+                  None),
+    }, False, None),
+    "singular_data": ({
+        "corner": (CORNER, True, None),
+        "n": ((ENUM, (1, 2)), True, None),
+        "eta": (NUMBER, True, None),
+        "amplitude": (NUMBER, False, 1.0),
+    }, False, None),
+    "analysis": ({
+        "corners": ((LIST, CORNER), False, []),
+        "modes": ((LIST, COUNT), False, [1, 2]),
+        "flatness": (BOOL, False, False),
+        "structure": (BOOL, False, False),
+        "s_star": ((NUMBER, lambda s: s >= 2.0, "must be >= 2"), False, 4.0),
+    }, False, {}),
+    "expectations": ({key: (_EXPECTATION_KINDS[kind], False, OMIT)
+                      for key, (kind, _) in TABLE.items()}, False, {}),
+}
+
+
+def _resolve(fields, cfg):
+    """Walk cfg against fields, which hold SCHEMA's domain and mesh
+    entries, and apply their rules: (normalized config, PolygonalDomain)."""
+    corners = []
+    out = _block(fields, cfg, "config", corners)
+    m = out["mesh"]
+    for key, what in ("grading", "grading"), ("lattice_angle", "a lattice angle"):
+        if m["kind"] == "structured" and m[key]:  # None or 0.0 when unset
+            _fail(f"config.mesh.{key}", f"structured meshes do not support {what}")
+    dom = out["domain"]
     try:
         domain = build_domain(dom["vertices"] if isinstance(dom, dict) else dom,
-                              r_overrides=radii)
+                              r_overrides=out.get("corner_radii"))
     except GeometryError as exc:
         _fail("config.domain", str(exc))
     # build_domain ignores radius overrides of corners it does not have
-    for j in radii or {}:
-        _corner_index(j, len(domain.corners), f"config.corner_radii[{j}]")
-    return dom, radii, domain
+    n_corners = len(domain.corners)
+    for path, j in corners:
+        if not 0 <= j < n_corners:
+            _fail(path, f"corner {j} does not exist; the domain has corners "
+                        f"0..{n_corners - 1}")
+    return out, domain
 
 
-def resolve_mesh(mesh, n_corners) -> dict:
-    """Validate and normalize the ``mesh`` block of a configuration for a
-    domain with ``n_corners`` corners."""
-    m = {}
-    m["kind"] = _get(mesh, "kind", "config.mesh", str, default="triangulated")
-    if m["kind"] not in _MESH_KINDS:
-        _fail("config.mesh.kind", f"must be one of {sorted(_MESH_KINDS)}")
-    m["h0"] = _number(mesh, "h0", "config.mesh", required=True, positive=True)
-    levels = _get(mesh, "levels", "config.mesh", int, default=1)
-    if levels < 1:
-        _fail("config.mesh.levels", "must be an integer >= 1")
-    m["levels"] = levels
-    grading = _get(mesh, "grading", "config.mesh", dict, default=None)
-    if grading:
-        g = _corner_map(grading, "config.mesh.grading")
-        for j, mu in g.items():
-            _corner_index(j, n_corners, f"config.mesh.grading[{j}]")
-            if not 0.0 < mu <= 1.0:
-                _fail(f"config.mesh.grading[{j}]", "exponent must lie in (0, 1]")
-        if m["kind"] == "structured":
-            _fail("config.mesh.grading", "structured meshes do not support grading")
-        m["grading"] = g
-    else:
-        m["grading"] = None
-    m["lattice_angle"] = _number(mesh, "lattice_angle", "config.mesh", default=0.0)
-    if m["kind"] == "structured" and m["lattice_angle"] != 0.0:
-        _fail("config.mesh.lattice_angle",
-              "structured meshes do not support a lattice angle")
-    return m
+def check_node_budget(mesh, domain):
+    """Reject a mesh block whose finest level needs over MAX_NODES nodes on
+    domain; a bound on work that callers check before meshing."""
+    # ldexp takes any int levels; h * h may underflow to 0 or be inf
+    h = math.ldexp(mesh["h0"], 1 - mesh["levels"])
+    if domain.area > MAX_NODES * h * h:
+        _fail("config.mesh.h0", f"the finest level (h = {h:.6g}) needs over "
+                                f"{MAX_NODES} nodes, estimated as area / h^2")
 
 
-def validate_config(cfg) -> dict:
-    """Normalize and validate a configuration dict.
-
-    Returns a new dict with defaults filled in; raises ConfigError with a
-    field path on the first problem found.
-    """
-    return resolve_config(cfg)[0]
+def resolve_mesh(domain, mesh):
+    """(normalized mesh block, PolygonalDomain), validated as in a config."""
+    out, dom = _resolve({key: SCHEMA[key] for key in ("domain", "mesh")},
+                        {"domain": domain, "mesh": mesh})
+    return out["mesh"], dom
 
 
 def resolve_config(cfg):
@@ -204,103 +270,32 @@ def resolve_config(cfg):
     config names is checked against the domain, so a run never meets an
     out-of-range corner.
     """
-    if not isinstance(cfg, dict):
-        _fail("config", "top level must be an object")
-    out = {}
-    out["name"] = _get(cfg, "name", "config", str, default="run")
-
-    out["domain"], out["corner_radii"], domain = resolve_domain(cfg)
-    n_corners = len(domain.corners)
-
-    out["mesh"] = resolve_mesh(
-        _get(cfg, "mesh", "config", dict, required=True), n_corners)
-
-    data = _get(cfg, "singular_data", "config", dict, default=None)
-    prob = _get(cfg, "problem", "config", dict, default=None)
-    if (data is None) == (prob is None):
+    out, domain = _resolve(SCHEMA, cfg)
+    prob, data = out["problem"], out["singular_data"]
+    if (prob is None) == (data is None):
         _fail("config", "exactly one of 'problem' or 'singular_data' is required")
-
-    if data is not None:
-        d = {}
-        corner = _get(data, "corner", "config.singular_data", int, required=True)
-        _corner_index(corner, n_corners, "config.singular_data.corner")
-        d["corner"] = corner
-        n = _get(data, "n", "config.singular_data", int, required=True)
-        if n not in (1, 2):
-            _fail("config.singular_data.n", "parity must be 1 or 2")
-        d["n"] = n
-        d["eta"] = _number(data, "eta", "config.singular_data", required=True)
-        d["amplitude"] = _number(data, "amplitude", "config.singular_data",
-                                 default=1.0)
+    if prob is not None:
+        bounds = prob["lower"], prob["upper"]
+        if None not in bounds and bounds[0] > bounds[1]:
+            _fail("config.problem", "lower bound exceeds upper bound")
+        if prob["solve"] is None:
+            prob["solve"] = ("unconstrained" if bounds == (None, None)
+                             else "constrained")
+    else:
         try:
-            validate_singular_boundary_data(domain, SingularBoundaryData(**d))
+            validate_singular_boundary_data(domain, SingularBoundaryData(**data))
         except GeometryError as exc:
             _fail("config.singular_data.eta", str(exc))
-        out["singular_data"] = d
-        out["problem"] = None
-    else:
-        p = {}
-        p["nu"] = _number(prob, "nu", "config.problem", required=True, positive=True)
-        p["lower"] = _number(prob, "lower", "config.problem")
-        p["upper"] = _number(prob, "upper", "config.problem")
-        if (p["lower"] is not None and p["upper"] is not None
-                and p["lower"] > p["upper"]):
-            _fail("config.problem", "lower bound exceeds upper bound")
-        tgt = _get(prob, "target", "config.problem", dict, required=True)
-        kind = _get(tgt, "kind", "config.problem.target", str, required=True)
-        if kind not in _TARGET_KINDS:
-            _fail("config.problem.target.kind",
-                  f"must be one of {sorted(_TARGET_KINDS)}")
-        t = {"kind": kind}
-        if kind == "constant":
-            t["value"] = _number(tgt, "value", "config.problem.target",
-                                 required=True)
-        else:
-            t["corner"] = _get(tgt, "corner", "config.problem.target", int,
-                               required=True)
-            _corner_index(t["corner"], n_corners, "config.problem.target.corner")
-            t["value"] = _number(tgt, "value", "config.problem.target",
-                                 default=1.0)
-        p["target"] = t
-        solve = _get(prob, "solve", "config.problem", str, default=None)
-        if solve is None:
-            solve = ("constrained" if (p["lower"] is not None
-                                       or p["upper"] is not None)
-                     else "unconstrained")
-        if solve not in _SOLVE_MODES:
-            _fail("config.problem.solve", f"must be one of {sorted(_SOLVE_MODES)}")
-        p["solve"] = solve
-        out["problem"] = p
-        out["singular_data"] = None
-
-    ana = _get(cfg, "analysis", "config", dict, default=None) or {}
-    a = {}
-    a["corners"] = _corner_list(
-        _get(ana, "corners", "config.analysis", list, default=[]), n_corners,
-        "config.analysis.corners")
-    modes = _get(ana, "modes", "config.analysis", list, default=[1, 2])
-    for i, mm in enumerate(modes):
-        if not isinstance(mm, int) or isinstance(mm, bool) or mm < 1:
-            _fail(f"config.analysis.modes[{i}]", "expected a positive integer")
-    a["modes"] = modes
-    a["flatness"] = bool(_get(ana, "flatness", "config.analysis", bool,
-                              default=False))
-    a["structure"] = bool(_get(ana, "structure", "config.analysis", bool,
-                               default=False))
-    a["s_star"] = _number(ana, "s_star", "config.analysis", default=4.0)
-    if a["s_star"] < 2.0:
-        _fail("config.analysis.s_star", "must be >= 2")
-    out["analysis"] = a
-
-    exp = _get(cfg, "expectations", "config", dict, default=None) or {}
-    out["expectations"] = _expectations(exp, n_corners)
-
-    known = {"name", "domain", "corner_radii", "mesh", "problem",
-             "singular_data", "analysis", "expectations"}
-    for k in cfg:
-        if k not in known:
-            _fail(f"config.{k}", "unknown field")
     return out, domain
+
+
+def validate_config(cfg) -> dict:
+    """Normalize and validate a configuration dict.
+
+    Returns a new dict with defaults filled in; raises ConfigError with a
+    field path on the first problem found.
+    """
+    return resolve_config(cfg)[0]
 
 
 def load_config(path) -> dict:

@@ -2,15 +2,12 @@
 
 TABLE maps each expectation key to the kind of value it takes and to the
 grader that turns a finished ladder into its PASS/FAIL row; evaluate()
-emits the rows in table order.  config.resolve_config checks each value
-by its kind:
-
-- tolerance: a non-negative finite number (a bound, floor or tolerance);
-- factor: a positive finite number;
-- bool, or verdict (a name in FLAT_VERDICTS): passes when the measured
-  property equals it, and fails when nothing was measured;
-- range: [lo, hi] with finite lo <= hi;
-- corners: a list of corner indices of the domain.
+emits the rows in table order.  config.SCHEMA builds its expectations
+block from TABLE, so the config walker checks each value by its kind: a
+tolerance is a non-negative number, a factor a positive one, a range
+[lo, hi] with lo <= hi, corners a list of corner indices of the domain.
+A bool or verdict (a name in FLAT_VERDICTS) passes when the measured
+property equals it, and fails when nothing was measured.
 
 Corner rule: an expectation about one corner is graded at the first corner
 listed in analysis.corners that has the measurement it needs.  This module

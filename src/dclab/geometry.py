@@ -34,6 +34,11 @@ RESONANCE_TOL = 1e-9
 #: vertex distances and the signed area stay finite below it.
 COORD_MAX = 1e150
 
+#: Most vertices a polygon may have.  The radius and clearance checks
+#: build (M, M, 2) float64 temporaries; at M = 1,100 each is 19.4 MB.
+#: sector(3pi/2, 1024) has 1,026 vertices.
+MAX_VERTICES = 1_100
+
 #: side pairs tested at once by the simplicity check (bounds its memory)
 _PAIR_BLOCK = 1 << 18
 
@@ -95,8 +100,10 @@ class PolygonalDomain:
 
     def __init__(self, vertices, r_overrides=None, name: str = "polygon"):
         verts = np.asarray(vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise GeometryError("need at least 3 vertices of shape (M, 2)")
+        if (verts.ndim != 2 or verts.shape[1] != 2
+                or not 3 <= verts.shape[0] <= MAX_VERTICES):
+            raise GeometryError(f"need 3 to {MAX_VERTICES} vertices of shape "
+                                f"(M, 2), got {verts.shape}")
         if not np.abs(verts).max() <= COORD_MAX:
             raise GeometryError(
                 f"vertex coordinates must be finite and at most {COORD_MAX:g} "
@@ -143,17 +150,23 @@ class PolygonalDomain:
         gaps = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
         np.fill_diagonal(gaps, np.inf)
         corner_dist = gaps.min(axis=1)
+        # Keep the closed wedge sector of radius 2R_j inside the domain:
+        # stay clear of every side not adjacent to corner j.
+        side_dist, _ = point_segment_distance(
+            verts[:, None, :], verts[None, :, :],
+            np.roll(verts, -1, axis=0)[None, :, :])
+        diag = np.arange(M)
+        side_dist[diag, diag] = side_dist[diag, diag - 1] = np.inf
+        clear = side_dist.min(axis=1)
+        short = np.minimum(lengths, np.roll(lengths, 1))
+        auto = np.minimum(0.25 * np.minimum(short, 0.5 * corner_dist),
+                          0.49 * clear)
         for j in range(M):
             omega = angles[j]
-            auto = 0.25 * min(lengths[j], lengths[j - 1], 0.5 * corner_dist[j])
-            # Keep the closed wedge sector of radius 2R_j inside the domain:
-            # stay clear of every non-adjacent side.
-            clear = _nonadjacent_side_clearance(verts, j)
-            auto = min(auto, 0.49 * clear)
-            R = float(overrides.get(j, auto))
+            R = float(overrides.get(j, auto[j]))
             if R <= 0.0:
                 raise GeometryError(f"nonpositive radius at corner {j}")
-            if R > min(lengths[j], lengths[j - 1]) / 2.0 or 2.0 * R > clear:
+            if R > short[j] / 2.0 or 2.0 * R > clear[j]:
                 raise GeometryError(
                     f"radius override {R} at corner {j} leaves the wedge "
                     "neighborhood sticking out of the domain")
@@ -248,14 +261,6 @@ def _segments_cross(a1, a2, b1, b2, tol):
     return hit
 
 
-def _nonadjacent_side_clearance(verts: np.ndarray, j: int) -> float:
-    M = len(verts)
-    far = (np.arange(M) != j) & (np.arange(M) != (j - 1) % M)
-    dist, _ = point_segment_distance(verts[j], verts[far],
-                                     np.roll(verts, -1, axis=0)[far])
-    return float(dist.min())
-
-
 def point_segment_distance(p, a, b):
     """Distance from points p to segments [a, b], broadcast over leading
     axes, and the parameter t in [0, 1] of the nearest point a + t (b - a)."""
@@ -300,8 +305,8 @@ def sector(omega: float, n_arc: int = 64, r_overrides=None) -> PolygonalDomain:
     """
     if not (0.0 < omega < 2.0 * math.pi):
         raise GeometryError("sector angle must lie in (0, 2*pi)")
-    if n_arc < 8:
-        raise GeometryError("need at least 8 arc chords")
+    if not 8 <= n_arc <= MAX_VERTICES - 2:  # before building its vertices
+        raise GeometryError(f"need 8 to {MAX_VERTICES - 2} arc chords")
     ts = np.linspace(0.0, omega, n_arc + 1)
     verts = [(0.0, 0.0)] + [(math.cos(t), math.sin(t)) for t in ts]
     return PolygonalDomain(verts, r_overrides=r_overrides,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import resolve_config
+from .config import check_node_budget, resolve_config
 from .control import (CallableTarget, ConstantTarget, ControlError,
                       ControlProblem, solve_constrained, solve_unconstrained)
 from .expectations import evaluate, g6
@@ -400,6 +400,7 @@ def _write_trends_csv(path, cfg, levels):
 def run_config(cfg, outdir) -> RunResult:
     """Execute one configuration and write its artifacts into outdir."""
     cfg, domain = resolve_config(cfg)
+    check_node_budget(cfg["mesh"], domain)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "config.json"), "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dclab import config, harness, meshing
 from dclab.cli import main
-from dclab.config import ConfigError, load_config, validate_config
+from dclab.config import SCHEMA, ConfigError, load_config, validate_config
 from dclab.expectations import (BOOL, CORNERS, FACTOR, RANGE, TABLE,
                                 TOLERANCE, VERDICT)
+from dclab.geometry import MAX_VERTICES
 from dclab.presets import PRESETS, expand_preset, list_presets
 
 BASE = {
@@ -128,6 +130,22 @@ def test_error_paths_carry_field_names():
         (_cfg(corner_radii={"0": float("nan")}), "config.corner_radii[0]"),
         (_cfg(mesh={"kind": "triangulated", "grading": {"2": 10**400}}),
          "config.mesh.grading[2]"),
+        # every block rejects a key it does not list
+        (_cfg(mesh={"gradings": {"0": 0.5}}),
+         "config.mesh.gradings: unknown field"),
+        (_cfg(problem={"bogus": 1}), "config.problem.bogus: unknown field"),
+        (_cfg(problem={"target": {"kind": "constant", "value": 0.0,
+                                  "corner": 0}}),
+         "config.problem.target.corner: unknown field"),
+        (_cfg(problem=None, singular_data={"corner": 0, "n": 1, "eta": 1.5,
+                                           "amplitud": 2}),
+         "config.singular_data.amplitud: unknown field"),
+        (_cfg(analysis={"corner": [0]}), "config.analysis.corner: unknown field"),
+        # a value is never mistaken for the schema's leave-out default
+        (_cfg(expectations={"kkt_max": "omit"}), "config.expectations.kkt_max"),
+        (_cfg(domain={"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                      "name": "square"}),
+         "config.domain.name: unknown field"),
     ]
     wrong_type = {TOLERANCE: "x", FACTOR: "x", BOOL: "yes", VERDICT: 3,
                   RANGE: 5, CORNERS: 3}
@@ -193,6 +211,84 @@ def test_load_config_reports_json_errors(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+def test_preset_configs_normalize_as_pinned():
+    # preset_configs.json holds the normalized configs as written by the
+    # hand-coded validators that SCHEMA replaced
+    path = os.path.join(os.path.dirname(__file__), "preset_configs.json")
+    got = {f"{name}/{sub}" if sub else name: validate_config(cfg)
+           for name in PRESETS for sub, cfg in expand_preset(name)}
+    with open(path) as fh:
+        assert json.dumps(got, indent=2, sort_keys=True) + "\n" == fh.read()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=2)),
+    max_leaves=4)
+def _mostly(strategy, other, one_in):
+    """Draws from strategy, and about one draw in one_in from other."""
+    return st.sampled_from(range(one_in)).flatmap(
+        lambda i: other if i == one_in - 1 else strategy)
+
+
+NUMBER = _mostly(st.floats(0.05, 3.0) | st.sampled_from([1, 2, 4.5]),
+                 st.floats() | st.sampled_from([0, -1, 1e-10, 10**400, True]),
+                 8)
+POLYGONS = [[[0, 0], [2, 0], [2, 1], [0, 1]], [[0, 0], [1, 0], [0, 1]]]
+
+
+def _near(kind):
+    """Values shaped like a SCHEMA kind, not all of them valid."""
+    if isinstance(kind, dict):
+        fields = {key: _mostly(_near(k), JSON, 25)
+                  for key, (k, _, _) in kind.items()}
+        stray = st.dictionaries(st.text(max_size=6), JSON, min_size=1,
+                                max_size=1)
+        return st.tuples(
+            st.fixed_dictionaries(
+                {key: fields[key] for key, f in kind.items() if f[1]},
+                optional={key: fields[key] for key, f in kind.items()
+                          if not f[1]}),
+            _mostly(st.just({}), stray, 20)).map(lambda p: {**p[1], **p[0]})
+    name, *args = kind if isinstance(kind, tuple) else (kind,)
+    if name == config.TAGGED:
+        key, variants = args
+        return st.sampled_from(sorted(variants)).flatmap(
+            lambda tag: _near(variants[tag]).map(lambda b: {**b, key: tag}))
+    leaves = {
+        config.STR: lambda *_: st.text(max_size=4),
+        BOOL: lambda *_: st.booleans(),
+        config.NUMBER: lambda *_: NUMBER,
+        config.COUNT: lambda *_: _mostly(st.integers(1, 3), st.integers(-1, 0), 8),
+        config.CORNER: lambda *_: _mostly(st.integers(0, 2), st.integers(-1, 9), 8),
+        RANGE: lambda *_: st.lists(NUMBER, min_size=1, max_size=3).map(sorted),
+        config.VERTICES: lambda *_: _mostly(st.sampled_from(POLYGONS), st.lists(
+            st.lists(NUMBER, min_size=2, max_size=2), max_size=4), 8),
+        config.ENUM: lambda choices: st.sampled_from(choices),
+        config.LIST: lambda item: st.lists(_near(item), max_size=3),
+        config.MAP: lambda value: st.dictionaries(
+            st.integers(-1, 6).map(str), _near(value), max_size=2),
+        config.NAME_OR: lambda fields: _mostly(st.sampled_from(
+            ["l-shape", "unit-square", "sector(3pi/2, 16)"]), _near(fields), 4),
+    }
+    return leaves[name](*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near(SCHEMA))
+def test_any_config_validates_or_names_its_path(cfg):
+    try:
+        out = validate_config(cfg)
+    except ConfigError as exc:
+        assert re.match(r"config[.:]", str(exc)), str(exc)
+        return
+    # what a run writes as config.json validates to itself
+    assert validate_config(json.loads(json.dumps(out, allow_nan=False))) == out
 
 
 # ---------------------------------------------------------------------
@@ -363,4 +459,47 @@ def test_cli_bad_domain_is_exit_2(tmp_path, capsys, domain):
         assert main(["mesh", domain, "--h", "0.2", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: config.domain: ")
+    assert not out.exists()
+
+
+def _no_meshing(monkeypatch):
+    def mesh(*args, **kwargs):
+        raise AssertionError("a mesh was generated")
+    for owner, attr in ((meshing, "triangulate"), (meshing, "structured_mesh"),
+                        (harness, "_make_mesh")):
+        monkeypatch.setattr(owner, attr, mesh)
+
+
+def test_node_budget_is_exit_2_before_meshing(tmp_path, capsys, monkeypatch):
+    _no_meshing(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["mesh", "l-shape", "--h", "1e-300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.mesh.h0: ")
+    p = tmp_path / "c.json"
+    for levels in (40, 10**400):
+        p.write_text(json.dumps(_cfg(mesh={"levels": levels})))
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config.mesh.h0: ")
+    assert main(["preset", "square-smoke", "--levels", "40",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.mesh.h0: ")
+    assert not out.exists()
+
+
+def test_too_many_vertices_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the vertex count is checked before the domain is built: at a
+    # smaller count these repeated vertices fail as zero-length sides
+    _no_meshing(monkeypatch)
+    p, out = tmp_path / "c.json", tmp_path / "o"
+    sector = f"sector(3pi/2, {MAX_VERTICES - 1})"
+    for domain in ({"vertices": [[0, 0]] * (MAX_VERTICES + 1)}, sector):
+        p.write_text(json.dumps(_cfg(domain=domain)))
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.domain: ")
+        assert f"need 3 to {MAX_VERTICES} vertices" in err or "arc chords" in err
+    assert main(["mesh", sector, "--h", "0.2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: config.domain: ")
     assert not out.exists()

@@ -11,11 +11,11 @@ from dclab import geometry, singular
 from dclab.geometry import (
     GeometryError,
     L_SHAPE_REENTRANT_CORNER,
+    MAX_VERTICES,
     PolygonalDomain,
     SingularBoundaryData,
     UNBOUNDED,
     _check_simple,
-    _nonadjacent_side_clearance,
     _polar_arrays,
     build_domain,
     control_singular_coefficient,
@@ -23,6 +23,7 @@ from dclab.geometry import (
     eval_s_profile,
     eval_singular_volume,
     l_shape,
+    point_segment_distance,
     sector,
     singular_set_for_exponents,
     sobolev_exponents,
@@ -103,10 +104,43 @@ def test_corner_radii_match_side_loop(spec, overrides):
     verts, L = dom.vertices, dom.side_lengths
     for j, c in enumerate(dom.corners):
         clear = _clearance_by_side_loop(verts, j)
-        assert _nonadjacent_side_clearance(verts, j) == pytest.approx(clear, rel=1e-14)
         nearest = np.delete(np.linalg.norm(verts[j] - verts, axis=1), j).min()
         auto = min(0.25 * min(L[j], L[j - 1], 0.5 * nearest), 0.49 * clear)
         assert c.radius == (overrides or {}).get(j, auto)
+
+
+def _clearance_per_corner(verts, j):
+    """The per-corner clearance that PolygonalDomain computed before it
+    took all corners in one (M, M) distance, as reference."""
+    M = len(verts)
+    far = (np.arange(M) != j) & (np.arange(M) != (j - 1) % M)
+    dist, _ = point_segment_distance(verts[j], verts[far],
+                                     np.roll(verts, -1, axis=0)[far])
+    return float(dist.min())
+
+
+@pytest.mark.parametrize("spec", ["l-shape", "sector(3pi/2, 64)",
+                                  "sector(3pi/2, 1024)"])
+def test_corner_radii_match_per_corner_clearance(spec):
+    # bit for bit: the same arithmetic, one corner at a time
+    dom = build_domain(spec)
+    verts, L = dom.vertices, dom.side_lengths
+    nearest = np.linalg.norm(verts[:, None] - verts[None], axis=2)
+    np.fill_diagonal(nearest, np.inf)
+    for j, c in enumerate(dom.corners):
+        auto = min(0.25 * min(L[j], L[j - 1], 0.5 * nearest[j].min()),
+                   0.49 * _clearance_per_corner(verts, j))
+        assert c.radius == auto
+
+
+def test_vertex_count_is_bounded():
+    # the count is checked before any (M, M) work: these sides would
+    # otherwise fail as zero-length
+    with pytest.raises(GeometryError, match=f"need 3 to {MAX_VERTICES} "):
+        PolygonalDomain(np.zeros((MAX_VERTICES + 1, 2)))
+    with pytest.raises(GeometryError, match="arc chords"):
+        sector(1.5 * math.pi, MAX_VERTICES - 1)
+    assert len(sector(1.5 * math.pi, MAX_VERTICES - 2)) == MAX_VERTICES
 
 
 def test_clockwise_polygon_rejected():
