@@ -63,7 +63,8 @@ def _cmd_preset(args) -> int:
 def _cmd_mesh(args) -> int:
     from .config import ConfigError, check_node_budget, resolve_mesh
     from .exports import write_mesh_csv
-    from .meshing import MeshError, structured_mesh, triangulate
+    from .harness import make_mesh
+    from .meshing import MeshError
     grading = {}
     for item in args.grading:
         j, _, mu = item.partition(":")
@@ -81,11 +82,7 @@ def _cmd_mesh(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.structured:
-            mesh = structured_mesh(domain, m["h0"])
-        else:
-            mesh = triangulate(domain, m["h0"], grading=m["grading"],
-                               lattice_angle=m["lattice_angle"])
+        mesh = make_mesh(domain, m, 0)
     except MeshError as exc:
         print(f"mesh generation failed: {exc}", file=sys.stderr)
         return 3

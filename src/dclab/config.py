@@ -207,7 +207,8 @@ SCHEMA = {
     "singular_data": ({
         "corner": (CORNER, True, None),
         "n": ((ENUM, (1, 2)), True, None),
-        "eta": (NUMBER, True, None),
+        # nodal imposition needs a continuous datum
+        "eta": (POSITIVE, True, None),
         "amplitude": (NUMBER, False, 1.0),
     }, False, None),
     "analysis": ({

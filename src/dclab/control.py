@@ -125,7 +125,7 @@ def _target_data(system: FemSystem, target):
                                 x.shape)
             return np.stack([v, v * v])
         # the hats sum to one, so the load of y_target^2 sums to its integral
-        t, sq = assemble_load(mesh, values_and_squares, order=5,
+        t, sq = assemble_load(mesh, values_and_squares,
                               discontinuity=target.discontinuity)
         return t, 0.5 * float(sq.sum())
     if isinstance(target, NodalTarget):
@@ -161,7 +161,7 @@ class ControlProblem:
         self.target = target
         self.t_load, self.t_const = _target_data(system, target)
         self.f_load = (np.zeros(system.mesh.n_nodes) if source is None
-                       else assemble_load(system.mesh, source, order=5))
+                       else assemble_load(system.mesh, source))
         self.lumped = system.trace.lumped
 
     # -- pieces of the optimality system -------------------------------

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .meshing import TriMesh, boundary_trace_space
+from .meshing import TriMesh
 
 
 def _fmt(x) -> str:
@@ -74,7 +74,7 @@ def write_field_csv(path, mesh: TriMesh, columns: dict) -> None:
 
 def write_boundary_csv(path, mesh: TriMesh, columns: dict) -> None:
     """Trace-ordered boundary table with side index and arc length."""
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     write_columns(path, ["pos", "node", "side", "arc", "x", "y"] + list(columns),
                   [np.arange(tr.n), tr.node_ids, tr.side_of_segment, tr.arc,
                    tr.points[:, 0], tr.points[:, 1],

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshing import TriMesh, boundary_trace_space
+from .meshing import TriMesh
 
 
 class FemError(RuntimeError):
@@ -36,21 +36,12 @@ class FemError(RuntimeError):
 # ---------------------------------------------------------------------
 # quadrature
 
-#: barycentric points and weights, exact for polynomials of degree 2
-TRI_QUAD_3 = (
-    np.array([
-        [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-        [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-        [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
-    ]),
-    np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]),
-)
-
 _s15 = math.sqrt(15.0)
 _b1, _b2 = (6.0 + _s15) / 21.0, (6.0 - _s15) / 21.0
 _a1, _a2 = 1.0 - 2.0 * _b1, 1.0 - 2.0 * _b2
 _w1, _w2 = (155.0 + _s15) / 1200.0, (155.0 - _s15) / 1200.0
-#: degree-5 rule (7 points, Radon), in closed form
+#: barycentric points and weights of the degree-5 rule (7 points,
+#: Radon), in closed form
 TRI_QUAD_7 = (
     np.array([
         [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
@@ -59,15 +50,6 @@ TRI_QUAD_7 = (
     ]),
     np.array([9.0 / 40.0, _w1, _w1, _w1, _w2, _w2, _w2]),
 )
-
-
-def tri_quadrature(order: int):
-    """Barycentric quadrature rule exact to the given polynomial degree."""
-    if order <= 2:
-        return TRI_QUAD_3
-    if order <= 5:
-        return TRI_QUAD_7
-    raise FemError("quadrature orders above 5 are not provided")
 
 
 # ---------------------------------------------------------------------
@@ -144,9 +126,9 @@ def _split_crossed(d: np.ndarray) -> np.ndarray:
                      np.stack([c1, e2, c2], axis=1)], axis=1)
 
 
-def assemble_load(mesh: TriMesh, f, order: int = 2,
+def assemble_load(mesh: TriMesh, f,
                   discontinuity: DiscontinuityLine | None = None) -> np.ndarray:
-    """Load vector ell_i = int f phi_i via triangle quadrature.
+    """Load vector ell_i = int f phi_i by the degree-5 rule TRI_QUAD_7.
 
     ``f`` maps (x, y) arrays to values, or to a stack of k value arrays
     (shape (k, npts)); the result is then the (k, n_nodes) stack of
@@ -157,7 +139,7 @@ def assemble_load(mesh: TriMesh, f, order: int = 2,
     in its parent (B = I when uncrossed): its area is |det B| |T|, and at
     a rule point lam the parent hats take the values lam B.
     """
-    bary, w = tri_quadrature(order)
+    bary, w = TRI_QUAD_7
     p, t = mesh.nodes, mesh.triangles
     area = mesh.triangle_areas()
     B = np.broadcast_to(np.eye(3), (len(t), 3, 3))
@@ -194,8 +176,7 @@ class ScalarField:
     values: np.ndarray
 
     def boundary_values(self) -> np.ndarray:
-        tr = boundary_trace_space(self.mesh)
-        return self.values[tr.node_ids]
+        return self.values[self.mesh.trace.node_ids]
 
 
 def _find_malloc_trim(libc):
@@ -229,7 +210,7 @@ class FemSystem:
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        self.trace = boundary_trace_space(mesh)
+        self.trace = mesh.trace
         self.A = assemble_stiffness(mesh)
         self.M = assemble_mass(mesh)
         self.bnd = self.trace.node_ids
@@ -304,7 +285,7 @@ def variational_normal_derivative(system: FemSystem, z, load=None) -> np.ndarray
 def l2_norm(mesh: TriMesh, vals, exact=None) -> float:
     """L2 norm of the P1 function, or of its error against ``exact``
     (degree-5 quadrature)."""
-    bary, w = tri_quadrature(5)
+    bary, w = TRI_QUAD_7
     p, t = mesh.nodes, mesh.triangles
     corners = p[t]
     area = mesh.triangle_areas()
@@ -332,7 +313,7 @@ def h1_seminorm(mesh: TriMesh, vals, grad_exact=None) -> float:
     gh = np.einsum("tk,tkd->td", v[t], perp) / (2.0 * area)[:, None]
     if grad_exact is None:
         return math.sqrt(float(np.sum(area * (gh * gh).sum(axis=1))))
-    bary, w = tri_quadrature(5)
+    bary, w = TRI_QUAD_7
     corners = p[t]
     total = 0.0
     for lam, wq in zip(bary, w):

@@ -33,10 +33,10 @@ from .exports import (write_boundary_csv, write_extraction_csv,
 from .fem import (DiscontinuityLine, FemError, FemSystem, check_max_principle,
                   solve_dirichlet)
 from .geometry import UNBOUNDED, SingularBoundaryData
-from .meshing import (MeshError, boundary_trace_space, structured_mesh,
-                      triangulate)
+from .meshing import MeshError, structured_mesh, triangulate
 from .singular import (AnalysisError, classify_H_sets,
-                       control_singular_profile, extract_coefficients,
+                       control_singular_profile, corner_log_slope,
+                       extract_coefficients,
                        flatness_diagnostic, holder_quotient,
                        predicted_control_terms, singular_boundary_values,
                        structural_fit_control, structure_refinement_trend,
@@ -74,13 +74,14 @@ class RunResult:
     error: str | None = None
 
 
-def _make_mesh(domain, cfg, level):
-    m = cfg["mesh"]
-    h = m["h0"] / 2.0 ** level
-    if m["kind"] == "structured":
+def make_mesh(domain, mesh_block, level):
+    """The mesh of refinement level ``level`` (h = h0 / 2^level) that a
+    normalized ``mesh`` config block asks for."""
+    h = mesh_block["h0"] / 2.0 ** level
+    if mesh_block["kind"] == "structured":
         return structured_mesh(domain, h)
-    return triangulate(domain, h, grading=m["grading"],
-                       lattice_angle=m["lattice_angle"])
+    return triangulate(domain, h, grading=mesh_block["grading"],
+                       lattice_angle=mesh_block["lattice_angle"])
 
 
 def _make_target(domain, tcfg):
@@ -115,23 +116,6 @@ def _solve_summary(system, sol):
         "max_principle_violation": mp.violation,
         "objective": sol.objective,
     }
-
-
-def _corner_log_slope(domain, mesh, u, j):
-    """Log-log slope of |u| against corner distance on [1.5 r_min, R/2],
-    over the nodes with |u| > 1e-12."""
-    tr = boundary_trace_space(mesh)
-    c = domain.corners[j]
-    r = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
-    u = np.asarray(u, dtype=float)
-    pos = r > 1e-14
-    if not np.any(pos):
-        return None
-    lo = 1.5 * r[pos].min()
-    sel = (r >= lo) & (r <= 0.5 * c.radius) & (np.abs(u) > 1e-12)
-    if np.count_nonzero(sel) < 4:
-        return None
-    return float(np.polyfit(np.log(r[sel]), np.log(np.abs(u[sel])), 1)[0])
 
 
 def _profile_diff(coarse, fine):
@@ -217,7 +201,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
             q_rem = holder_quotient(domain, mesh, main.u - pred, j, alpha)
             rec.holder[j] = (q_raw, q_rem)
         if c.reentrant:
-            s = _corner_log_slope(domain, mesh, main.u, j)
+            s = corner_log_slope(domain, mesh, main.u, j)
             if s is not None:
                 rec.slopes[j] = s
 
@@ -409,7 +393,7 @@ def run_config(cfg, outdir) -> RunResult:
     levels = []
     try:
         for k in range(cfg["mesh"]["levels"]):
-            mesh = _make_mesh(domain, cfg, k)
+            mesh = make_mesh(domain, cfg["mesh"], k)
             rec = LevelRecord(index=k, h=cfg["mesh"]["h0"] / 2.0 ** k,
                               n_nodes=mesh.n_nodes,
                               n_triangles=mesh.n_triangles)

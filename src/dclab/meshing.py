@@ -16,20 +16,25 @@ Two generators share one mesh type:
   square, the L-shape, ...).  All angles are <= 90 degrees, which is what
   the discrete maximum principle needs.
 
-Corner grading with exponent mu < 1 is the radial map
-r -> R_j (r / R_j)^(1/mu) applied to all generator points within R_j of
-the flagged corner; local element diameter then scales like
-h (r/R_j)^(1-mu).  A refinement ladder is one fresh generator call per
-level at h0/2^k: on the lattice that is the red refinement of the level
-below (the same triangles, numbered afresh), and a graded mesh stays in
-its grading family.
+Corner grading with exponent mu < 1 at corner j places points on the
+layer radii R_j (k/K)^(1/mu), K ~ R_j / (mu h), of ``_graded_layers``:
+the two sides get boundary nodes at those distances from the corner, and
+the lattice points within 1.05 R_j are replaced by ``_ring_points``, arcs
+on the same radii whose angular pitch matches the radial gaps.  Local
+element diameter then scales like h (r/R_j)^(1-mu).  A refinement ladder
+is one fresh generator call per level at h0/2^k: on the lattice that is
+the red refinement of the level below (the same triangles, numbered
+afresh), and a graded mesh stays in its grading family.
+
+``_finalize`` checks both generators' output and walks its boundary once,
+counterclockwise from polygon corner 0, into the mesh's ``trace``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,25 +49,57 @@ class MeshError(RuntimeError):
 
 
 @dataclass
+class BoundaryTrace:
+    """Ordered boundary-node structure of a mesh.
+
+    Nodes are listed counterclockwise starting at polygon corner 0.
+    ``mass`` is the cyclic piecewise-linear boundary mass matrix,
+    ``lumped`` its row sums.  ``side_of_segment[i]`` tags the segment
+    from node i to node i+1; ``arc[i]`` is the cumulative arclength.
+    ``corner_pos`` maps polygon corner index -> trace position.
+    """
+
+    node_ids: np.ndarray
+    points: np.ndarray
+    seg_lengths: np.ndarray
+    side_of_segment: np.ndarray
+    arc: np.ndarray
+    corner_pos: dict
+    mass: sp.csr_matrix
+    lumped: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.node_ids)
+
+    def side_positions(self, j: int) -> np.ndarray:
+        """Trace positions of side j's nodes, corner j through corner j+1."""
+        M = len(self.corner_pos)
+        a = self.corner_pos[j]
+        b = self.corner_pos[(j + 1) % M]
+        if b <= a:
+            b += self.n
+        return np.arange(a, b + 1) % self.n
+
+    def perimeter(self) -> float:
+        return float(self.seg_lengths.sum())
+
+
+@dataclass
 class TriMesh:
     """Conforming triangle mesh of a polygonal domain.
 
-    ``triangles`` are CCW index triples into ``nodes``.  ``boundary_edges``
-    holds rows (a, b, side) with a->b oriented counterclockwise along the
-    boundary; ``boundary_loop`` lists its row indices in loop order from
-    polygon corner 0.  ``corner_nodes`` maps polygon corner index -> node id.
+    ``triangles`` are CCW index triples into ``nodes``; ``trace`` is its
+    boundary, built once by ``_finalize``.
     """
 
     domain: PolygonalDomain
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray = field(default=None)
-    boundary_loop: np.ndarray = field(default=None)
-    corner_nodes: dict = field(default_factory=dict)
+    trace: BoundaryTrace
     h: float = 0.0
     min_angle: float = 0.0
     nonobtuse: bool = False
-    _trace: object = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -73,7 +110,8 @@ class TriMesh:
         return len(self.triangles)
 
     def boundary_node_ids(self) -> np.ndarray:
-        return np.unique(self.boundary_edges[:, :2].ravel())
+        """Boundary node ids, ascending."""
+        return np.sort(self.trace.node_ids)
 
     def triangle_areas(self) -> np.ndarray:
         p = self.nodes[self.triangles]
@@ -126,13 +164,15 @@ def _graded_layers(R: float, h: float, mu: float) -> list[float]:
 
 
 def _side_points(domain: PolygonalDomain, h: float, grading: dict):
-    """Boundary nodes: ~h per side, graded layers near flagged corners.
+    """Boundary nodes (~h per side, graded layers near flagged corners)
+    and the segments between them, as index pairs in the order emitted.
 
     Polygon vertex k is node k; side interiors follow.
     """
     verts = domain.vertices
     M = len(verts)
     pts = [tuple(v) for v in verts]
+    segs = []
     for j in range(M):
         a, b = verts[j], verts[(j + 1) % M]
         L = float(np.linalg.norm(b - a))
@@ -150,9 +190,11 @@ def _side_points(domain: PolygonalDomain, h: float, grading: dict):
         mids = [lo + (hi - lo) * k / n_mid for k in range(1, n_mid)]
         dists = sorted(set(head) | set(mids) | {L - t for t in tail})
         dists = [s for s in dists if 1e-12 * L < s < L * (1 - 1e-12)]
+        chain = [j, *range(len(pts), len(pts) + len(dists)), (j + 1) % M]
+        segs.extend(zip(chain[:-1], chain[1:]))
         for s in dists:
             pts.append(tuple(a + (s / L) * (b - a)))
-    return np.array(pts, dtype=float)
+    return np.array(pts, dtype=float), segs
 
 
 def _ring_points(domain: PolygonalDomain, j: int, h: float, mu: float) -> np.ndarray:
@@ -246,18 +288,6 @@ def _filter_interior(domain, interior, bpts, bsegs):
     return interior[keep]
 
 
-def _boundary_segments(domain: PolygonalDomain, bpts: np.ndarray):
-    """Consecutive-node segments along each side, as index pairs into bpts."""
-    segs = []
-    for j in range(len(domain.vertices)):
-        a, b = domain.side(j)
-        dist, t = point_segment_distance(bpts, a, b)
-        ids = np.flatnonzero(dist <= 1e-9 * float(np.linalg.norm(b - a)))
-        ids = ids[np.argsort(t[ids])]
-        segs.extend(zip(ids[:-1].tolist(), ids[1:].tolist()))
-    return segs
-
-
 def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
                 lattice_angle: float = 0.0) -> TriMesh:
     """Unstructured Delaunay mesh with target diameter h.
@@ -271,7 +301,7 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
     if h <= 0:
         raise MeshError("h must be positive")
     grading = _validate_grading(domain, grading or {})
-    bpts_g = _side_points(domain, h, grading)
+    bpts_g, segs = _side_points(domain, h, grading)
     interior_g = _hex_lattice(domain, h, lattice_angle)
     for j, mu in grading.items():
         c = domain.corners[j]
@@ -279,9 +309,6 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
         outside = np.hypot(d[:, 0], d[:, 1]) > 1.05 * c.radius
         interior_g = np.vstack([interior_g[outside],
                                 _ring_points(domain, j, h, mu)])
-    segs = _boundary_segments(domain, bpts_g)
-    if len(segs) != len(bpts_g):
-        raise MeshError("boundary subdivision failed; h unreachable for geometry")
     interior_g = _filter_interior(domain, interior_g, bpts_g, segs)
 
     for attempt in range(3):
@@ -404,13 +431,13 @@ def _finalize(domain, nodes, tris) -> TriMesh:
     # boundary edges: appear in exactly one triangle, oriented as stored
     bed = _tag_sides(domain, nodes, half[counts[inv] == 1])
 
-    corner_nodes = {}
+    corner_nodes = []
     for j, c in enumerate(domain.corners):
         d = nodes - np.asarray(c.vertex)
         k = int(np.argmin(np.hypot(d[:, 0], d[:, 1])))
         if np.hypot(*(nodes[k] - np.asarray(c.vertex))) > 1e-9:
             raise MeshError(f"polygon corner {j} is not a mesh node")
-        corner_nodes[j] = k
+        corner_nodes.append(k)
 
     p = nodes[tris]
     lens = np.stack([np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
@@ -419,10 +446,9 @@ def _finalize(domain, nodes, tris) -> TriMesh:
     h = float(lens.max())
     angles = _angles_deg(p)
 
+    loop = bed[_boundary_loop(bed, corner_nodes[0])]
     return TriMesh(domain=domain, nodes=nodes, triangles=tris,
-                   boundary_edges=bed,
-                   boundary_loop=_boundary_loop(bed, corner_nodes[0]),
-                   corner_nodes=corner_nodes, h=h,
+                   trace=_boundary_trace(nodes, loop, corner_nodes), h=h,
                    min_angle=float(angles.min()),
                    nonobtuse=bool(angles.max() <= 90.0 + 1e-9))
 
@@ -474,58 +500,16 @@ def _boundary_loop(bedges: np.ndarray, start: int) -> np.ndarray:
     return np.array(order, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------
-# boundary trace space
-
-@dataclass
-class BoundaryTrace:
-    """Ordered boundary-node structure of a mesh.
-
-    Nodes are listed counterclockwise starting at polygon corner 0.
-    ``mass`` is the cyclic piecewise-linear boundary mass matrix,
-    ``lumped`` its row sums.  ``side_of_segment[i]`` tags the segment
-    from node i to node i+1; ``arc[i]`` is the cumulative arclength.
-    """
-
-    node_ids: np.ndarray
-    points: np.ndarray
-    seg_lengths: np.ndarray
-    side_of_segment: np.ndarray
-    arc: np.ndarray
-    corner_pos: dict
-    mass: sp.csr_matrix
-    lumped: np.ndarray
-    full_to_trace: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.node_ids)
-
-    def side_positions(self, j: int) -> np.ndarray:
-        """Trace positions of side j's nodes, corner j through corner j+1."""
-        M = len(self.corner_pos)
-        a = self.corner_pos[j]
-        b = self.corner_pos[(j + 1) % M]
-        if b <= a:
-            b += self.n
-        return np.arange(a, b + 1) % self.n
-
-    def perimeter(self) -> float:
-        return float(self.seg_lengths.sum())
-
-
-def boundary_trace_space(mesh: TriMesh) -> BoundaryTrace:
-    if mesh._trace is not None:
-        return mesh._trace
-    ids, heads, sides = mesh.boundary_edges[mesh.boundary_loop].T.copy()
-    pts = mesh.nodes[ids]
+def _boundary_trace(nodes, loop, corner_nodes) -> BoundaryTrace:
+    """Trace of the boundary edge rows ``loop`` (a, b, side), given in
+    loop order; ``corner_nodes[j]`` is polygon corner j's node id."""
+    ids, heads, sides = loop.T.copy()
+    pts = nodes[ids]
     nb = len(ids)
-    seg = np.linalg.norm(mesh.nodes[heads] - pts, axis=1)
+    seg = np.linalg.norm(nodes[heads] - pts, axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
-    full_to_trace = -np.ones(mesh.n_nodes, dtype=np.int64)
-    full_to_trace[ids] = np.arange(nb)
-    corner_pos = {j: int(full_to_trace[nid])
-                  for j, nid in mesh.corner_nodes.items()}
+    pos_of = dict(zip(ids.tolist(), range(nb)))
+    corner_pos = {j: pos_of[k] for j, k in enumerate(corner_nodes)}
 
     # segment i couples node i with node k = i + 1 (cyclically)
     i = np.arange(nb)
@@ -535,9 +519,6 @@ def boundary_trace_space(mesh: TriMesh) -> BoundaryTrace:
     vals = np.column_stack([seg / 3.0, seg / 6.0, seg / 6.0, seg / 3.0]).ravel()
     mass = sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
     lumped = np.asarray(mass.sum(axis=1)).ravel()
-    trace = BoundaryTrace(node_ids=ids, points=pts, seg_lengths=seg,
-                          side_of_segment=sides, arc=arc,
-                          corner_pos=corner_pos, mass=mass, lumped=lumped,
-                          full_to_trace=full_to_trace)
-    mesh._trace = trace
-    return trace
+    return BoundaryTrace(node_ids=ids, points=pts, seg_lengths=seg,
+                         side_of_segment=sides, arc=arc,
+                         corner_pos=corner_pos, mass=mass, lumped=lumped)

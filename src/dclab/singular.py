@@ -38,7 +38,7 @@ from .geometry import (
     wedge_field,
     _polar_arrays,
 )
-from .meshing import TriMesh, boundary_trace_space
+from .meshing import TriMesh
 
 #: condition-number cap for the scaled extraction design matrix
 COND_MAX = 1e8
@@ -287,7 +287,7 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
     C1_SIGN_MIN predicts the lower bound, c1 < -C1_SIGN_MIN the upper.
     """
     c = domain.corners[j]
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     nb = tr.n
     lo = np.broadcast_to(np.asarray(lower, dtype=float), (nb,))
     hi = np.broadcast_to(np.asarray(upper, dtype=float), (nb,))
@@ -369,7 +369,7 @@ def _trace_terms(domain: PolygonalDomain, mesh: TriMesh, j: int,
     """Trace-order field sum amplitude chi^(parity+1) xi(r) r^exponent over
     the (amplitude, parity, exponent) terms, on Gamma_j (chi = +1) and
     Gamma_{j-1} (chi = -1) within 2R_j of corner j; zero elsewhere."""
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     out = np.zeros(tr.n)
     sides = _corner_sides(domain, tr, j, 2.0 * domain.corners[j].radius)
     for chi, (_, pos, radii) in zip((1.0, -1.0), sides):
@@ -393,7 +393,7 @@ def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
                            j: int, terms: dict) -> StructureFitReport:
     """Compare the raw control against the singular-subtracted remainder
     over at most 12 geometric shells shrinking toward corner j."""
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     u = np.asarray(u, dtype=float)
     rem = u - control_singular_profile(domain, mesh, j, terms)
     c = domain.corners[j]
@@ -468,17 +468,37 @@ def holder_quotient(domain: PolygonalDomain, mesh: TriMesh, u, j: int,
     that is dominated by node pairs straddling the corner; subtracting
     the correct singular term lowers it.
     """
-    tr = boundary_trace_space(mesh)
-    c = domain.corners[j]
+    tr = mesh.trace
     u = np.asarray(u, dtype=float)
-    r = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
-    sel = np.where(r < c.radius)[0]
+    _, pos, _ = zip(*_corner_sides(domain, tr, j, domain.corners[j].radius))
+    sel = np.concatenate([[tr.corner_pos[j]], *pos])
     if len(sel) < 2:
         raise AnalysisError("not enough boundary nodes for the quotient")
     # imported here: scipy.spatial adds ~0.1 s to ``import dclab``
     from scipy.spatial.distance import pdist
     q = pdist(u[sel, None], "cityblock") / pdist(tr.points[sel]) ** alpha
     return float(q.max())
+
+
+def corner_log_slope(domain: PolygonalDomain, mesh: TriMesh, u,
+                     j: int) -> float | None:
+    """Log-log slope of |u| against the distance to corner j, over the
+    nodes of its two sides with r in [1.5 r_min, R_j/2] and |u| > 1e-12,
+    where r_min is the distance of the corner's nearest boundary node.
+    None with fewer than four such nodes."""
+    c = domain.corners[j]
+    _, pos, radii = zip(*_corner_sides(domain, mesh.trace, j, c.radius))
+    pos, r = np.concatenate(pos), np.concatenate(radii)
+    if len(r) == 0:
+        return None
+    # trace order fixes polyfit's summation order, and so the last bits
+    # of the slope
+    order = np.argsort(pos)
+    r, u = r[order], np.asarray(u, dtype=float)[pos[order]]
+    sel = (r >= 1.5 * r.min()) & (r <= 0.5 * c.radius) & (np.abs(u) > 1e-12)
+    if np.count_nonzero(sel) < 4:
+        return None
+    return float(np.polyfit(np.log(r[sel]), np.log(np.abs(u[sel])), 1)[0])
 
 
 # ---------------------------------------------------------------------
@@ -553,7 +573,7 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
     slope = float(np.polyfit(np.log(rhos), np.log(peaks), 1)[0])
 
     # the corner node is left out: its remainder is 0 (datum and lift both vanish)
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     _, pos, _ = zip(*_corner_sides(domain, tr, j, c.radius))
     bres = float(np.abs(rem[tr.node_ids[np.concatenate(pos)]]).max(initial=0.0))
 

@@ -101,6 +101,11 @@ def test_error_paths_carry_field_names():
          "config.singular_data.corner"),
         (_cfg(problem=None, singular_data={"corner": 0, "n": 1, "eta": 2.0}),
          "config.singular_data.eta"),
+        # admissible for n = 1, but a nodal trace needs eta > 0
+        (_cfg(problem=None, singular_data={"corner": 0, "n": 1, "eta": -0.25}),
+         "config.singular_data.eta: must be positive"),
+        (_cfg(problem=None, singular_data={"corner": 0, "n": 1, "eta": 0.0}),
+         "config.singular_data.eta: must be positive"),
         (_cfg(corner_radii={"9": 0.1}), "config.corner_radii[9]"),
         (_cfg(mesh={"kind": "triangulated", "grading": {"4": 0.5}}),
          "config.mesh.grading[4]"),
@@ -384,6 +389,12 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     p.write_text(json.dumps(_cfg(expectations={"kkt_max": "x"})))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "config.expectations.kkt_max" in capsys.readouterr().err
+    p.write_text(json.dumps(_cfg(mesh={"h0": 1 / 16}, problem=None,
+                                 singular_data={"corner": 0, "n": 1,
+                                                "eta": -0.25})))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config.singular_data.eta" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
     assert main(["preset", "no-such"]) == 2
     assert main(["preset", "square-smoke", "--levels", "0",
                  "--out", str(tmp_path / "p")]) == 2
@@ -466,7 +477,7 @@ def _no_meshing(monkeypatch):
     def mesh(*args, **kwargs):
         raise AssertionError("a mesh was generated")
     for owner, attr in ((meshing, "triangulate"), (meshing, "structured_mesh"),
-                        (harness, "_make_mesh")):
+                        (harness, "make_mesh")):
         monkeypatch.setattr(owner, attr, mesh)
 
 

@@ -98,7 +98,7 @@ def test_callable_target_data_in_one_pass(square_system, fn):
     target = CallableTarget(fn, DiscontinuityLine((0.0, 0.3), (-0.2, 1.0)))
     t, const = _target_data(square_system, target)
     mesh = square_system.mesh
-    kw = dict(order=5, discontinuity=target.discontinuity)
+    kw = dict(discontinuity=target.discontinuity)
     t2 = assemble_load(mesh, fn, **kw)
     sq = assemble_load(mesh, lambda x, y: np.asarray(fn(x, y)) ** 2, **kw)
     assert np.array_equal(t, t2)

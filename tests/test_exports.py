@@ -8,7 +8,7 @@ import pytest
 
 from dclab import exports
 from dclab.geometry import l_shape
-from dclab.meshing import boundary_trace_space, structured_mesh
+from dclab.meshing import structured_mesh
 
 SPECIAL = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308,
            0.1, -2.5e-300, 1.0, 123456789.0]
@@ -30,7 +30,7 @@ def _reference_field_csv(path, mesh, columns):
 
 
 def _reference_boundary_csv(path, mesh, columns):
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
     exports.write_rows(path, ["pos", "node", "side", "arc", "x", "y"] + list(columns),
                        ((k, tr.node_ids[k], tr.side_of_segment[k], tr.arc[k],
@@ -53,7 +53,7 @@ def test_nodal_writers_match_per_cell_rows(tmp_path, monkeypatch, block_rows):
         triangles=mesh.triangles.astype(np.int64) + 2 ** 40)
     fields = {"state": _special_column(n, 1), "ints": np.arange(n) - 3,
               "bools": np.arange(n) % 2 == 0}
-    nb = boundary_trace_space(mesh).n
+    nb = mesh.trace.n
     bnd = {"u": _special_column(nb, 5), "flux": np.linspace(-1.0, 1.0, nb)}
     for sub, writers in {
         "new": (exports.write_mesh_csv, exports.write_field_csv,

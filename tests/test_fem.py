@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from dclab import fem
 from dclab.config import resolve_config
 from dclab.geometry import PolygonalDomain, l_shape, unit_square
-from dclab.harness import _make_mesh, _make_target
-from dclab.meshing import TriMesh, structured_mesh, triangulate
+from dclab.harness import _make_target, make_mesh
+from dclab.meshing import _finalize, structured_mesh, triangulate
 from dclab.fem import (
     DiscontinuityLine,
     FemError,
+    TRI_QUAD_7,
     FemSystem,
     ScalarField,
     assemble_load,
@@ -27,7 +28,6 @@ from dclab.fem import (
     h1_seminorm,
     l2_norm,
     solve_dirichlet,
-    tri_quadrature,
     _split_crossed,
     variational_normal_derivative,
 )
@@ -52,23 +52,20 @@ def _sing_grad(x, y):
 # ---------------------------------------------------------------------
 # quadrature and assembly
 
-@pytest.mark.parametrize("order,deg", [(2, 2), (5, 5)])
-def test_quadrature_exactness(order, deg):
-    bary, w = tri_quadrature(order)
+def test_quadrature_exactness():
+    bary, w = TRI_QUAD_7
     assert w.sum() == pytest.approx(1.0)
-    # integrate x^a y^b over the reference triangle and compare with
-    # a! b! / (a + b + 2)!: the rules are given in closed form, so exact
-    # to round-off
+    # integrate x^a y^b, a + b <= 5, over the reference triangle and
+    # compare with a! b! / (a + b + 2)!: the rule is given in closed form,
+    # so exact to round-off
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    for a in range(deg + 1):
-        for b in range(deg + 1 - a):
+    for a in range(6):
+        for b in range(6 - a):
             xq = bary @ ref
             got = 0.5 * np.sum(w * xq[:, 0] ** a * xq[:, 1] ** b)
             want = (math.factorial(a) * math.factorial(b)
                     / math.factorial(a + b + 2))
             assert abs(got - want) <= 1e-15 * want, (a, b)
-    with pytest.raises(FemError):
-        tri_quadrature(7)
 
 
 def test_factorization_without_malloc_trim(monkeypatch):
@@ -250,7 +247,7 @@ def test_flux_converges_to_manufactured():
     errs = []
     for m in [structured_mesh(unit_square(), 1 / 16 / 2**k) for k in range(2)]:
         sysm = FemSystem(m)
-        ell = assemble_load(m, f, order=5)
+        ell = assemble_load(m, f)
         y = solve_dirichlet(sysm, lambda x, yy: 0.0 * x, load=ell)
         d = variational_normal_derivative(sysm, y, load=ell)
         tr = sysm.trace
@@ -291,10 +288,10 @@ def test_discontinuous_load_clipped_exactly():
     mesh = structured_mesh(unit_square(), 1 / 8)
     line = DiscontinuityLine((0.37, 0.0), (1.0, 0.0))
     step = lambda x, y: (x > 0.37).astype(float)
-    ell = assemble_load(mesh, step, order=2, discontinuity=line)
+    ell = assemble_load(mesh, step, discontinuity=line)
     assert ell.sum() == pytest.approx(0.63, rel=1e-12)
     # without clipping the quadrature misplaces the jump
-    raw = assemble_load(mesh, step, order=2)
+    raw = assemble_load(mesh, step)
     assert abs(raw.sum() - 0.63) > 1e-3
 
 
@@ -302,7 +299,7 @@ def test_discontinuous_load_clipped_exactly():
 def test_split_with_vertex_on_line_keeps_area(on_line):
     # right triangle cut by the line x = y through one of its vertices
     tri = np.roll(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), on_line, axis=0)
-    mesh = TriMesh(PolygonalDomain(tri), tri, np.array([[0, 1, 2]]))
+    mesh = _finalize(PolygonalDomain(tri), tri, np.array([[0, 1, 2]]))
     line = DiscontinuityLine((0.0, 0.0), (1.0, -1.0))
     d = line.signed_distance(tri)[None, :]
     sub = np.abs(np.linalg.det(_split_crossed(d)[0]))
@@ -310,7 +307,7 @@ def test_split_with_vertex_on_line_keeps_area(on_line):
     assert np.count_nonzero(sub) == 2  # one sub-triangle has zero area
     # each side gets its own half: 0.25 * 1 + 0.25 * 3
     step = lambda x, y: np.where(x > y, 1.0, 3.0)
-    ell = assemble_load(mesh, step, order=5, discontinuity=line)
+    ell = assemble_load(mesh, step, discontinuity=line)
     assert ell.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -322,12 +319,12 @@ def test_skew_step_target_integrates_exactly():
         "mesh": {"kind": "triangulated", "h0": 0.05},
         "problem": {"nu": 1.0, "target": {"kind": "skew-step", "corner": 0,
                                           "value": 1.5}}})
-    mesh = _make_mesh(dom, cfg, 0)
+    mesh = make_mesh(dom, cfg["mesh"], 0)
     target = _make_target(dom, cfg["problem"]["target"])
     line = target.discontinuity
     assert np.any(np.abs(line.signed_distance(mesh.nodes)) < 1e-14)
-    odd = assemble_load(mesh, target.fn, order=5, discontinuity=line)
-    sq = assemble_load(mesh, lambda x, y: target.fn(x, y) ** 2, order=5,
+    odd = assemble_load(mesh, target.fn, discontinuity=line)
+    sq = assemble_load(mesh, lambda x, y: target.fn(x, y) ** 2,
                        discontinuity=line)
     assert abs(odd.sum()) < 1e-12
     assert abs(sq.sum() - 1.5 ** 2 * dom.area) < 1e-12

@@ -29,7 +29,7 @@ from dclab.geometry import (
     sobolev_exponents,
     unit_square,
 )
-from dclab.meshing import boundary_trace_space, structured_mesh
+from dclab.meshing import structured_mesh
 
 
 # ---------------------------------------------------------------------
@@ -413,7 +413,7 @@ def test_singular_normal_derivative_frozen():
     dom = l_shape()
     j = L_SHAPE_REENTRANT_CORNER
     mesh = structured_mesh(dom, 1.0 / 16.0)
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     at = np.isclose(np.hypot(*tr.points.T), 1.0 / 16.0) & (tr.points[:, 0] >= 0.0)
     east, south = tr.points[at, 1] == 0.0, tr.points[at, 0] == 0.0
     assert east.sum() == south.sum() == 1  # one node on Gamma_j, Gamma_{j-1}
@@ -438,7 +438,7 @@ def test_jump_chi():
     dom = l_shape()
     j = L_SHAPE_REENTRANT_CORNER
     mesh = structured_mesh(dom, 1.0 / 16.0)
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     (next_side, next_pos, _), (prev_side, prev_pos, _) = singular._corner_sides(
         dom, tr, j, 1.0)
     assert (next_side, prev_side) == (j, j - 1)

@@ -10,18 +10,17 @@ from dclab.geometry import (
     L_SHAPE_REENTRANT_CORNER,
     build_domain,
     l_shape,
+    point_segment_distance,
     unit_square,
 )
 from dclab.meshing import (
     MIN_ANGLE_DEG,
     MeshError,
     _boundary_loop,
-    _boundary_segments,
     _delaunay,
     _filter_interior,
     _side_points,
     _smooth_interior,
-    boundary_trace_space,
     structured_mesh,
     triangulate,
 )
@@ -32,9 +31,16 @@ def _check_invariants(mesh):
     assert np.all(areas > 0)
     assert areas.sum() == pytest.approx(mesh.domain.area, rel=1e-12)
     assert mesh.min_angle >= MIN_ANGLE_DEG - 1e-9
-    # every polygon vertex is a mesh node
-    for j, nid in mesh.corner_nodes.items():
-        assert np.allclose(mesh.nodes[nid], mesh.domain.vertices[j])
+    # every polygon vertex is a boundary node
+    tr = mesh.trace
+    assert sorted(tr.corner_pos) == list(range(len(mesh.domain.vertices)))
+    for j, pos in tr.corner_pos.items():
+        assert np.allclose(tr.points[pos], mesh.domain.vertices[j])
+
+
+def _arrays(mesh):
+    return (mesh.nodes, mesh.triangles, mesh.trace.node_ids,
+            mesh.trace.side_of_segment)
 
 
 # ---------------------------------------------------------------------
@@ -71,8 +77,7 @@ def test_structured_mesh_depends_on_vertices_not_name(h):
     named = structured_mesh(l_shape(), h)
     listed = structured_mesh(build_domain(l_shape().vertices.tolist()), h)
     assert listed.domain.name != named.domain.name
-    for attr in ("nodes", "triangles", "boundary_edges", "boundary_loop"):
-        a, b = getattr(named, attr), getattr(listed, attr)
+    for a, b in zip(_arrays(named), _arrays(listed)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
@@ -132,23 +137,25 @@ def _digest(a):
     return hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
 
-# Counts and sha256 prefixes of nodes, triangles and boundary_edges
-# (float64, int64, int64; little-endian bytes) of meshes whose edge tables
-# go through every user: _finalize (both generators) and _smooth_interior.
+# Counts (nodes, triangles, boundary nodes) and sha256 prefixes of nodes,
+# triangles, trace.node_ids and trace.side_of_segment (float64, int64,
+# int64, int64; little-endian bytes) of meshes whose edge tables go
+# through every user: _finalize (both generators) and _smooth_interior.
 # Node digests are pinned where the coordinates are exact lattice
 # arithmetic; a rotated lattice rounds through the BLAS, so its nodes are
 # checked by test_smoothing_sums_match_edge_loop instead.
 @pytest.mark.parametrize("build,counts,digests", [
     (lambda: structured_mesh(l_shape(), 1 / 16), (833, 1536, 128),
-     ("aa97ade078dca93e", "bda7cc03bc890a63", "b2e3fb697c8292d5")),
+     ("aa97ade078dca93e", "bda7cc03bc890a63", "9eefe902c7061bfb",
+      "bd0673ff69c7ab5d")),
     (lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), (943, 1756, 128),
-     (None, "87435d11c2f94d00", "8325b0d8c67efffe")),
+     (None, "87435d11c2f94d00", "64dafb8980da2fae", "bd0673ff69c7ab5d")),
 ], ids=["structured", "smoothing-retry"])
 def test_mesh_arrays_are_pinned(build, counts, digests):
     mesh = build()
-    arrays = (mesh.nodes, mesh.triangles, mesh.boundary_edges)
-    assert [a.dtype for a in arrays] == [np.float64, np.int64, np.int64]
-    assert (mesh.n_nodes, mesh.n_triangles, len(mesh.boundary_edges)) == counts
+    arrays = _arrays(mesh)
+    assert [a.dtype for a in arrays] == [np.float64] + 3 * [np.int64]
+    assert (mesh.n_nodes, mesh.n_triangles, mesh.trace.n) == counts
     for a, want in zip(arrays, digests):
         if want is not None:
             assert _digest(a) == want
@@ -174,7 +181,7 @@ def _smooth_by_edge_loop(mesh, n_bnd):
 
 def test_smoothing_sums_match_edge_loop():
     mesh = triangulate(l_shape(), 1 / 16, lattice_angle=0.011)
-    n_bnd = len(mesh.boundary_edges)  # boundary nodes come first
+    n_bnd = mesh.trace.n  # boundary nodes come first
     got = _smooth_interior(mesh.domain, mesh, n_bnd, {})
     want = _smooth_by_edge_loop(mesh, n_bnd)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -200,8 +207,7 @@ def test_interior_filter_matches_disk_loop():
     # random candidates plus candidates placed on each disk's circle, where
     # the KD-tree's own rounding would decide without the exact test
     dom = l_shape()
-    bpts = _side_points(dom, 1 / 8, {2: 0.5})
-    segs = _boundary_segments(dom, bpts)
+    bpts, segs = _side_points(dom, 1 / 8, {2: 0.5})
     rng = np.random.default_rng(0)
     a, b = bpts[[s[0] for s in segs]], bpts[[s[1] for s in segs]]
     rad = 0.525 * np.linalg.norm(b - a, axis=1)
@@ -214,6 +220,32 @@ def test_interior_filter_matches_disk_loop():
     assert 0 < len(out) < len(interior)
     assert np.array_equal(out, ref)
     assert len(_filter_interior(dom, interior[:0], bpts, segs)) == 0
+
+
+def _segments_by_distance(domain, bpts):
+    """Reference: each side's nodes found by their distance to it, in
+    order along it."""
+    segs = []
+    for j in range(len(domain.vertices)):
+        a, b = domain.side(j)
+        dist, t = point_segment_distance(bpts, a, b)
+        ids = np.flatnonzero(dist <= 1e-9 * float(np.linalg.norm(b - a)))
+        ids = ids[np.argsort(t[ids])]
+        segs.extend(zip(ids[:-1].tolist(), ids[1:].tolist()))
+    return segs
+
+
+@pytest.mark.parametrize("spec,h,grading", [
+    ("unit-square", 0.11, {}),
+    ("l-shape", 1 / 8, {2: 0.5}),
+    ("l-shape", 1 / 32, {2: 1 / 3, 0: 0.6}),
+    ("sector(3pi/2, 64)", 0.05, {0: 0.5}),
+])
+def test_side_segments_match_distance_search(spec, h, grading):
+    dom = build_domain(spec)
+    bpts, segs = _side_points(dom, h, grading)
+    assert segs == _segments_by_distance(dom, bpts)
+    assert len(segs) == len(bpts)
 
 
 # ---------------------------------------------------------------------
@@ -272,7 +304,7 @@ def test_graded_refinement_stays_graded():
 
 def test_trace_square():
     mesh = structured_mesh(unit_square(), 0.25)
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     assert tr.perimeter() == pytest.approx(4.0)
     assert tr.n == 16
     # starts at corner 0 and walks counterclockwise
@@ -286,7 +318,7 @@ def test_trace_square():
 
 def test_trace_side_positions():
     mesh = structured_mesh(unit_square(), 0.25)
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     pos = tr.side_positions(0)
     assert len(pos) == 5  # both corners included
     pts = tr.points[pos]
@@ -314,7 +346,5 @@ def test_boundary_walk_rejects_branching_and_split_loops():
 
 def test_trace_l_shape_perimeter():
     mesh = triangulate(l_shape(), 0.2)
-    tr = boundary_trace_space(mesh)
+    tr = mesh.trace
     assert tr.perimeter() == pytest.approx(8.0)
-    # full_to_trace inverts node_ids
-    assert np.all(tr.full_to_trace[tr.node_ids] == np.arange(tr.n))

@@ -105,7 +105,7 @@ def test_fem_path_recovery():
                 (2 * k + 1) * xi1 + r[band] * xi2)
         return out
 
-    load = fem.assemble_load(mesh, source, order=5)
+    load = fem.assemble_load(mesh, source)
     y = fem.solve_dirichlet(sysm, np.zeros(sysm.trace.n), load=load)
     fit = singular.extract_coefficients(DOM, mesh, y.values, J, modes=(1, 2))
     assert abs(fit.coefficients[1] - 1.0) < 2e-2
@@ -204,7 +204,7 @@ def test_flatness_constrained_lshape():
 
 def test_flatness_rejects_convex_corner_with_zero_admissible():
     mesh = meshing.structured_mesh(geo.unit_square(), 0.25)
-    u = np.zeros(meshing.boundary_trace_space(mesh).n)
+    u = np.zeros(mesh.trace.n)
     with pytest.raises(singular.AnalysisError, match="convex"):
         singular.flatness_diagnostic(geo.unit_square(), mesh, u, -1.0, 1.0, 0)
 
@@ -234,7 +234,7 @@ def test_flatness_convex_corner_allowed_without_zero(marks, verdict, radius,
     # the midpoint between the last node at the bound and the next one
     dom = geo.unit_square()
     mesh = meshing.structured_mesh(dom, 1.0 / 32.0)
-    tr = meshing.boundary_trace_space(mesh)
+    tr = mesh.trace
     u = np.full(tr.n, 1.5)
     for side, (value, r_max) in marks.items():
         pos = tr.side_positions(side)
@@ -249,7 +249,7 @@ def test_flatness_convex_corner_allowed_without_zero(marks, verdict, radius,
 
 def test_flatness_not_flat_with_contradiction_flag():
     mesh, _, _ = constrained_solution()
-    u = np.full(meshing.boundary_trace_space(mesh).n, 0.25)
+    u = np.full(mesh.trace.n, 0.25)
     rep = singular.flatness_diagnostic(DOM, mesh, u, -1.0, 1.0, J, c1=0.4)
     assert rep.verdict == "not-flat"
     assert rep.radius == 0.0
@@ -259,7 +259,7 @@ def test_flatness_not_flat_with_contradiction_flag():
 
 def test_flatness_one_sided():
     mesh, _, _ = constrained_solution()
-    tr = meshing.boundary_trace_space(mesh)
+    tr = mesh.trace
     u = np.full(tr.n, 0.25)
     vtx = np.asarray(DOM.corners[J].vertex)
     pos = tr.side_positions(J)
@@ -276,7 +276,7 @@ def test_flatness_one_sided():
 def _near_corner(mesh, radius):
     """Trace positions and radii of the boundary nodes with r < radius,
     selected by their distance to the corner over the whole trace."""
-    tr = meshing.boundary_trace_space(mesh)
+    tr = mesh.trace
     radii = np.linalg.norm(tr.points - np.asarray(DOM.corners[J].vertex), axis=1)
     near = radii < radius
     return np.flatnonzero(near), radii[near]
@@ -350,8 +350,69 @@ def test_holder_quotient_drops_after_subtraction():
 
 def test_holder_quotient_of_constant_is_zero():
     mesh, _, _ = constrained_solution()
-    tr = meshing.boundary_trace_space(mesh)
+    tr = mesh.trace
     assert singular.holder_quotient(DOM, mesh, np.ones(tr.n), J, 0.5) == 0.0
+
+
+def _holder_by_trace_scan(domain, mesh, u, j, alpha):
+    """Reference: the nodes within R_j picked by a scan of the whole trace,
+    every pair by a double loop; None with fewer than two nodes."""
+    tr = mesh.trace
+    c = domain.corners[j]
+    r = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
+    sel = np.flatnonzero(r < c.radius)
+    if len(sel) < 2:
+        return None
+    q = 0.0
+    for i, a in enumerate(sel):
+        for b in sel[i + 1:]:
+            d = tr.points[a] - tr.points[b]
+            q = max(q, abs(u[a] - u[b]) / math.sqrt(d[0] ** 2 + d[1] ** 2) ** alpha)
+    return q
+
+
+def _log_slope_by_trace_scan(domain, mesh, u, j):
+    """Reference: the fit nodes picked by a scan of the whole trace."""
+    tr = mesh.trace
+    c = domain.corners[j]
+    r = np.linalg.norm(tr.points - np.asarray(c.vertex), axis=1)
+    if not np.any(r > 1e-14):
+        return None
+    lo = 1.5 * r[r > 1e-14].min()
+    sel = (r >= lo) & (r <= 0.5 * c.radius) & (np.abs(u) > 1e-12)
+    if np.count_nonzero(sel) < 4:
+        return None
+    return float(np.polyfit(np.log(r[sel]), np.log(np.abs(u[sel])), 1)[0])
+
+
+@pytest.mark.parametrize("spec,build,slopes", [
+    ("l-shape", lambda d: meshing.triangulate(d, 1 / 32, grading={J: 0.5}), 2),
+    ("l-shape", lambda d: meshing.structured_mesh(d, 1 / 64), 12),
+    ("sector(3pi/2, 64)", lambda d: meshing.triangulate(d, 0.025), 2),
+], ids=["graded-l-shape", "structured-l-shape", "sector"])
+def test_corner_window_matches_trace_scan(spec, build, slopes):
+    # both measurements take their nodes from _corner_sides; the radius
+    # rule keeps every other boundary node out of R_j, so they see the
+    # nodes of a whole-trace scan and give its values bit for bit
+    dom = geo.build_domain(spec, r_overrides={0: 0.3} if "sector" in spec
+                           else None)
+    mesh = build(dom)
+    tr = mesh.trace
+    rng = np.random.default_rng(5)
+    fitted = 0  # (corner, field) pairs with a slope
+    for j in range(len(dom.vertices)):
+        r = np.linalg.norm(tr.points - np.asarray(dom.corners[j].vertex), axis=1)
+        for u in (rng.normal(size=tr.n), r ** 0.3 + 0.01 * rng.normal(size=tr.n)):
+            want = _holder_by_trace_scan(dom, mesh, u, j, 0.4)
+            if want is None:
+                with pytest.raises(singular.AnalysisError):
+                    singular.holder_quotient(dom, mesh, u, j, 0.4)
+            else:
+                assert singular.holder_quotient(dom, mesh, u, j, 0.4) == want
+            want = _log_slope_by_trace_scan(dom, mesh, u, j)
+            assert singular.corner_log_slope(dom, mesh, u, j) == want
+            fitted += want is not None
+    assert fitted == slopes
 
 
 # ------------------------------------------------------ singular boundary data
@@ -361,7 +422,7 @@ def test_wedge_lift_trace_matches_datum():
     mesh = lshape_mesh(32, mu=0.5)
     g = singular.singular_boundary_values(DOM, mesh, data)
     lift = singular.wedge_lift(DOM, mesh, data)
-    tr = meshing.boundary_trace_space(mesh)
+    tr = mesh.trace
     assert np.abs(lift[tr.node_ids] - g).max() < 1e-12
 
 
@@ -395,7 +456,7 @@ def test_expansion_lshape_corner_parity2():
     assert rep.slope > 1.0 / 3.0
     assert rep.boundary_residual < 1e-12
     pos, _ = _near_corner(mesh, DOM.corners[J].radius)
-    ids = meshing.boundary_trace_space(mesh).node_ids[pos]
+    ids = mesh.trace.node_ids[pos]
     rem = y.values - singular.wedge_lift(DOM, mesh, data)
     assert rep.boundary_residual == np.abs(rem[ids]).max()
     assert rep.endpoint_value == pytest.approx(-1.0)  # sign flip on the far side
