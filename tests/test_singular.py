@@ -385,17 +385,17 @@ def _log_slope_by_trace_scan(domain, mesh, u, j):
     return float(np.polyfit(np.log(r[sel]), np.log(np.abs(u[sel])), 1)[0])
 
 
-@pytest.mark.parametrize("spec,build,slopes", [
-    ("l-shape", lambda d: meshing.triangulate(d, 1 / 32, grading={J: 0.5}), 2),
-    ("l-shape", lambda d: meshing.structured_mesh(d, 1 / 64), 12),
-    ("sector(3pi/2, 64)", lambda d: meshing.triangulate(d, 0.025), 2),
+@pytest.mark.parametrize("spec,radii,build,slopes", [
+    ("l-shape", None,
+     lambda d: meshing.triangulate(d, 1 / 32, grading={J: 0.5}), 2),
+    ("l-shape", None, lambda d: meshing.structured_mesh(d, 1 / 64), 12),
+    ("sector(3pi/2, 64)", {0: 0.3}, lambda d: meshing.triangulate(d, 0.025), 2),
 ], ids=["graded-l-shape", "structured-l-shape", "sector"])
-def test_corner_window_matches_trace_scan(spec, build, slopes):
+def test_corner_window_matches_trace_scan(spec, radii, build, slopes):
     # both measurements take their nodes from _corner_sides; the radius
     # rule keeps every other boundary node out of R_j, so they see the
     # nodes of a whole-trace scan and give its values bit for bit
-    dom = geo.build_domain(spec, r_overrides={0: 0.3} if "sector" in spec
-                           else None)
+    dom = geo.build_domain(spec, r_overrides=radii)
     mesh = build(dom)
     tr = mesh.trace
     rng = np.random.default_rng(5)
