@@ -5,7 +5,8 @@ used by assembly and the sparse solvers.  It must take effect before
 numpy is first imported, so this module imports the numerical stack
 lazily inside the subcommands.
 
-Exit codes: 0 ok, 1 expectation failed, 2 config error, 3 solver failure.
+Exit codes: 0 ok, 1 expectation failed, 2 config or output error, 3 solver
+failure.
 """
 
 from __future__ import annotations
@@ -138,7 +139,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _apply_thread_cap()
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        # a config that cannot be read is a ConfigError: this is the output's
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

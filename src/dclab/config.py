@@ -301,10 +301,14 @@ def validate_config(cfg) -> dict:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: {e}") from e
+    except RecursionError as e:
+        raise ConfigError(f"{path} nests too deeply to parse") from e
     return validate_config(raw)

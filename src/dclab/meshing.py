@@ -26,8 +26,9 @@ is one fresh generator call per level at h0/2^k: on the lattice that is
 the red refinement of the level below (the same triangles, numbered
 afresh), and a graded mesh stays in its grading family.
 
-``_finalize`` checks both generators' output and walks its boundary once,
-counterclockwise from polygon corner 0, into the mesh's ``trace``.
+Both generators hand ``_finalize`` one chain of node ids per polygon side,
+corner j through corner j+1.  It checks that the boundary edges are exactly
+the chains' segments; read from corner 0, the chains are the mesh's ``trace``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import PolygonalDomain, point_segment_distance
+from .geometry import PolygonalDomain
 
 MIN_ANGLE_DEG = 20.0
 
@@ -165,14 +166,15 @@ def _graded_layers(R: float, h: float, mu: float) -> list[float]:
 
 def _side_points(domain: PolygonalDomain, h: float, grading: dict):
     """Boundary nodes (~h per side, graded layers near flagged corners)
-    and the segments between them, as index pairs in the order emitted.
+    and one chain per side: chain j lists the node ids from corner j
+    through corner j+1 in the order emitted.
 
     Polygon vertex k is node k; side interiors follow.
     """
     verts = domain.vertices
     M = len(verts)
     pts = [tuple(v) for v in verts]
-    segs = []
+    chains = []
     for j in range(M):
         a, b = verts[j], verts[(j + 1) % M]
         L = float(np.linalg.norm(b - a))
@@ -190,11 +192,10 @@ def _side_points(domain: PolygonalDomain, h: float, grading: dict):
         mids = [lo + (hi - lo) * k / n_mid for k in range(1, n_mid)]
         dists = sorted(set(head) | set(mids) | {L - t for t in tail})
         dists = [s for s in dists if 1e-12 * L < s < L * (1 - 1e-12)]
-        chain = [j, *range(len(pts), len(pts) + len(dists)), (j + 1) % M]
-        segs.extend(zip(chain[:-1], chain[1:]))
+        chains.append([j, *range(len(pts), len(pts) + len(dists)), (j + 1) % M])
         for s in dists:
             pts.append(tuple(a + (s / L) * (b - a)))
-    return np.array(pts, dtype=float), segs
+    return np.array(pts, dtype=float), chains
 
 
 def _ring_points(domain: PolygonalDomain, j: int, h: float, mu: float) -> np.ndarray:
@@ -252,7 +253,7 @@ def _validate_grading(domain: PolygonalDomain, grading: dict) -> dict:
     return out
 
 
-def _filter_interior(domain, interior, bpts, bsegs):
+def _filter_interior(interior, bpts, bsegs):
     """Drop interior candidates that sit inside an (inflated) diametral
     disk of a boundary segment or too close to a boundary node.
 
@@ -301,7 +302,7 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
     if h <= 0:
         raise MeshError("h must be positive")
     grading = _validate_grading(domain, grading or {})
-    bpts_g, segs = _side_points(domain, h, grading)
+    bpts_g, chains = _side_points(domain, h, grading)
     interior_g = _hex_lattice(domain, h, lattice_angle)
     for j, mu in grading.items():
         c = domain.corners[j]
@@ -309,12 +310,13 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
         outside = np.hypot(d[:, 0], d[:, 1]) > 1.05 * c.radius
         interior_g = np.vstack([interior_g[outside],
                                 _ring_points(domain, j, h, mu)])
-    interior_g = _filter_interior(domain, interior_g, bpts_g, segs)
+    segs = [seg for c in chains for seg in zip(c[:-1], c[1:])]
+    interior_g = _filter_interior(interior_g, bpts_g, segs)
 
     for attempt in range(3):
         pts = np.vstack([bpts_g, interior_g])
         tris = _build_trimmed(domain, pts)
-        mesh = _finalize(domain, pts, tris)
+        mesh = _finalize(domain, pts, tris, chains)
         if mesh.min_angle >= MIN_ANGLE_DEG or len(interior_g) == 0:
             return mesh
         interior_g = _smooth_interior(domain, mesh, len(bpts_g), grading)
@@ -379,19 +381,31 @@ def structured_mesh(domain: PolygonalDomain, h: float) -> TriMesh:
     and vertices on the 1/n grid, n = 1/h (unit square, L-shape, ...).
 
     Grid cells with centres inside the polygon are split into (v00, v10,
-    v11), (v00, v11, v01); any other polygon fails ``_finalize``'s area or
-    corner-node check.  Every angle is 45 or 90 degrees (non-obtuse).
-    For graded meshes use ``triangulate``; a radial map applied to this
-    lattice would wreck its angles.
+    v11), (v00, v11, v01), and each side's chain steps along the grid; a
+    vertex off the grid or a side that is not axis-parallel raises
+    ``MeshError``.  Every angle is 45 or 90 degrees (non-obtuse).  For
+    graded meshes use ``triangulate``; a radial map would wreck its angles.
     """
     n = max(1, int(round(1.0 / h)))
     if abs(n * h - 1.0) > 1e-9:
         raise MeshError("structured meshes need h dividing 1")
-    lo = np.rint(domain.vertices.min(axis=0) * n).astype(np.int64)
-    hi = np.rint(domain.vertices.max(axis=0) * n).astype(np.int64)
+    grid = np.rint(domain.vertices * n).astype(np.int64)
+    off = np.hypot(*(domain.vertices - grid / n).T) > 1e-9
+    if off.any():
+        raise MeshError(f"structured meshes need vertices on the 1/{n} grid; "
+                        f"vertex {off.argmax()} is off it")
+    lo, hi = grid.min(axis=0), grid.max(axis=0)
     i, j = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
                        indexing="ij")
     idx = np.arange(i.size).reshape(i.shape)
+    chains = []
+    for k, (a, b) in enumerate(zip(grid, np.roll(grid, -1, axis=0))):
+        d = b - a
+        if np.count_nonzero(d) != 1:
+            raise MeshError("structured meshes need axis-parallel sides; "
+                            f"side {k} is not")
+        steps = a - lo + np.arange(abs(d).sum() + 1)[:, None] * np.sign(d)
+        chains.append(idx[steps[:, 0], steps[:, 1]])
     centres = np.column_stack([(i[:-1, :-1].ravel() + 0.5) / n,
                                (j[:-1, :-1].ravel() + 0.5) / n])
     keep = domain.contains(centres)
@@ -400,13 +414,17 @@ def structured_mesh(domain: PolygonalDomain, h: float) -> TriMesh:
     tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
     # lattice nodes outside the polygon are dropped by _finalize
     nodes = np.column_stack([i.ravel() / n, j.ravel() / n])
-    return _finalize(domain, nodes, tris)
+    return _finalize(domain, nodes, tris, chains)
 
 
 # ---------------------------------------------------------------------
-# finalize: tags, invariants
+# finalize: invariants, boundary check, trace
 
-def _finalize(domain, nodes, tris) -> TriMesh:
+def _finalize(domain, nodes, tris, chains) -> TriMesh:
+    """Checked mesh of a generator's output.  ``chains[j]`` lists the
+    boundary node ids from corner j through corner j+1: they must join into
+    one loop without a repeated node, start at the polygon's vertices, and
+    their segments must be exactly the boundary half-edges."""
     u = nodes[tris[:, 1]] - nodes[tris[:, 0]]
     v = nodes[tris[:, 2]] - nodes[tris[:, 0]]
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
@@ -416,6 +434,7 @@ def _finalize(domain, nodes, tris) -> TriMesh:
         raise MeshError(
             f"triangle areas sum to {areas.sum()!r}, domain area {domain.area!r}")
 
+    chains = [np.asarray(c, dtype=np.int64) for c in chains]
     used = np.zeros(len(nodes), dtype=bool)
     used[tris.ravel()] = True
     if not used.all():
@@ -424,20 +443,26 @@ def _finalize(domain, nodes, tris) -> TriMesh:
         remap[used] = np.arange(used.sum())
         nodes = nodes[used]
         tris = remap[tris]
-    half, _, inv, counts = _edges(tris, len(nodes))
+        chains = [remap[c] for c in chains]
+    nn = len(nodes)
+    half, _, inv, counts = _edges(tris, nn)
     if np.any(counts > 2):
         raise MeshError("non-conforming mesh: edge shared by >2 triangles")
 
-    # boundary edges: appear in exactly one triangle, oriented as stored
-    bed = _tag_sides(domain, nodes, half[counts[inv] == 1])
-
-    corner_nodes = []
-    for j, c in enumerate(domain.corners):
-        d = nodes - np.asarray(c.vertex)
-        k = int(np.argmin(np.hypot(d[:, 0], d[:, 1])))
-        if np.hypot(*(nodes[k] - np.asarray(c.vertex))) > 1e-9:
-            raise MeshError(f"polygon corner {j} is not a mesh node")
-        corner_nodes.append(k)
+    ids = np.concatenate([c[:-1] for c in chains])
+    heads = np.concatenate([c[1:] for c in chains])
+    if (len(np.unique(ids)) != len(ids)
+            or not np.array_equal(heads, np.roll(ids, -1))):
+        raise MeshError("boundary is not a simple loop")
+    bed = half[counts[inv] == 1]
+    if not np.array_equal(np.sort(bed[:, 0] * nn + bed[:, 1]),
+                          np.sort(ids * nn + heads)):
+        raise MeshError("boundary edges are not the generator's side chains")
+    if len(chains) != len(domain.vertices):
+        raise MeshError(f"{len(chains)} side chains for {len(domain.vertices)} sides")
+    off = np.hypot(*(nodes[[c[0] for c in chains]] - domain.vertices).T) > 1e-9
+    if off.any():
+        raise MeshError(f"side chain {off.argmax()} does not start at its corner")
 
     p = nodes[tris]
     lens = np.stack([np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
@@ -446,27 +471,13 @@ def _finalize(domain, nodes, tris) -> TriMesh:
     h = float(lens.max())
     angles = _angles_deg(p)
 
-    loop = bed[_boundary_loop(bed, corner_nodes[0])]
+    n_seg = [len(c) - 1 for c in chains]
+    sides = np.repeat(np.arange(len(chains)), n_seg)
+    corner_pos = dict(enumerate(np.cumsum([0, *n_seg[:-1]]).tolist()))
     return TriMesh(domain=domain, nodes=nodes, triangles=tris,
-                   trace=_boundary_trace(nodes, loop, corner_nodes), h=h,
+                   trace=_boundary_trace(nodes, ids, sides, corner_pos), h=h,
                    min_angle=float(angles.min()),
                    nonobtuse=bool(angles.max() <= 90.0 + 1e-9))
-
-
-def _tag_sides(domain, nodes, bedges) -> np.ndarray:
-    """(a, b, side) rows: each edge gets the first polygon side that lies
-    within 1e-9 of its length of both endpoints and the midpoint."""
-    a, b = nodes[bedges[:, 0]], nodes[bedges[:, 1]]
-    pts = np.stack([0.5 * (a + b), a, b])
-    side = np.full(len(bedges), -1, dtype=np.int64)
-    for j in range(len(domain.vertices)):
-        p, q = domain.side(j)
-        dist, _ = point_segment_distance(pts, p, q)
-        on = (dist <= 1e-9 * np.linalg.norm(q - p)).all(axis=0)
-        side[(side < 0) & on] = j
-    if np.any(side < 0):
-        raise MeshError("boundary edge not on any polygon side")
-    return np.column_stack([bedges, side])
 
 
 def _angles_deg(p: np.ndarray) -> np.ndarray:
@@ -480,36 +491,13 @@ def _angles_deg(p: np.ndarray) -> np.ndarray:
     return np.stack(angs)
 
 
-def _boundary_loop(bedges: np.ndarray, start: int) -> np.ndarray:
-    """Rows of ``bedges`` in loop order from node ``start``; the walk is the
-    check that the boundary edges chain into one closed loop."""
-    tails = bedges[:, 0].tolist()
-    row_of = {a: k for k, a in enumerate(tails)}
-    if len(row_of) != len(tails):
-        raise MeshError("boundary is not a simple loop")
-    heads = bedges[:, 1].tolist()
-    order = []
-    node = start
-    while node in row_of and len(order) < len(heads):
-        order.append(row_of[node])
-        node = heads[order[-1]]
-        if node == start:
-            break
-    if node != start or len(order) != len(heads):
-        raise MeshError("boundary loop is broken or disconnected")
-    return np.array(order, dtype=np.int64)
-
-
-def _boundary_trace(nodes, loop, corner_nodes) -> BoundaryTrace:
-    """Trace of the boundary edge rows ``loop`` (a, b, side), given in
-    loop order; ``corner_nodes[j]`` is polygon corner j's node id."""
-    ids, heads, sides = loop.T.copy()
+def _boundary_trace(nodes, ids, sides, corner_pos) -> BoundaryTrace:
+    """Trace of the boundary nodes ``ids`` in loop order; segment i, from
+    node i to node i+1 (cyclically), lies on side ``sides[i]``."""
     pts = nodes[ids]
     nb = len(ids)
-    seg = np.linalg.norm(nodes[heads] - pts, axis=1)
+    seg = np.linalg.norm(nodes[np.roll(ids, -1)] - pts, axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
-    pos_of = dict(zip(ids.tolist(), range(nb)))
-    corner_pos = {j: pos_of[k] for j, k in enumerate(corner_nodes)}
 
     # segment i couples node i with node k = i + 1 (cyclically)
     i = np.arange(nb)

@@ -394,12 +394,35 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
                                                 "eta": -0.25})))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "config.singular_data.eta" in capsys.readouterr().err
+    # files json cannot read: nested past the recursion limit, not UTF-8
+    p.write_text("[" * 200000)
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {p} nests too deeply" in capsys.readouterr().err
+    p.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {p} is not UTF-8" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
     assert main(["preset", "no-such"]) == 2
     assert main(["preset", "square-smoke", "--levels", "0",
                  "--out", str(tmp_path / "p")]) == 2
     assert "config.mesh.levels" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "p")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "CONFIG"],
+    ["preset", "square-smoke"],
+    ["mesh", "unit-square", "--h", "0.5"],
+], ids=["run", "preset", "mesh"])
+def test_cli_out_naming_a_file_is_exit_2(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_cfg()))
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    argv = [str(cfg) if a == "CONFIG" else a for a in command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert out.read_text() == "keep"
 
 
 def test_cli_failed_expectation_is_exit_1(tmp_path, capsys):

@@ -299,7 +299,8 @@ def test_discontinuous_load_clipped_exactly():
 def test_split_with_vertex_on_line_keeps_area(on_line):
     # right triangle cut by the line x = y through one of its vertices
     tri = np.roll(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), on_line, axis=0)
-    mesh = _finalize(PolygonalDomain(tri), tri, np.array([[0, 1, 2]]))
+    mesh = _finalize(PolygonalDomain(tri), tri, np.array([[0, 1, 2]]),
+                     [[0, 1], [1, 2], [2, 0]])
     line = DiscontinuityLine((0.0, 0.0), (1.0, -1.0))
     d = line.signed_distance(tri)[None, :]
     sub = np.abs(np.linalg.det(_split_crossed(d)[0]))

@@ -16,9 +16,9 @@ from dclab.geometry import (
 from dclab.meshing import (
     MIN_ANGLE_DEG,
     MeshError,
-    _boundary_loop,
     _delaunay,
     _filter_interior,
+    _finalize,
     _side_points,
     _smooth_interior,
     structured_mesh,
@@ -63,12 +63,12 @@ def test_structured_l_shape():
 
 
 def test_structured_needs_dividing_h():
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="h dividing 1"):
         structured_mesh(unit_square(), 0.3)
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="vertices on the 1/4 grid; vertex 2"):
         structured_mesh(build_domain("sector(3pi/2, 16)"), 0.25)
     # vertices on the grid, but a side that is not axis-parallel
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="axis-parallel sides; side 1"):
         structured_mesh(build_domain([(0, 0), (1, 0), (0, 1)]), 0.25)
 
 
@@ -206,8 +206,8 @@ def _filter_interior_by_disk_loop(interior, bpts, bsegs):
 def test_interior_filter_matches_disk_loop():
     # random candidates plus candidates placed on each disk's circle, where
     # the KD-tree's own rounding would decide without the exact test
-    dom = l_shape()
-    bpts, segs = _side_points(dom, 1 / 8, {2: 0.5})
+    bpts, chains = _side_points(l_shape(), 1 / 8, {2: 0.5})
+    segs = _chain_segments(chains)
     rng = np.random.default_rng(0)
     a, b = bpts[[s[0] for s in segs]], bpts[[s[1] for s in segs]]
     rad = 0.525 * np.linalg.norm(b - a, axis=1)
@@ -216,10 +216,14 @@ def test_interior_filter_matches_disk_loop():
                                                                 np.sin(ang)])
     interior = np.vstack([rng.uniform(-1.0, 1.0, (4000, 2)), on_circle])
     ref = _filter_interior_by_disk_loop(interior, bpts, segs)
-    out = _filter_interior(dom, interior, bpts, segs)
+    out = _filter_interior(interior, bpts, segs)
     assert 0 < len(out) < len(interior)
     assert np.array_equal(out, ref)
-    assert len(_filter_interior(dom, interior[:0], bpts, segs)) == 0
+    assert len(_filter_interior(interior[:0], bpts, segs)) == 0
+
+
+def _chain_segments(chains):
+    return [(int(a), int(b)) for c in chains for a, b in zip(c[:-1], c[1:])]
 
 
 def _segments_by_distance(domain, bpts):
@@ -243,9 +247,23 @@ def _segments_by_distance(domain, bpts):
 ])
 def test_side_segments_match_distance_search(spec, h, grading):
     dom = build_domain(spec)
-    bpts, segs = _side_points(dom, h, grading)
+    bpts, chains = _side_points(dom, h, grading)
+    assert [c[0] for c in chains] == list(range(len(dom.vertices)))
+    segs = _chain_segments(chains)
     assert segs == _segments_by_distance(dom, bpts)
     assert len(segs) == len(bpts)
+
+
+@pytest.mark.parametrize("vertices,h", [
+    ([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], 1 / 4),
+    ([[3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2], [0, 0], [3, 0]], 1 / 2),
+], ids=["six-vertex", "u-shape-from-top-right"])
+def test_structured_chains_match_distance_search(vertices, h):
+    # the trace reads structured_mesh's side chains in order
+    mesh = structured_mesh(build_domain(vertices), h)
+    ids = mesh.trace.node_ids.tolist()
+    assert (list(zip(ids, ids[1:] + ids[:1]))
+            == _segments_by_distance(mesh.domain, mesh.nodes))
 
 
 # ---------------------------------------------------------------------
@@ -328,20 +346,31 @@ def test_trace_side_positions():
     assert set(tr.side_of_segment.tolist()) == {0, 1, 2, 3}
 
 
-def test_boundary_walk_rejects_branching_and_split_loops():
-    # node 0 starts two boundary edges
-    branching = np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0], [0, 3, 1], [3, 0, 1]])
-    with pytest.raises(MeshError, match="not a simple loop"):
-        _boundary_loop(branching, 0)
-    two_loops = np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0],
-                          [3, 4, 1], [4, 5, 1], [5, 3, 1]])
-    with pytest.raises(MeshError, match="broken or disconnected"):
-        _boundary_loop(two_loops, 0)
-    with pytest.raises(MeshError, match="broken or disconnected"):
-        _boundary_loop(two_loops[:2], 0)
-    # rows are returned in loop order from the start node
-    one_loop = np.array([[2, 0, 0], [0, 1, 0], [1, 2, 0]])
-    assert _boundary_loop(one_loop, 0).tolist() == [1, 2, 0]
+# the unit square cut along its diagonal into two triangles
+_SQUARE_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+_SQUARE_TRIS = np.array([[0, 1, 2], [0, 2, 3]])
+
+
+def test_finalize_reads_the_trace_from_the_chains():
+    mesh = _finalize(unit_square(), _SQUARE_NODES, _SQUARE_TRIS,
+                     [[0, 1], [1, 2], [2, 3], [3, 0]])
+    tr = mesh.trace
+    assert tr.node_ids.tolist() == [0, 1, 2, 3]
+    assert tr.side_of_segment.tolist() == [0, 1, 2, 3]
+    assert tr.corner_pos == {0: 0, 1: 1, 2: 2, 3: 3}
+
+
+@pytest.mark.parametrize("chains,match", [
+    ([[0, 1], [1, 2], [2, 3]], "not a simple loop"),
+    ([[0, 1], [1, 2], [2, 3, 0]], "3 side chains for 4 sides"),
+    ([[1, 2], [2, 3], [3, 0], [0, 1]], "chain 0 does not start at its corner"),
+    ([[0, 2], [2, 3], [3, 0]], "boundary edges are not"),
+    ([[0, 1], [1, 2], [2, 3], [3, 0, 1]], "not a simple loop"),
+], ids=["missing-side", "merged-sides", "wrong-corner", "diagonal",
+        "repeated-node"])
+def test_finalize_rejects_chains_off_the_boundary(chains, match):
+    with pytest.raises(MeshError, match=match):
+        _finalize(unit_square(), _SQUARE_NODES, _SQUARE_TRIS, chains)
 
 
 def test_trace_l_shape_perimeter():
