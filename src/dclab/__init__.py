@@ -1,7 +1,7 @@
 """Finite element laboratory for Dirichlet boundary control on polygons.
 
 Solves min 1/2 ||y - y_target||^2 + nu/2 ||u||^2 over controls u on the
-boundary with -lap y = f, y = u on the boundary and box constraints
+boundary with -lap y = 0, y = u on the boundary and box constraints
 a <= u <= b, then dissects the corner-singularity structure of the
 state, adjoint, and control.
 """
@@ -13,7 +13,6 @@ from .geometry import (
     build_domain,
     l_shape,
     sector,
-    sobolev_exponents,
     unit_square,
 )
 from .meshing import MeshError, TriMesh, structured_mesh, triangulate
@@ -23,7 +22,6 @@ from .control import (
     ConstantTarget,
     ControlError,
     ControlProblem,
-    NodalTarget,
     solve_constrained,
     solve_unconstrained,
 )

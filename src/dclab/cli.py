@@ -62,18 +62,20 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    from .config import ConfigError, check_node_budget, resolve_mesh
+    from .config import (ConfigError, check_node_budget, resolve_mesh,
+                         unique_keys)
     from .exports import write_mesh_csv
     from .harness import make_mesh
     from .meshing import MeshError
-    grading = {}
+    pairs = []
     for item in args.grading:
         j, _, mu = item.partition(":")
         try:
-            grading[j] = float(mu)
+            pairs.append((j, float(mu)))
         except ValueError:  # resolve_mesh rejects it with its field path
-            grading[j] = mu
+            pairs.append((j, mu))
     try:
+        grading = unique_keys(pairs, "config.mesh.grading")
         m, domain = resolve_mesh(args.domain, {
             "kind": "structured" if args.structured else "triangulated",
             "h0": args.h, "grading": grading,

@@ -116,6 +116,8 @@ def _corner_map(v, path, corners, kind):
             j = int(k)
         except (TypeError, ValueError):
             _fail(path, f"corner index {k!r} is not an integer")
+        if j in out:
+            _fail(f"{path}[{j}]", "corner given twice")
         corners.append((f"{path}[{j}]", j))
         out[j] = _walk(kind, x, f"{path}[{k}]", corners)
     return out or None
@@ -299,10 +301,21 @@ def validate_config(cfg) -> dict:
     return resolve_config(cfg)[0]
 
 
+def unique_keys(pairs, path):
+    """dict(pairs), where a key given twice is a config error."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            _fail(path, f"key {k!r} given twice")
+        out[k] = v
+    return out
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=lambda pairs:
+                            unique_keys(pairs, path))
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:

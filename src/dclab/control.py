@@ -3,7 +3,7 @@
 Minimize over boundary data u:
 
     J(u) = 1/2 ||y_u - y_target||^2_{L2}  +  nu/2 ||u||^2_{L2(Gamma)},
-    -Lap y_u = f in Omega,  y_u = u on Gamma,  a <= u <= b on Gamma.
+    -Lap y_u = 0 in Omega,  y_u = u on Gamma,  a <= u <= b on Gamma.
 
 The discrete objective uses the lumped boundary mass M_L for the control
 penalty, and the reduced gradient is
@@ -48,7 +48,6 @@ backtracking, bounded by PG_MAX_SOLVES PDE solves, takes over.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,11 +105,6 @@ class CallableTarget:
     discontinuity: DiscontinuityLine | None = None
 
 
-@dataclass(frozen=True)
-class NodalTarget:
-    values: np.ndarray
-
-
 def _target_data(system: FemSystem, target):
     """Load vector t_i = int y_target phi_i and the constant
     1/2 int y_target^2 of the objective."""
@@ -128,12 +122,6 @@ def _target_data(system: FemSystem, target):
         t, sq = assemble_load(mesh, values_and_squares,
                               discontinuity=target.discontinuity)
         return t, 0.5 * float(sq.sum())
-    if isinstance(target, NodalTarget):
-        v = np.asarray(target.values, dtype=float)
-        if v.shape != (mesh.n_nodes,):
-            raise ControlError("nodal target must have one value per mesh node")
-        t = system.M @ v
-        return t, 0.5 * float(v @ t)
     raise ControlError(f"unsupported target {target!r}")
 
 
@@ -148,7 +136,7 @@ class ControlProblem:
     """
 
     def __init__(self, system: FemSystem, nu: float, target,
-                 lower=-UNBOUNDED, upper=UNBOUNDED, source=None):
+                 lower=-UNBOUNDED, upper=UNBOUNDED):
         if nu <= 0.0:
             raise ControlError("regularization nu must be positive")
         self.system = system
@@ -160,14 +148,12 @@ class ControlProblem:
             raise ControlError("lower bound exceeds upper bound somewhere")
         self.target = target
         self.t_load, self.t_const = _target_data(system, target)
-        self.f_load = (np.zeros(system.mesh.n_nodes) if source is None
-                       else assemble_load(system.mesh, source))
         self.lumped = system.trace.lumped
 
     # -- pieces of the optimality system -------------------------------
 
     def state(self, u: np.ndarray) -> ScalarField:
-        return solve_dirichlet(self.system, u, load=self.f_load)
+        return solve_dirichlet(self.system, u)
 
     def _flux(self, w: np.ndarray):
         """Zero-trace solve of A phi = w and the lumped boundary flux of phi."""
@@ -210,15 +196,13 @@ class ControlProblem:
         proj = np.clip(d / self.nu, self.lower, self.upper)
         r = u - proj
         feas = max(0.0, float((self.lower - u).max()), float((u - self.upper).max()))
-        l2 = math.sqrt(float(r @ (self.lumped * r)))
         return KKTReport(stationarity_max=float(np.abs(r).max()),
-                         stationarity_l2=l2, feasibility=feas)
+                         feasibility=feas)
 
 
 @dataclass(frozen=True)
 class KKTReport:
     stationarity_max: float
-    stationarity_l2: float
     feasibility: float
 
     @property
@@ -244,10 +228,11 @@ class OptimalSolution:
     history: list = field(default_factory=list)
 
 
-def _finish(problem: ControlProblem, u, iterations, converged, method, history,
+def _finish(problem: ControlProblem, u, iterations, method, history,
             fields=None):
-    """Assemble the solution at u; ``fields`` = (y, phi, d_phi) already
-    computed at this very u skips re-solving for them."""
+    """Assemble the solution at u, converged exactly when its KKT report
+    is satisfied; ``fields`` = (y, phi, d_phi) already computed at this
+    very u skips re-solving for them."""
     if fields is None:
         y = problem.state(u)
         phi, d = problem.adjoint(y)
@@ -256,8 +241,8 @@ def _finish(problem: ControlProblem, u, iterations, converged, method, history,
     kkt = problem.kkt_residual(u, d)
     return OptimalSolution(
         u=u, y=y, phi=phi, flux=d,
-        objective=problem.objective(u, y),
-        kkt=kkt, iterations=iterations, converged=converged, method=method,
+        objective=problem.objective(u, y), kkt=kkt, iterations=iterations,
+        converged=kkt.satisfied, method=method,
         active_lower=np.isclose(u, problem.lower, rtol=0.0, atol=1e-14)
         & np.isfinite(problem.lower),
         active_upper=np.isclose(u, problem.upper, rtol=0.0, atol=1e-14)
@@ -320,8 +305,8 @@ def solve_unconstrained(problem: ControlProblem,
     x, _ = _pcg(problem, np.arange(nb), -g, CG_RTOL,
                 _residual_scale(problem, u, d))
     fields = None if x.any() else (y, phi, d)
-    return _finish(problem, u + x, iterations=1, converged=True,
-                   method="cg", history=[], fields=fields)
+    return _finish(problem, u + x, iterations=1, method="cg", history=[],
+                   fields=fields)
 
 
 def solve_constrained(problem: ControlProblem,
@@ -387,7 +372,7 @@ def solve_constrained(problem: ControlProblem,
         if same and kkt.satisfied:
             uc = np.clip(u, lo, hi)
             fields = (y, phi, d) if np.array_equal(uc, u) else None
-            return _finish(problem, uc, it, True, "pdas", history, fields)
+            return _finish(problem, uc, it, "pdas", history, fields)
         key = (new_a.tobytes(), new_b.tobytes())
         if rtol != CG_RTOL and (same or key in seen):
             # the sets have settled (or repeat): exact steps from here on,
@@ -426,7 +411,7 @@ def _projected_gradient(problem: ControlProblem, u: np.ndarray, history,
         gr = g / problem.lumped
         kkt = problem.kkt_residual(u, d)
         if kkt.satisfied:
-            return _finish(problem, u, it, True, "pg", history, (y, phi, d))
+            return _finish(problem, u, it, "pg", history, (y, phi, d))
         s = step
         for _ in range(_PG_HALVINGS):
             cand = np.clip(u - s * gr, lo, hi)
@@ -443,4 +428,4 @@ def _projected_gradient(problem: ControlProblem, u: np.ndarray, history,
         u, J = cand, Jc
         history.append({"iteration": len(history) + 1, "pg_objective": J,
                         "kkt": kkt.stationarity_max})
-    return _finish(problem, u, it, False, "pg", history)
+    return _finish(problem, u, it, "pg", history)

@@ -175,9 +175,6 @@ class ScalarField:
     mesh: TriMesh
     values: np.ndarray
 
-    def boundary_values(self) -> np.ndarray:
-        return self.values[self.mesh.trace.node_ids]
-
 
 def _find_malloc_trim(libc):
     """glibc's ``malloc_trim`` from a loaded C library, or None where the

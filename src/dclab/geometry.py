@@ -12,9 +12,9 @@ local polar coordinates (r_j, theta_j) with theta_j = 0 on Gamma_j and
 theta_j = omega_j on Gamma_{j-1}.  This module holds everything about a
 domain that can be written down in closed form: the corner frames, the
 C^2 cut-off functions localizing each corner, the index sets of
-non-smooth modes at integrability p, the critical Sobolev exponents, the
-masked wedge fields xi_j(r) r^k profile(theta) on nodes, and the corner
-profiles s_{j,n}(theta) used to build singular Dirichlet data.
+non-smooth modes at integrability p, the masked wedge fields
+xi_j(r) r^k profile(theta) on nodes, and the corner profiles
+s_{j,n}(theta) used to build singular Dirichlet data.
 """
 
 from __future__ import annotations
@@ -188,17 +188,9 @@ class PolygonalDomain:
 
     # -- basic queries ------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     @property
     def lambdas(self) -> np.ndarray:
         return np.array([c.lam for c in self.corners])
-
-    def side(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints (x_j, x_{j+1}) of side Gamma_j."""
-        M = len(self.vertices)
-        return self.vertices[j % M], self.vertices[(j + 1) % M]
 
     def contains(self, points) -> np.ndarray:
         """Strict interior test by crossing number (boundary points are unreliable)."""
@@ -420,24 +412,6 @@ def singular_set_for_exponents(lams, p: float, m: int) -> set[int]:
         if 0.0 < m * lam < thresh:
             out.add(j)
     return out
-
-
-@dataclass(frozen=True)
-class SobolevExponents:
-    """Critical exponents of the domain: p_omega (W^{2,p} limit for the
-    Dirichlet Laplacian), t_omega = 1 + lambda_1 (H^t limit), p_dirichlet
-    (gradient integrability limit for harmonic extensions)."""
-
-    p_omega: float
-    t_omega: float
-    p_dirichlet: float
-
-
-def sobolev_exponents(domain: PolygonalDomain) -> SobolevExponents:
-    lam1 = float(domain.lambdas.min())
-    p_omega = UNBOUNDED if lam1 >= 2.0 else 2.0 / (2.0 - min(lam1, 2.0))
-    p_dir = UNBOUNDED if lam1 >= 1.0 else 2.0 / (1.0 - min(1.0, lam1))
-    return SobolevExponents(p_omega=p_omega, t_omega=1.0 + lam1, p_dirichlet=p_dir)
 
 
 # -- wedge fields, profiles, coefficients ----------------------------

@@ -170,8 +170,6 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
 
         if ana["flatness"] and "constrained" in sols:
             c1 = fit.coefficients.get(1) if fit is not None else None
-            if c1 is not None and math.isnan(c1):
-                c1 = None
             try:
                 rec.flatness[j] = flatness_diagnostic(
                     domain, mesh, sols["constrained"].u, lo, hi, j, c1=c1)
@@ -234,8 +232,7 @@ def _run_singular_level(domain, mesh, cfg, rec, leveldir):
     y = solve_dirichlet(system, g)
     lift = wedge_lift(domain, mesh, data)
     try:
-        rec.expansion = verify_singular_expansion(
-            domain, mesh, y.values, data, modes=tuple(cfg["analysis"]["modes"]))
+        rec.expansion = verify_singular_expansion(domain, mesh, y.values, data)
     except AnalysisError as exc:
         rec.skipped[d["corner"]] = str(exc)
     write_field_csv(os.path.join(leveldir, "fields.csv"), mesh,

@@ -3,11 +3,12 @@
 Extraction of wedge-mode coefficients by annulus least squares,
 classification of the active-mode sets that shape the optimal control,
 flatness diagnostics at corners, structural decomposition checks of the
-control, verification of singular-data expansions of the state, and
-empirical convergence rates.
+control, verification of singular-data expansions of the state (the
+decay and trace of the remainder after the wedge lift; no mode fit of
+the remainder), and empirical convergence rates.
 
-Extraction fits nodal values in an annulus r in [r1, r2] around a corner
-against the wedge modes r^(m lam) sin(m lam theta) plus a smooth
+Extraction fits nodal values in the annulus r in [R_j/4, R_j/2] around a
+corner against the wedge modes r^(m lam) sin(m lam theta) plus a smooth
 background {l1 l2, l1 l2 x, l1 l2 y} built from the two lines through the
 corner's sides (so every background function vanishes on both wedge
 walls, like the fields being analyzed).  Columns are rescaled to unit
@@ -79,7 +80,6 @@ class CoefficientFit:
 
     corner: int
     coefficients: dict          # m -> extracted coefficient
-    background: np.ndarray
     annulus: tuple
     n_nodes: int
     residual: float             # fit residual relative to the field size
@@ -89,11 +89,11 @@ class CoefficientFit:
 
 
 def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
-                         j: int, modes=(1, 2), annulus=None) -> CoefficientFit:
+                         j: int, modes=(1, 2)) -> CoefficientFit:
     """Least-squares wedge-mode coefficients of a nodal field at corner j.
 
     The field must vanish on the boundary near the corner (adjoint type);
-    subtract boundary data first if it does not.  The default annulus
+    subtract boundary data first if it does not.  The annulus
     [R_j/4, R_j/2] is widened toward 0.95 R_j if it holds fewer than
     MIN_ANNULUS_NODES mesh nodes.
     """
@@ -107,9 +107,7 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
         raise AnalysisError("mode orders must be positive integers")
 
     r_all, theta_all = _polar_arrays(domain, j, mesh.nodes)
-    lo, hi = (0.25 * c.radius, 0.5 * c.radius) if annulus is None else annulus
-    if not 0.0 < lo < hi <= c.radius:
-        raise AnalysisError("annulus must satisfy 0 < r1 < r2 <= R_j")
+    lo, hi = 0.25 * c.radius, 0.5 * c.radius
     sel = np.where((r_all >= lo) & (r_all <= hi))[0]
     while len(sel) < MIN_ANNULUS_NODES and hi < 0.95 * c.radius - 1e-15:
         hi = min(1.25 * hi, 0.95 * c.radius)
@@ -117,7 +115,7 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
     if len(sel) < MIN_ANNULUS_NODES:
         raise AnalysisError(
             f"extraction annulus at corner {j} holds {len(sel)} nodes "
-            f"(< {MIN_ANNULUS_NODES}); refine the mesh or widen the annulus")
+            f"(< {MIN_ANNULUS_NODES}); refine the mesh")
 
     r, theta = r_all[sel], theta_all[sel]
     xl = r * np.cos(theta)
@@ -137,14 +135,13 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
         scale = np.abs(A).max(axis=0)
         scale[scale == 0.0] = 1.0
         As = A / scale
-        sv = np.linalg.svd(As, compute_uv=False)
+        coef_s, _, _, sv = np.linalg.lstsq(As, y, rcond=None)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
         if cond <= COND_MAX or len(active) == 1:
             break
         dropped.append(active.pop())  # drop the highest mode
         warning = (f"ill-conditioned basis at corner {j} "
                    f"(cond {cond:.2e}); dropped modes {tuple(dropped)}")
-    coef_s, *_ = np.linalg.lstsq(As, y, rcond=None)
     coef = coef_s / scale
     res = float(np.linalg.norm(As @ coef_s - y))
     denom = float(np.linalg.norm(y))
@@ -154,7 +151,6 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
     for m in dropped:
         coefficients[m] = math.nan
     return CoefficientFit(corner=j, coefficients=coefficients,
-                          background=coef[len(active):].copy(),
                           annulus=(float(lo), float(hi)), n_nodes=len(sel),
                           residual=rel, condition=cond,
                           dropped_modes=tuple(dropped), warning=warning)
@@ -189,7 +185,6 @@ class HSetReport:
     h2: set
     h3: set
     undetermined: set = field(default_factory=set)
-    c1_trends: dict = field(default_factory=dict)
 
 
 def _c1_verdict(history: list) -> str:
@@ -222,21 +217,19 @@ def classify_H_sets(domain: PolygonalDomain, s_star: float,
                   for m in (1, 2, 3))
     h1 = {j for j in j1 if domain.corners[j].lam > 1.0}
     h2, h3, und = set(), set(), set()
-    trends = {}
     for j in sorted(j2 | j3):
         hist = []
         for level in extraction_history:
             if j in level and 1 in level[j].coefficients:
                 hist.append(level[j].coefficients[1])
         verdict = _c1_verdict(hist)
-        trends[j] = {"history": hist, "verdict": verdict}
         if verdict == "zero":
             h2 |= {j} & j2
             h3 |= {j} & j3
         elif verdict == "undetermined":
             und |= {(2, j)} if j in j2 else set()
             und |= {(3, j)} if j in j3 else set()
-    return HSetReport(h1=h1, h2=h2, h3=h3, undetermined=und, c1_trends=trends)
+    return HSetReport(h1=h1, h2=h2, h3=h3, undetermined=und)
 
 
 # ---------------------------------------------------------------------
@@ -346,10 +339,8 @@ class StructureFitReport:
     """
 
     corner: int
-    terms: dict                 # m -> boundary coefficient a_{j,m}
     shells: list                # (r_in, r_out, max_raw, osc_raw, max_rem, osc_rem)
     slope_raw: float            # log-log slope of shell max vs shell radius
-    slope_remainder: float
     raw_blows_up: bool
     removed_fraction: float     # 1 - max_rem/max_raw on the innermost shell
     remainder_subdominant: bool
@@ -418,13 +409,10 @@ def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
 
     mids = np.array([math.sqrt(s[0] * s[1]) for s in shells])
     raw = np.array([max(s[2], 1e-300) for s in shells])
-    remv = np.array([max(s[4], 1e-300) for s in shells])
     slope_raw = float(np.polyfit(np.log(mids), np.log(raw), 1)[0])
-    slope_rem = float(np.polyfit(np.log(mids), np.log(remv), 1)[0])
-    removed = 1.0 - remv[-1] / raw[-1]
+    removed = 1.0 - max(shells[-1][4], 1e-300) / raw[-1]
     return StructureFitReport(
-        corner=j, terms=dict(terms), shells=shells,
-        slope_raw=slope_raw, slope_remainder=slope_rem,
+        corner=j, shells=shells, slope_raw=slope_raw,
         raw_blows_up=bool(slope_raw <= -0.15),
         removed_fraction=float(removed),
         remainder_subdominant=bool(removed >= 0.75))
@@ -511,11 +499,9 @@ class SingularDataReport:
     corner: int
     eta: float
     n: int
-    rows: list                  # (rho, max_remainder, max_subtracted)
     slope: float                # log-log decay rate of the remainder
     boundary_residual: float    # remainder size on boundary nodes near corner
     endpoint_value: float       # s(omega), expect (-1)^(n+1)
-    mode_fit: CoefficientFit | None
 
 
 def singular_boundary_values(domain: PolygonalDomain, mesh: TriMesh,
@@ -539,16 +525,15 @@ def wedge_lift(domain: PolygonalDomain, mesh: TriMesh,
 
 
 def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
-                              state_values, data: SingularBoundaryData,
-                              modes=(1, 2)) -> SingularDataReport:
+                              state_values, data: SingularBoundaryData
+                              ) -> SingularDataReport:
     """Check the structural expansion of the state for a singular datum.
 
     Subtracts the closed-form wedge lift from the computed state and
     measures the remainder over at most five balls of radius R_j / 2^k:
     the remainder must decay strictly faster than r^eta (it consists of
     wedge modes and a regular part).  Also reports the remainder's trace
-    residual near the corner (continuity across the corner) and fits the
-    remainder's own wedge modes.
+    residual near the corner (continuity across the corner).
     """
     j = data.corner
     c = domain.corners[j]
@@ -557,19 +542,17 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
     rem = vals - lift
 
     r, _ = _polar_arrays(domain, j, mesh.nodes)
-    rows = []
+    rhos, peaks = [], []
     for k in range(5):
         rho = c.radius / 2.0 ** k
         sel = (r > 1e-14) & (r < rho)
         if np.count_nonzero(sel) < 3:
             break
-        rows.append((float(rho), float(np.abs(rem[sel]).max()),
-                     float(abs(data.amplitude) * rho ** data.eta)))
-    if len(rows) < 3:
+        rhos.append(rho)
+        peaks.append(max(float(np.abs(rem[sel]).max()), 1e-300))
+    if len(rhos) < 3:
         raise AnalysisError("not enough resolution near the corner for "
                             "the remainder-decay check")
-    rhos = np.array([row[0] for row in rows])
-    peaks = np.array([max(row[1], 1e-300) for row in rows])
     slope = float(np.polyfit(np.log(rhos), np.log(peaks), 1)[0])
 
     # the corner node is left out: its remainder is 0 (datum and lift both vanish)
@@ -577,17 +560,9 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
     _, pos, _ = zip(*_corner_sides(domain, tr, j, c.radius))
     bres = float(np.abs(rem[tr.node_ids[np.concatenate(pos)]]).max(initial=0.0))
 
-    w = c.angle
-    endpoint = float(eval_s_profile(domain, j, data.n, data.eta, w))
-
-    fit = None
-    try:
-        fit = extract_coefficients(domain, mesh, rem, j, modes=modes)
-    except AnalysisError:
-        pass
-    return SingularDataReport(corner=j, eta=data.eta, n=data.n, rows=rows,
-                              slope=slope, boundary_residual=bres,
-                              endpoint_value=endpoint, mode_fit=fit)
+    endpoint = float(eval_s_profile(domain, j, data.n, data.eta, c.angle))
+    return SingularDataReport(corner=j, eta=data.eta, n=data.n, slope=slope,
+                              boundary_residual=bres, endpoint_value=endpoint)
 
 
 # ---------------------------------------------------------------------

@@ -135,6 +135,11 @@ def test_error_paths_carry_field_names():
         (_cfg(corner_radii={"0": float("nan")}), "config.corner_radii[0]"),
         (_cfg(mesh={"kind": "triangulated", "grading": {"2": 10**400}}),
          "config.mesh.grading[2]"),
+        # two keys of a corner map naming one corner
+        (_cfg(mesh={"kind": "triangulated", "grading": {"0": 0.5, "00": 0.3}}),
+         "config.mesh.grading[0]: corner given twice"),
+        (_cfg(corner_radii={"0": 0.1, " 0": 0.2}),
+         "config.corner_radii[0]: corner given twice"),
         # every block rejects a key it does not list
         (_cfg(mesh={"gradings": {"0": 0.5}}),
          "config.mesh.gradings: unknown field"),
@@ -409,6 +414,35 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "p")
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"domain": "unit-square", "mesh": {"h0": 0.25}, "mesh": {"h0": 0.5},'
+     ' "problem": {"nu": 1.0, "target": {"kind": "constant", "value": 0}}}',
+     "mesh"),
+    ('{"domain": "unit-square", "mesh": {"h0": 0.25, "h0": 0.5},'
+     ' "problem": {"nu": 1.0, "target": {"kind": "constant", "value": 0}}}',
+     "h0"),
+], ids=["top-level", "nested"])
+def test_cli_repeated_json_key_is_exit_2(tmp_path, capsys, text, key):
+    # json keeps the last of a repeated key; the config must not
+    p = tmp_path / "c.json"
+    p.write_text(text)
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {p}: key {key!r} given twice\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_cli_unconverged_unconstrained_solve_is_exit_3(tmp_path, capsys):
+    # the CG solve's KKT residual at a target of 1e4 is above KKT_TOL
+    cfg = {"domain": "unit-square", "mesh": {"h0": 0.125},
+           "problem": {"nu": 1.0,
+                       "target": {"kind": "constant", "value": 1e4}}}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert "unconstrained solve did not converge" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", [
     ["run", "CONFIG"],
     ["preset", "square-smoke"],
@@ -457,9 +491,14 @@ def test_cli_mesh_subcommand(tmp_path, capsys):
     (["--h", "0.2", "--grading", "9:0.5"], "config.mesh.grading[9]"),
     (["--h", "0.2", "--grading", "2"], "config.mesh.grading[2]"),
     (["--h", "0.2", "--grading", "2:abc"], "config.mesh.grading[2]"),
+    (["--h", "0.2", "--grading", "2:0.5", "--grading", "2:0.3"],
+     "config.mesh.grading"),
+    (["--h", "0.2", "--grading", "2:0.5", "--grading", "02:0.3"],
+     "config.mesh.grading[2]"),
 ], ids=["h-nan", "h-inf", "lattice-angle-nan", "h-negative",
         "grading-above-1", "grading-nan", "grading-no-corner",
-        "grading-no-exponent", "grading-not-a-number"])
+        "grading-no-exponent", "grading-not-a-number", "grading-repeated",
+        "grading-corner-repeated"])
 def test_cli_mesh_bad_arguments_are_exit_2(tmp_path, capsys, args, field):
     # the mesh subcommand checks its arguments with the config's mesh rules
     out = str(tmp_path / "m")

@@ -19,7 +19,6 @@ from dclab.fem import (
     FemError,
     TRI_QUAD_7,
     FemSystem,
-    ScalarField,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -329,10 +328,3 @@ def test_skew_step_target_integrates_exactly():
                        discontinuity=line)
     assert abs(odd.sum()) < 1e-12
     assert abs(sq.sum() - 1.5 ** 2 * dom.area) < 1e-12
-
-
-def test_scalar_field_boundary_values():
-    mesh = structured_mesh(unit_square(), 0.5)
-    fld = ScalarField(mesh, mesh.nodes[:, 0] + 2.0)
-    tr = FemSystem(mesh).trace
-    assert np.allclose(fld.boundary_values(), mesh.nodes[tr.node_ids, 0] + 2.0)

@@ -26,7 +26,6 @@ from dclab.geometry import (
     point_segment_distance,
     sector,
     singular_set_for_exponents,
-    sobolev_exponents,
     unit_square,
 )
 from dclab.meshing import structured_mesh
@@ -37,7 +36,7 @@ from dclab.meshing import structured_mesh
 
 def test_unit_square_basic():
     dom = unit_square()
-    assert len(dom) == 4
+    assert len(dom.vertices) == 4
     assert dom.area == pytest.approx(1.0)
     assert dom.perimeter == pytest.approx(4.0)
     assert np.allclose(dom.lambdas, 2.0)
@@ -140,7 +139,7 @@ def test_vertex_count_is_bounded():
         PolygonalDomain(np.zeros((MAX_VERTICES + 1, 2)))
     with pytest.raises(GeometryError, match="arc chords"):
         sector(1.5 * math.pi, MAX_VERTICES - 1)
-    assert len(sector(1.5 * math.pi, MAX_VERTICES - 2)) == MAX_VERTICES
+    assert len(sector(1.5 * math.pi, MAX_VERTICES - 2).vertices) == MAX_VERTICES
 
 
 def test_clockwise_polygon_rejected():
@@ -358,20 +357,6 @@ def test_singular_set_nesting(lams, p):
         assume(False)
     assert sets[3] <= sets[2] <= sets[1]
     assert sets[4] == set() and sets[5] == set()
-
-
-def test_sobolev_exponents_l_shape():
-    se = sobolev_exponents(l_shape())
-    assert se.p_omega == pytest.approx(1.5)
-    assert se.t_omega == pytest.approx(5.0 / 3.0)
-    assert se.p_dirichlet == pytest.approx(6.0)
-
-
-def test_sobolev_exponents_square():
-    se = sobolev_exponents(unit_square())
-    assert se.p_omega == UNBOUNDED
-    assert se.t_omega == pytest.approx(3.0)
-    assert se.p_dirichlet == UNBOUNDED
 
 
 # ---------------------------------------------------------------------

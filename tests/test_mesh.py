@@ -230,8 +230,9 @@ def _segments_by_distance(domain, bpts):
     """Reference: each side's nodes found by their distance to it, in
     order along it."""
     segs = []
-    for j in range(len(domain.vertices)):
-        a, b = domain.side(j)
+    M = len(domain.vertices)
+    for j in range(M):
+        a, b = domain.vertices[j], domain.vertices[(j + 1) % M]
         dist, t = point_segment_distance(bpts, a, b)
         ids = np.flatnonzero(dist <= 1e-9 * float(np.linalg.norm(b - a)))
         ids = ids[np.argsort(t[ids])]
