@@ -3,13 +3,16 @@
 Two generators share one mesh type:
 
 * ``triangulate`` builds an unstructured conforming Delaunay mesh:
-  boundary nodes spaced ~h along each side, a hexagonal interior lattice,
-  and the Delaunay triangulation of their union (Qhull, through
-  ``scipy.spatial.Delaunay``).  Interior candidates are filtered out of
-  every boundary segment's diametral disk, which makes each boundary
-  segment a Gabriel (hence Delaunay) edge, so the polygon boundary is
-  recovered by construction; triangles outside the polygon are trimmed
-  afterwards.
+  boundary nodes spaced ~h along each side, a hexagonal interior lattice
+  clipped row by row to the polygon, and the Delaunay triangulation of
+  their union.  Interior candidates are filtered out of every boundary
+  segment's diametral disk, which makes each boundary segment a Gabriel
+  (hence Delaunay) edge, so the polygon boundary is recovered by
+  construction.  Lattice triangles whose closed circumdisk holds no other
+  node are certified from their lattice indices: they are Delaunay and
+  inside the polygon.  Qhull (``scipy.spatial.Delaunay``) runs only on
+  the band of nodes that certified triangles do not surround, and only
+  its triangles outside the certified region are trimmed to the polygon.
 
 * ``structured_mesh`` builds the uniform right-isosceles lattice of any
   polygon with axis-parallel sides and vertices on the 1/n grid (the unit
@@ -19,9 +22,10 @@ Two generators share one mesh type:
 Corner grading with exponent mu < 1 at corner j places points on the
 layer radii R_j (k/K)^(1/mu), K ~ R_j / (mu h), of ``_graded_layers``:
 the two sides get boundary nodes at those distances from the corner, and
-the lattice points within 1.05 R_j are replaced by ``_ring_points``, arcs
-on the same radii whose angular pitch matches the radial gaps.  Local
-element diameter then scales like h (r/R_j)^(1-mu).  A refinement ladder
+the lattice points within R_j + h/2 are replaced by ``_ring_points``, arcs
+on the same radii whose angular pitch matches the radial gaps.  The seam
+between the outermost arc, at R_j, and the lattice then scales with h.
+Local element diameter scales like h (r/R_j)^(1-mu).  A refinement ladder
 is one fresh generator call per level at h0/2^k: on the lattice that is
 the red refinement of the level below (the same triangles, numbered
 afresh), and a graded mesh stays in its grading family.
@@ -215,30 +219,49 @@ def _ring_points(domain: PolygonalDomain, j: int, h: float, mu: float) -> np.nda
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
-def _hex_lattice(domain: PolygonalDomain, h: float, angle: float) -> np.ndarray:
-    """Triangular lattice over the domain, anchored at the global origin in
-    the rotated frame (so a reflection axis through the origin along
-    ``angle`` maps the lattice to itself)."""
-    verts = domain.vertices
-    lo = verts.min(axis=0) - h
-    hi = verts.max(axis=0) + h
+def _hex_lattice(domain: PolygonalDomain, h: float,
+                 angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """Triangular lattice points inside the domain, and their (row, column)
+    indices (i, u).
+
+    Point (i, u), with u of the parity of i, sits at (h u/2, h i sqrt(3)/2)
+    in the frame rotated by ``angle`` about the global origin (so a
+    reflection axis through the origin along ``angle`` maps the lattice to
+    itself).  Each row is clipped to the polygon by its crossings with the
+    sides: a point is kept when an odd number of crossings lies at or left
+    of it, the crossing-number rule of ``PolygonalDomain.contains`` in the
+    rotated frame.
+    """
     c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    rc = corners @ rot  # coordinates in the rotated frame
-    rlo, rhi = rc.min(axis=0), rc.max(axis=0)
+    vx, vy = _to_lattice_frame(domain.vertices, c, s)
+    wx, wy = np.roll(vx, -1), np.roll(vy, -1)
     dy = h * math.sqrt(3.0) / 2.0
-    i0 = int(math.floor(rlo[1] / dy)) - 1
-    i1 = int(math.ceil(rhi[1] / dy)) + 1
-    k0 = int(math.floor(rlo[0] / h)) - 1
-    k1 = int(math.ceil(rhi[0] / h)) + 1
-    out = []
-    for i in range(i0, i1 + 1):
-        y = i * dy
-        xs = h * (np.arange(k0, k1 + 1) + (0.5 if i % 2 else 0.0))
-        out.append(np.column_stack([xs, np.full(len(xs), y)]))
-    pts = np.vstack(out) @ rot.T
-    return pts[domain.contains(pts)]
+    rows = np.arange(math.floor(vy.min() / dy), math.ceil(vy.max() / dy) + 1)
+    y = rows[:, None] * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = vx + (y - vy) * (wx - vx) / (wy - vy)
+    # sorted crossings x_0 <= x_1 <= ... per row; inside is [x_2q, x_2q+1)
+    xint = np.sort(np.where((vy > y) != (wy > y), xint, np.inf), axis=1)
+    m = 2 * (len(vx) // 2)
+    r, q = np.nonzero(np.isfinite(xint[:, 1:m:2]))
+    lo, hi = xint[r, 2 * q], xint[r, 2 * q + 1]
+    off = 0.5 * (rows[r] % 2)
+    k0 = np.floor(lo / h - off).astype(np.int64)
+    n = np.ceil(hi / h - off).astype(np.int64) - k0 + 1
+    k = np.repeat(k0 - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    i = rows[np.repeat(r, n)]
+    x = h * (k + 0.5 * (i % 2))
+    inside = (x >= np.repeat(lo, n)) & (x < np.repeat(hi, n))
+    i, k, x = i[inside], k[inside], x[inside]
+    y = i * dy
+    return (np.column_stack([c * x - s * y, s * x + c * y]),
+            np.column_stack([i, 2 * k + i % 2]))
+
+
+def _to_lattice_frame(p, c, s):
+    """Coordinates of points ``p`` in the lattice frame rotated by the
+    angle with cosine c and sine s."""
+    return c * p[:, 0] + s * p[:, 1], c * p[:, 1] - s * p[:, 0]
 
 
 def _validate_grading(domain: PolygonalDomain, grading: dict) -> dict:
@@ -255,7 +278,9 @@ def _validate_grading(domain: PolygonalDomain, grading: dict) -> dict:
 
 def _filter_interior(interior, bpts, bsegs):
     """Drop interior candidates that sit inside an (inflated) diametral
-    disk of a boundary segment or too close to a boundary node.
+    disk of a boundary segment or too close to a boundary node.  A
+    candidate is a row of ``interior``: x, y, then any columns that ride
+    along.
 
     Each disk is a (centre, radius) query: the segment midpoint with
     0.525 * its length, and each boundary node with 0.45 * its longest
@@ -268,6 +293,7 @@ def _filter_interior(interior, bpts, bsegs):
 
     if len(interior) == 0:
         return interior
+    xy = interior[:, :2]
     ia, ib = np.asarray(bsegs).T
     # one np.linalg.norm per segment, so every radius keeps its last bit
     seg_len = np.array([float(np.linalg.norm(bpts[b] - bpts[a]))
@@ -277,12 +303,12 @@ def _filter_interior(interior, bpts, bsegs):
     np.maximum.at(ln, ib, seg_len)
     centres = np.vstack([0.5 * (bpts[ia] + bpts[ib]), bpts])
     rad = np.concatenate([0.525 * seg_len, 0.45 * ln])
-    near = cKDTree(interior).query_ball_point(centres, rad * (1.0 + 1e-9))
+    near = cKDTree(xy).query_ball_point(centres, rad * (1.0 + 1e-9))
     counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
     cand = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
                        count=int(counts.sum()))
     disk = np.repeat(np.arange(len(near)), counts)
-    d = interior[cand] - centres[disk]
+    d = xy[cand] - centres[disk]
     drop = (d[:, 0] ** 2 + d[:, 1] ** 2) <= rad[disk] * rad[disk]
     keep = np.ones(len(interior), dtype=bool)
     keep[cand[drop]] = False
@@ -303,23 +329,31 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
         raise MeshError("h must be positive")
     grading = _validate_grading(domain, grading or {})
     bpts_g, chains = _side_points(domain, h, grading)
-    interior_g = _hex_lattice(domain, h, lattice_angle)
+    lat, ij = _hex_lattice(domain, h, lattice_angle)
+    # candidate rows: x, y and the row of ``ij`` (-1 off the lattice)
+    interior = np.column_stack([lat, np.arange(len(lat))])
     for j, mu in grading.items():
         c = domain.corners[j]
-        d = interior_g - np.asarray(c.vertex)
-        outside = np.hypot(d[:, 0], d[:, 1]) > 1.05 * c.radius
-        interior_g = np.vstack([interior_g[outside],
-                                _ring_points(domain, j, h, mu)])
+        d = interior[:, :2] - np.asarray(c.vertex)
+        outside = np.hypot(d[:, 0], d[:, 1]) > c.radius + 0.5 * h
+        ring = _ring_points(domain, j, h, mu)
+        interior = np.vstack([interior[outside],
+                              np.column_stack([ring, np.full(len(ring), -1.0)])])
     segs = [seg for c in chains for seg in zip(c[:-1], c[1:])]
-    interior_g = _filter_interior(interior_g, bpts_g, segs)
+    interior = _filter_interior(interior, bpts_g, segs)
+    on_lat = interior[:, 2] >= 0
+    lat_ids = len(bpts_g) + np.flatnonzero(on_lat)
+    lat_ij = ij[interior[on_lat, 2].astype(np.int64)]
+    interior_g = interior[:, :2]
 
     for attempt in range(3):
         pts = np.vstack([bpts_g, interior_g])
-        tris = _build_trimmed(domain, pts)
+        tris = _triangles(domain, pts, lat_ids, lat_ij, h, lattice_angle)
         mesh = _finalize(domain, pts, tris, chains)
         if mesh.min_angle >= MIN_ANGLE_DEG or len(interior_g) == 0:
             return mesh
         interior_g = _smooth_interior(domain, mesh, len(bpts_g), grading)
+        lat_ids, lat_ij = lat_ids[:0], lat_ij[:0]
     if mesh.min_angle < MIN_ANGLE_DEG:
         raise MeshError(
             f"min angle {mesh.min_angle:.2f} deg below {MIN_ANGLE_DEG}; "
@@ -327,15 +361,87 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
     return mesh
 
 
-def _build_trimmed(domain, pts):
-    tris = _delaunay(pts)
+def _triangles(domain, pts, lat_ids, lat_ij, h, angle):
+    """Delaunay triangles of ``pts`` inside the polygon.
+
+    Node ``lat_ids[n]`` is the point ``lat_ij[n]`` = (i, u) of
+    ``_hex_lattice(domain, h, angle)``.  The up and the down lattice
+    triangle of each lattice node are certified when their three nodes are
+    present and their closed circumdisk (radius h/sqrt(3), inflated by
+    1e-9) holds no other node: such a triangle is strictly Delaunay, and
+    inside the polygon because no Delaunay edge crosses a Gabriel boundary
+    segment.  Qhull runs on the band, the nodes with fewer than 6
+    certified triangles.  Every edge on the rim of the certified region is
+    strictly Delaunay, so no band triangle straddles it: a band triangle
+    whose centroid lies in a certified lattice triangle is dropped, and the
+    rest are trimmed to the polygon by their centroids.  With no lattice
+    nodes this is Qhull on all of ``pts``.
+    """
+    # imported here: scipy.spatial adds ~0.1 s to ``import dclab``
+    from scipy.spatial import cKDTree
+
+    certified = np.zeros((0, 3), dtype=np.int64)
+    if len(lat_ids):
+        # the up triangle of node (i, u) is (i, u), (i, u+2), (i+1, u+1),
+        # its down triangle (i, u), (i+1, u+1), (i+1, u-1)
+        i, u = lat_ij.T
+        i0, u0 = i.min(), u.min() - 1
+        node = np.full((i.max() - i0 + 2, u.max() - u0 + 3), -1, dtype=np.int64)
+        a, b = i - i0, u - u0
+        node[a, b] = lat_ids
+        cand = np.stack([
+            np.column_stack([node[a, b], node[a, b + 2], node[a + 1, b + 1]]),
+            np.column_stack([node[a, b], node[a + 1, b + 1], node[a + 1, b - 1]])])
+        ok = (cand >= 0).all(axis=2)
+        p = pts[cand[ok]]
+        other = np.ones(len(pts), dtype=bool)
+        other[lat_ids] = False
+        # the other nodes in each candidate's closed circumdisk, centred
+        # at its centroid
+        near = cKDTree((p[:, 0] + p[:, 1] + p[:, 2]) / 3.0,
+                       balanced_tree=False).query_ball_point(
+            pts[other], h / math.sqrt(3.0) * (1.0 + 1e-9))
+        empty = np.ones(len(p), dtype=bool)
+        empty[np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp)] = False
+        ok[ok] = empty
+        certified = cand[ok]
+        # cell[0], cell[1]: whether the up, the down triangle of a node is
+        # certified
+        cell = np.zeros((2,) + node.shape, dtype=bool)
+        cell[:, a, b] = ok
+
+    band = np.flatnonzero(np.bincount(certified.ravel(), minlength=len(pts)) < 6)
+    tris = band[_delaunay(pts[band])]
     if len(tris) == 0:
         raise MeshError("empty triangulation")
     cent = pts[tris].mean(axis=1)
-    tris = tris[domain.contains(cent)]
+    if len(certified):
+        up, ci, cu = _lattice_cell(cent, h, angle)
+        ci, cu = ci - i0, cu - u0
+        hole = (ci >= 0) & (ci < node.shape[0]) & (cu >= 0) & (cu < node.shape[1])
+        hole[hole] = cell[np.where(up, 0, 1)[hole], ci[hole], cu[hole]]
+        tris, cent = tris[~hole], cent[~hole]
+    tris = np.vstack([certified, tris[domain.contains(cent)]])
     if len(tris) == 0:
         raise MeshError("all triangles trimmed; h unreachable")
     return tris
+
+
+def _lattice_cell(p, h, angle):
+    """(up, i, u) of the lattice triangle holding each point ``p``: the up
+    or the down triangle of node (i, u), in the indexing of
+    ``_triangles``."""
+    x, y = _to_lattice_frame(p, math.cos(angle), math.sin(angle))
+    t = y / (h * math.sqrt(3.0) / 2.0)
+    i = np.floor(t).astype(np.int64)
+    t -= i
+    # at height t in row i, the up triangle of node u spans u + t <= 2x/h
+    # <= u + 2 - t, the down triangle u - t <= 2x/h <= u + t
+    s = 2.0 * x / h
+    u = 2 * np.floor((s - i % 2) / 2.0).astype(np.int64) + i % 2
+    f = s - u
+    up = (f >= t) & (f <= 2.0 - t)
+    return up, i, u + 2 * (f > 2.0 - t)
 
 
 def _smooth_interior(domain, mesh, n_bnd, grading):

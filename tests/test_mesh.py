@@ -19,8 +19,10 @@ from dclab.meshing import (
     _delaunay,
     _filter_interior,
     _finalize,
+    _hex_lattice,
     _side_points,
     _smooth_interior,
+    _triangles,
     structured_mesh,
     triangulate,
 )
@@ -121,6 +123,112 @@ def test_sector_mesh_symmetric_about_bisector():
     assert dist.max() < 1e-9
 
 
+# the meshes of the preset-ladder benchmark (case-a0 and ex38-skew, first
+# levels), then the L-shape and a graded sector at three lattice angles
+_QHULL_CASES = [("l-shape", 1 / 32, {2: 0.5}, 0.0),
+                ("sector(3pi/2, 64)", 0.05, {}, 0.0),
+                ("sector(3pi/2, 64)", 0.025, {}, 0.0)] + [
+    (spec, h, grading, angle)
+    for angle in (0.0, 0.011, math.pi / 4 + 0.001)
+    for spec, h, grading in [("l-shape", 0.05, {}),
+                             ("sector(3pi/2, 64)", 0.025, {0: 0.5})]]
+
+
+def _circumcircles(p):
+    a, b, c = p[:, 0], p[:, 1], p[:, 2]
+    b, c = b - a, c - a
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    o = np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                         b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+    return a + o, np.hypot(o[:, 0], o[:, 1])
+
+
+def _assert_whole_set_qhull_up_to_ties(dom, pts, tris, h):
+    """``tris`` is scipy's Delaunay triangulation of all of ``pts`` trimmed
+    to the polygon by centroid, except at cocircular ties."""
+    from scipy.spatial import Delaunay, cKDTree
+
+    ref = Delaunay(pts).simplices
+    u, v = pts[ref[:, 1]] - pts[ref[:, 0]], pts[ref[:, 2]] - pts[ref[:, 0]]
+    area2 = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    ref = ref[np.abs(area2) > 1e-10 * h * h]  # Qhull's slivers on straight sides
+    ref = ref[dom.contains(pts[ref].mean(axis=1))]
+    assert len(ref) == len(tris)
+    ours = set(map(tuple, np.sort(tris, axis=1).tolist()))
+    theirs = set(map(tuple, np.sort(ref, axis=1).tolist()))
+    diff = np.array(sorted(ours ^ theirs), dtype=np.int64).reshape(-1, 3)
+    # every difference is a cocircular tie: a 4th node on the circumcircle,
+    # none inside
+    centre, r = _circumcircles(pts[diff])
+    tree = cKDTree(pts)
+    for o, rad in zip(centre, r):
+        d = np.hypot(*(pts[tree.query_ball_point(o, 1.01 * rad)] - o).T)
+        assert np.count_nonzero(np.abs(d - rad) <= 1e-9 * rad) >= 4
+        assert np.all(d >= rad * (1.0 - 1e-9))
+
+
+@pytest.mark.parametrize("spec,h,grading,angle", _QHULL_CASES,
+                         ids=[f"{c[0]}-{c[1]:g}-{c[2]}-{c[3]:.4f}" for c in _QHULL_CASES])
+def test_triangulation_is_whole_set_qhull_up_to_ties(spec, h, grading, angle):
+    dom = build_domain(spec, r_overrides={0: 0.3} if "sector" in spec else None)
+    mesh = triangulate(dom, h, grading, angle)
+    _assert_whole_set_qhull_up_to_ties(dom, mesh.nodes, mesh.triangles, h)
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.9])
+def test_node_in_a_lattice_circumdisk_joins_the_band(frac):
+    # a node inside the lattice triangle at the centre of the square, frac R
+    # from its centroid toward a vertex (R its circumradius), lies in the
+    # closed circumdisks of that triangle and of some neighbours: none of
+    # them may be certified
+    dom, h = unit_square(), 0.1
+    bpts, chains = _side_points(dom, h, {})
+    lat, ij = _hex_lattice(dom, h, 0.0)
+    kept = _filter_interior(np.column_stack([lat, ij]), bpts, _chain_segments(chains))
+    lat, ij = kept[:, :2], kept[:, 2:].astype(np.int64)
+    i, u = ij[np.argmin(np.hypot(*(lat - 0.5).T))]
+    tri = [np.flatnonzero((ij == n).all(axis=1))[0]
+           for n in [(i, u), (i, u + 2), (i + 1, u + 1)]]
+    cent = lat[tri].mean(axis=0)
+    extra = cent + frac * (lat[tri[0]] - cent)
+    pts = np.vstack([bpts, lat, extra])
+    tris = _triangles(dom, pts, len(bpts) + np.arange(len(lat)), ij, h, 0.0)
+    assert np.isin(len(pts) - 1, tris)
+    _assert_whole_set_qhull_up_to_ties(dom, pts, tris, h)
+
+
+def _lattice_by_contains(domain, h, angle):
+    """Reference: the lattice points of a disk around the domain, filtered
+    by ``contains``, as rows x, y, i, u."""
+    c, s = math.cos(angle), math.sin(angle)
+    dy = h * math.sqrt(3.0) / 2.0
+    n = int(np.hypot(*domain.vertices.T).max() / dy) + 2
+    i, k = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1), indexing="ij")
+    i, k = i.ravel(), k.ravel()
+    x, y = h * (k + 0.5 * (i % 2)), i * dy
+    rows = np.column_stack([c * x - s * y, s * x + c * y, i, 2 * k + i % 2])
+    return rows[domain.contains(rows[:, :2])]
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.011, math.pi / 4 + 0.001])
+@pytest.mark.parametrize("spec", ["l-shape", "sector(3pi/2, 64)",
+                                  "sector(19pi/10, 1024)", "unit-square"])
+def test_row_clipping_keeps_the_contains_lattice(spec, angle):
+    dom, h = build_domain(spec), 0.05
+    pts, ij = _hex_lattice(dom, h, angle)
+    clipped = np.column_stack([pts, ij])
+    ref = _lattice_by_contains(dom, h, angle)
+    if angle == 0.0:
+        # the same arithmetic as contains, so the same points, including
+        # those on the sides (the L-shape's y = 0 row and x = 0 column)
+        assert np.array_equal(clipped, ref)
+    bpts, chains = _side_points(dom, h, {})
+    segs = _chain_segments(chains)
+    assert np.array_equal(_filter_interior(clipped, bpts, segs),
+                          _filter_interior(ref, bpts, segs))
+
+
 def test_triangulate_rejects_bad_input():
     with pytest.raises(MeshError):
         triangulate(unit_square(), -0.1)
@@ -142,14 +250,15 @@ def _digest(a):
 # int64, int64; little-endian bytes) of meshes whose edge tables go
 # through every user: _finalize (both generators) and _smooth_interior.
 # Node digests are pinned where the coordinates are exact lattice
-# arithmetic; a rotated lattice rounds through the BLAS, so its nodes are
-# checked by test_smoothing_sums_match_edge_loop instead.
+# arithmetic; a rotated lattice rounds through the cosine and sine of its
+# angle, so its nodes are checked by test_smoothing_sums_match_edge_loop
+# instead.
 @pytest.mark.parametrize("build,counts,digests", [
     (lambda: structured_mesh(l_shape(), 1 / 16), (833, 1536, 128),
      ("aa97ade078dca93e", "bda7cc03bc890a63", "9eefe902c7061bfb",
       "bd0673ff69c7ab5d")),
     (lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), (943, 1756, 128),
-     (None, "87435d11c2f94d00", "64dafb8980da2fae", "bd0673ff69c7ab5d")),
+     (None, "821c3be9e49d35b1", "64dafb8980da2fae", "bd0673ff69c7ab5d")),
 ], ids=["structured", "smoothing-retry"])
 def test_mesh_arrays_are_pinned(build, counts, digests):
     mesh = build()
@@ -316,6 +425,16 @@ def test_graded_refinement_stays_graded():
     R = dom.corners[j].radius
     law = (1.0 / 32.0) ** 2 * R ** (-1.0)
     assert d[onx].min() == pytest.approx(law, rel=1e-9)
+
+
+@pytest.mark.parametrize("omega,mu", [("3pi/2", 0.5), ("19pi/10", 1 / 3)])
+def test_graded_sector_reaches_fine_h(omega, mu):
+    # the lattice cut at R + h/2 keeps the seam between the outermost ring
+    # and the lattice at ~h as h shrinks; at 1.05 R it was 2.4 h here, and
+    # the mesh failed the angle gate at 17-18 degrees
+    dom = build_domain(f"sector({omega}, 64)", r_overrides={0: 0.3})
+    mesh = triangulate(dom, 0.00625, grading={0: mu})
+    _check_invariants(mesh)
 
 
 # ---------------------------------------------------------------------
