@@ -56,7 +56,8 @@ TRI_QUAD_7 = (
 # assembly
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
-    """P1 stiffness matrix; K_ij = (e_i . e_j) / (4 |T|) elementwise."""
+    """P1 stiffness matrix; K_ij = (e_i . e_j) / (4 |T|) elementwise.
+    Only the nonzero sums are stored."""
     p, t = mesh.nodes, mesh.triangles
     p0, p1, p2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
     # edge vectors opposite each vertex
@@ -67,7 +68,12 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     ii = t[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
     jj = t[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
     n = mesh.n_nodes
-    return sp.coo_matrix((ke.ravel(), (ii, jj)), shape=(n, n)).tocsr()
+    A = sp.coo_matrix((ke.ravel(), (ii, jj)), shape=(n, n)).tocsr()
+    # a coupling whose cotangents cancel exactly (the hypotenuse of a
+    # right-isosceles cell) sums to 0.0; SuperLU would order and factor
+    # it as structure
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
@@ -199,7 +205,9 @@ class FemSystem:
     Attributes: A (stiffness), A_bnd (its boundary rows, for the flux),
     M (mass), trace (boundary structure), interior/boundary index arrays.
     The LU factorization of the interior block A_II is computed on first
-    use and reused by every solve.  A_II
+    use and reused by every solve; a zero right-hand side is answered
+    without it.  A stores only its nonzero couplings, so the factor of a
+    structured mesh sees the 5-point graph of its operator.  A_II
     is symmetric, so its columns are ordered by minimum degree on the
     pattern of A + A^T, which gives a sparser factor (and cheaper solves)
     than SuperLU's default COLAMD ordering of A^T A.
@@ -231,6 +239,9 @@ class FemSystem:
         return self._lu
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
+        if not rhs.any():
+            # e.g. the state at u = 0 with no load: exact zeros, no factor
+            return np.zeros(rhs.shape)
         return self.lu.solve(rhs)
 
 

@@ -570,12 +570,11 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     if off.any():
         raise MeshError(f"side chain {off.argmax()} does not start at its corner")
 
-    p = nodes[tris]
-    lens = np.stack([np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-                     np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                     np.linalg.norm(p[:, 0] - p[:, 2], axis=1)])
+    edges = nodes[np.roll(tris, -1, axis=1)]    # edge k runs vertex k -> k+1
+    edges -= nodes[tris]
+    lens = np.linalg.norm(edges, axis=2)
     h = float(lens.max())
-    angles = _angles_deg(p)
+    angles = _angles_deg(edges, lens)
 
     n_seg = [len(c) - 1 for c in chains]
     sides = np.repeat(np.arange(len(chains)), n_seg)
@@ -586,15 +585,16 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
                    nonobtuse=bool(angles.max() <= 90.0 + 1e-9))
 
 
-def _angles_deg(p: np.ndarray) -> np.ndarray:
-    angs = []
+def _angles_deg(edges: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Triangle angles (nt, 3) from the edge vectors (nt, 3, 2), edge k
+    running from vertex k to k+1, and their lengths (nt, 3).  The angle
+    at vertex k lies between edge k and the reversed edge k-1."""
+    angs = np.empty(lens.shape)
     for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        v = p[:, (k + 2) % 3] - p[:, k]
-        dot = (u * v).sum(axis=1)
-        den = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        angs.append(np.degrees(np.arccos(np.clip(dot / den, -1.0, 1.0))))
-    return np.stack(angs)
+        dot = -(edges[:, k] * edges[:, k - 1]).sum(axis=1)
+        angs[:, k] = np.degrees(np.arccos(np.clip(
+            dot / (lens[:, k] * lens[:, k - 1]), -1.0, 1.0)))
+    return angs
 
 
 def _boundary_trace(nodes, ids, sides, corner_pos) -> BoundaryTrace:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from dclab import fem
 from dclab.config import resolve_config
 from dclab.geometry import PolygonalDomain, l_shape, unit_square
 from dclab.harness import _make_target, make_mesh
-from dclab.meshing import _finalize, structured_mesh, triangulate
+from dclab.meshing import _edges, _finalize, structured_mesh, triangulate
 from dclab.fem import (
     DiscontinuityLine,
     FemError,
@@ -109,6 +110,88 @@ def test_interior_factor_uses_symmetric_ordering():
     x = system.solve_interior(b)
     assert (np.linalg.norm(system._aii @ x - b)
             <= 1e-12 * np.linalg.norm(b))
+
+
+def _with_edge_zeros(A, mesh):
+    """A with an explicit 0.0 added at every diagonal and mesh-edge
+    position, summed COO -> CSR as the assembly sums its element
+    matrices: the matrix a stiffness stores when its zeros are kept."""
+    coo = A.tocoo()
+    e = _edges(mesh.triangles, mesh.n_nodes)[1]
+    d = np.arange(mesh.n_nodes)
+    rows = np.concatenate([coo.row, d, e[:, 0], e[:, 1]])
+    cols = np.concatenate([coo.col, d, e[:, 1], e[:, 0]])
+    vals = np.concatenate([coo.data, np.zeros(len(rows) - coo.nnz)])
+    return sp.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
+
+
+@pytest.mark.parametrize("h", [1 / 8, 0.1, 1 / 12])
+@pytest.mark.parametrize("domain", [unit_square, l_shape])
+def test_structured_stiffness_stores_the_5_point_graph(domain, h):
+    # the hypotenuse couplings of a right-isosceles cell cancel exactly
+    # (cot 90 = 0) and are not stored: A holds the diagonal and the
+    # axis-parallel edges, nothing else and no zero
+    mesh = structured_mesh(domain(), h)
+    A = assemble_stiffness(mesh)
+    assert np.count_nonzero(A.data == 0.0) == 0
+    e = _edges(mesh.triangles, mesh.n_nodes)[1]
+    d = mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]
+    axis = e[(d[:, 0] == 0.0) | (d[:, 1] == 0.0)]
+    assert len(axis) < len(e)
+    assert A.nnz == mesh.n_nodes + 2 * len(axis)
+    coo = A.tocoo()
+    stored = set(zip(coo.row.tolist(), coo.col.tolist()))
+    want = {(i, i) for i in range(mesh.n_nodes)}
+    want |= {(i, j) for i, j in axis.tolist()} | {(j, i) for i, j in axis.tolist()}
+    assert stored == want
+
+
+def test_pruned_factor_fills_less_and_solves_the_same():
+    mesh = structured_mesh(l_shape(), 1 / 32)
+    system = FemSystem(mesh)
+    full = _with_edge_zeros(system.A, mesh)
+    assert full.nnz > system.A.nnz and (full != system.A).nnz == 0
+    aii = full[system.itr][:, system.itr].tocsc()
+    lu_full = spla.splu(aii, permc_spec="MMD_AT_PLUS_A")
+    lu = system.lu
+    assert lu.L.nnz + lu.U.nnz < lu_full.L.nnz + lu_full.U.nnz
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=len(system.itr))
+    x, x_full = system.solve_interior(b), lu_full.solve(b)
+    assert np.linalg.norm(x - x_full) <= 1e-12 * np.linalg.norm(x_full)
+    # the dropped terms were 0.0 * x_j
+    z = rng.normal(size=mesh.n_nodes)
+    assert (system.A @ z).tobytes() == (full @ z).tobytes()
+
+
+def test_zero_rhs_skips_the_factor():
+    system = FemSystem(structured_mesh(l_shape(), 1 / 8))
+    n = len(system.itr)
+    rhs = np.zeros(n)
+    x = system.solve_interior(rhs)
+    # a system whose every solve is zero never factors
+    assert system._lu is None
+    assert x is not rhs and x.shape == (n,) and x.dtype == np.float64
+    assert not x.any() and not np.signbit(x).any()
+    # SuperLU answers a zero right-hand side with the same +0.0
+    real = spla.splu(system._aii, permc_spec="MMD_AT_PLUS_A")
+    assert real.solve(rhs).tobytes() == x.tobytes()
+
+    class Counting:
+        calls = 0
+
+        def solve(self, b):
+            self.calls += 1
+            return real.solve(b)
+
+    system._lu = Counting()
+    x2 = system.solve_interior(rhs)
+    assert system._lu.calls == 0 and x2 is not x and not x2.any()
+    x2[0] = 1.0
+    assert not x.any() and not rhs.any()
+    b = np.ones(n)
+    assert system.solve_interior(b).tobytes() == real.solve(b).tobytes()
+    assert system._lu.calls == 1
 
 
 def test_mass_total():

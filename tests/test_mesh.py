@@ -16,6 +16,7 @@ from dclab.geometry import (
 from dclab.meshing import (
     MIN_ANGLE_DEG,
     MeshError,
+    _angles_deg,
     _delaunay,
     _filter_interior,
     _finalize,
@@ -227,6 +228,40 @@ def test_row_clipping_keeps_the_contains_lattice(spec, angle):
     segs = _chain_segments(chains)
     assert np.array_equal(_filter_interior(clipped, bpts, segs),
                           _filter_interior(ref, bpts, segs))
+
+
+def _angles_by_vertex_pairs(p):
+    """Triangle angles (3, nt) from the two edges at each vertex, each
+    difference and norm taken afresh."""
+    angs = []
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        v = p[:, (k + 2) % 3] - p[:, k]
+        dot = (u * v).sum(axis=1)
+        den = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        angs.append(np.degrees(np.arccos(np.clip(dot / den, -1.0, 1.0))))
+    return np.stack(angs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: structured_mesh(l_shape(), 0.1),
+    lambda: triangulate(l_shape(), 1 / 32, {2: 0.5}),
+    lambda: triangulate(build_domain("sector(3pi/2, 64)", r_overrides={0: 0.3}),
+                        0.025, {0: 0.5}, lattice_angle=0.011),
+], ids=["structured-l-shape", "graded-l-shape", "graded-sector-rotated"])
+def test_shared_edge_angles_match_vertex_pairs(build):
+    # _finalize takes each edge vector and length once; the angles, h and
+    # the quality flags equal those of the per-vertex formula bit for bit
+    mesh = build()
+    p = mesh.nodes[mesh.triangles]
+    edges = np.roll(p, -1, axis=1) - p
+    lens = np.linalg.norm(edges, axis=2)
+    ref = _angles_by_vertex_pairs(p)
+    assert _angles_deg(edges, lens).T.tobytes() == ref.tobytes()
+    assert mesh.min_angle == float(ref.min())
+    assert mesh.nonobtuse == bool(ref.max() <= 90.0 + 1e-9)
+    assert mesh.h == float(max(np.linalg.norm(p[:, (k + 1) % 3] - p[:, k],
+                                              axis=1).max() for k in range(3)))
 
 
 def test_triangulate_rejects_bad_input():
