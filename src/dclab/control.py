@@ -393,39 +393,48 @@ def _projected_gradient(problem: ControlProblem, u: np.ndarray, history,
                         max_solves: int = PG_MAX_SOLVES) -> OptimalSolution:
     """Projected gradient with Armijo backtracking (monotone, slow, safe).
 
+    J is quadratic, so a trial step x changes it by exactly
+    g . x + 1/2 (||S x||^2_M + nu x^T M_L x), S x the state of boundary
+    data x.  The Armijo test takes that change in this closed form: the
+    difference of two rounded objectives, O(1) each, would decide steps
+    whose true change is ~1e-20 by round-off.
+
     At most ``max_solves`` PDE solves: a step costs one gradient (two
-    solves) and up to _PG_HALVINGS objectives (one each), the unconverged
-    result's fields two more, and a step starts only while that worst
-    case fits.  A run out of budget returns unconverged.
+    solves) and up to _PG_HALVINGS trial states (one each), the
+    unconverged result's fields two more, and a step starts only while
+    that worst case fits.  A run out of budget returns unconverged.
     """
     lo, hi = problem.lower, problem.upper
+    M, ml, nu = problem.system.M, problem.lumped, problem.nu
     J = problem.objective(u)
     solves = 1
-    step = 1.0 / problem.nu
+    step = 1.0 / nu
     it = 0
     while solves + 2 + _PG_HALVINGS + 2 <= max_solves:
         it += 1
         g, y, phi, d = problem.gradient(u)
         solves += 2
         # Riesz representative of the gradient in the lumped metric
-        gr = g / problem.lumped
+        gr = g / ml
         kkt = problem.kkt_residual(u, d)
         if kkt.satisfied:
             return _finish(problem, u, it, "pg", history, (y, phi, d))
         s = step
         for _ in range(_PG_HALVINGS):
             cand = np.clip(u - s * gr, lo, hi)
-            Jc = problem.objective(cand)
+            x = cand - u
+            sx = problem.state(x).values
             solves += 1
-            dec = float(g @ (cand - u))
-            if Jc <= J + 1e-4 * dec or np.array_equal(cand, u):
+            slope = float(g @ x)
+            dJ = slope + 0.5 * (float(sx @ (M @ sx)) + nu * float(x @ (ml * x)))
+            if dJ <= 1e-4 * slope or not x.any():
                 break
             s *= 0.5
         # stalled only when a step leaves u exactly unchanged: a relative
         # tolerance (np.allclose's 1e-5) stops short of KKT_TOL
-        if np.array_equal(cand, u) and Jc >= J:
+        if not x.any():
             break
-        u, J = cand, Jc
+        u, J = cand, J + dJ
         history.append({"iteration": len(history) + 1, "pg_objective": J,
                         "kkt": kkt.stationarity_max})
     return _finish(problem, u, it, "pg", history)

@@ -1,9 +1,10 @@
 """P1 finite elements on triangular meshes.
 
-Assembly of stiffness/mass matrices, Dirichlet solves with a cached
-interior factorization, variational normal-derivative (flux) recovery on
-the boundary trace, triangle quadrature with optional subdivision along a
-discontinuity line, error norms, and a discrete maximum-principle check.
+Stiffness and mass matrices from the mesh's edge table, Dirichlet solves
+with a cached interior factorization, variational normal-derivative
+(flux) recovery on the boundary trace, triangle quadrature with optional
+subdivision along a discontinuity line, error norms, and a discrete
+maximum-principle check.
 
 The variational flux is the discrete outward normal derivative d solving
 
@@ -50,42 +51,6 @@ TRI_QUAD_7 = (
     ]),
     np.array([9.0 / 40.0, _w1, _w1, _w1, _w2, _w2, _w2]),
 )
-
-
-# ---------------------------------------------------------------------
-# assembly
-
-def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
-    """P1 stiffness matrix; K_ij = (e_i . e_j) / (4 |T|) elementwise.
-    Only the nonzero sums are stored."""
-    p, t = mesh.nodes, mesh.triangles
-    p0, p1, p2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    # edge vectors opposite each vertex
-    E = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)
-    u, v = p1 - p0, p2 - p0
-    area = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-    ke = np.einsum("tid,tjd->tij", E, E) / (4.0 * area)[:, None, None]
-    ii = t[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
-    jj = t[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
-    n = mesh.n_nodes
-    A = sp.coo_matrix((ke.ravel(), (ii, jj)), shape=(n, n)).tocsr()
-    # a coupling whose cotangents cancel exactly (the hypotenuse of a
-    # right-isosceles cell) sums to 0.0; SuperLU would order and factor
-    # it as structure
-    A.eliminate_zeros()
-    return A
-
-
-def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix (exact)."""
-    t = mesh.triangles
-    area = mesh.triangle_areas()
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = area[:, None, None] * base[None, :, :]
-    ii = t[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
-    jj = t[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
-    n = mesh.n_nodes
-    return sp.coo_matrix((me.ravel(), (ii, jj)), shape=(n, n)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -199,27 +164,54 @@ except (OSError, TypeError):   # no process symbol table (Windows)
     _MALLOC_TRIM = None
 
 
+def _symmetric(n: int, edges: np.ndarray, off: np.ndarray,
+               diag: np.ndarray) -> sp.csr_matrix:
+    """The symmetric n x n matrix with ``diag`` on its diagonal and off[e]
+    at (a, b) and (b, a) of each edge e = (a, b)."""
+    upper = sp.csr_matrix((off, edges.T), shape=(n, n))
+    return (upper + upper.T + sp.diags(diag)).tocsr()
+
+
 class FemSystem:
     """Assembled operators of a mesh plus a cached interior factorization.
 
     Attributes: A (stiffness), A_bnd (its boundary rows, for the flux),
     M (mass), trace (boundary structure), interior/boundary index arrays.
-    The LU factorization of the interior block A_II is computed on first
-    use and reused by every solve; a zero right-hand side is answered
-    without it.  A stores only its nonzero couplings, so the factor of a
-    structured mesh sees the 5-point graph of its operator.  A_II
-    is symmetric, so its columns are ordered by minimum degree on the
-    pattern of A + A^T, which gives a sparser factor (and cheaper solves)
-    than SuperLU's default COLAMD ordering of A^T A.
+    A and M are per-edge and per-node ``np.bincount`` sums over the mesh's
+    edge table (``TriMesh.edges``, ``TriMesh.tri_edges``).  With E_v the
+    edge vector of triangle T opposite its vertex v, half-edge k couples
+    vertices k and k+1 by E_k . E_(k+1) / (4 |T|) in A and |T| / 12 in M,
+    and vertex v gets |E_v|^2 / (4 |T|) and |T| / 6 on the diagonal.  An
+    edge sums at most two terms, so its coupling is the same in any order;
+    A does not store the couplings that sum to exactly 0.0 (the hypotenuse
+    of a right-isosceles cell, cot 90 = 0), so the factor of a structured
+    mesh sees the 5-point graph of its operator.  The LU factorization of
+    the interior block A_II is computed on first use (see ``lu``) and
+    reused by every solve; a zero right-hand side is answered without it.
     """
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
         self.trace = mesh.trace
-        self.A = assemble_stiffness(mesh)
-        self.M = assemble_mass(mesh)
+        n, t, edges = mesh.n_nodes, mesh.triangles, mesh.edges
+        x, y = mesh.nodes[:, 0][t], mesh.nodes[:, 1][t]
+        # E_v runs from vertex v+1 to vertex v+2
+        ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+        ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
+        area = mesh.triangle_areas()
+        q = 4.0 * area[:, None]
+        half, vert = mesh.tri_edges.ravel(), t.ravel()
+        dot = ex * ex[:, [1, 2, 0]] + ey * ey[:, [1, 2, 0]]   # E_k . E_(k+1)
+        a_off = np.bincount(half, (dot / q).ravel(), len(edges))
+        a_diag = np.bincount(vert, ((ex * ex + ey * ey) / q).ravel(), n)
+        keep = a_off != 0.0
+        self.A = _symmetric(n, edges[keep], a_off[keep], a_diag)
+        self.M = _symmetric(
+            n, edges,
+            np.bincount(half, np.repeat(area * (1.0 / 12.0), 3), len(edges)),
+            np.bincount(vert, np.repeat(area * (2.0 / 12.0), 3), n))
         self.bnd = self.trace.node_ids
-        mask = np.ones(mesh.n_nodes, dtype=bool)
+        mask = np.ones(n, dtype=bool)
         mask[self.bnd] = False
         self.itr = np.where(mask)[0]
         a_i = self.A[self.itr]
@@ -230,12 +222,30 @@ class FemSystem:
 
     @property
     def lu(self):
+        """SuperLU factor of A_II, with fixed settings for an SPD M-matrix.
+
+        * ``permc_spec="MMD_AT_PLUS_A"``: minimum degree on the pattern of
+          A + A^T, which fills far less than the default COLAMD ordering
+          of A^T A.
+        * ``SymmetricMode``: the elimination tree is that of A + A^T, and
+          the diagonal is the preferred pivot.  A_II of a Delaunay or
+          nonobtuse mesh is a diagonally dominant M-matrix, so every pivot
+          is diagonal (``perm_r == perm_c``).
+        * ``relax=1, panel_size=1``: no relaxed supernodes, one-column
+          panels.
+
+        On the benchmark and preset meshes (README) SuperLU's defaults
+        took 1.3-1.9x the factor time and 1.5-1.9x its peak memory, at the
+        same fill.
+        """
         if self._lu is None:
             if _MALLOC_TRIM is not None:
                 # hand the freed heap back first: on a fragmented heap the
                 # factor's allocations raised the peak RSS by ~20 MiB at random
                 _MALLOC_TRIM(0)
-            self._lu = spla.splu(self._aii, permc_spec="MMD_AT_PLUS_A")
+            self._lu = spla.splu(self._aii, permc_spec="MMD_AT_PLUS_A",
+                                 relax=1, panel_size=1,
+                                 options={"SymmetricMode": True})
         return self._lu
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:

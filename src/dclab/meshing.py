@@ -95,13 +95,18 @@ class TriMesh:
     """Conforming triangle mesh of a polygonal domain.
 
     ``triangles`` are CCW index triples into ``nodes``; ``trace`` is its
-    boundary, built once by ``_finalize``.
+    boundary, built once by ``_finalize``.  The edge table comes from the
+    same pass: ``edges`` holds the distinct edges as pairs a < b in
+    lexicographic order, and ``tri_edges[t, k]`` is the edge of triangle
+    t's half-edge k, from vertex k to vertex k+1.
     """
 
     domain: PolygonalDomain
     nodes: np.ndarray
     triangles: np.ndarray
     trace: BoundaryTrace
+    edges: np.ndarray
+    tri_edges: np.ndarray
     h: float = 0.0
     min_angle: float = 0.0
     nonobtuse: bool = False
@@ -447,7 +452,7 @@ def _lattice_cell(p, h, angle):
 def _smooth_interior(domain, mesh, n_bnd, grading):
     """One Laplacian pass on interior nodes outside graded zones."""
     pts = mesh.nodes.copy()
-    e = _edges(mesh.triangles, len(pts))[1]
+    e = mesh.edges
     # np.add.at applies the updates in index order: the sums are those of
     # a loop over the edges, a -> b then b -> a
     nbr_sum = np.zeros_like(pts)
@@ -530,7 +535,9 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     """Checked mesh of a generator's output.  ``chains[j]`` lists the
     boundary node ids from corner j through corner j+1: they must join into
     one loop without a repeated node, start at the polygon's vertices, and
-    their segments must be exactly the boundary half-edges."""
+    their segments must be exactly the boundary half-edges.  The edge
+    table of these checks is kept on the mesh (``edges``, ``tri_edges``),
+    where the assembly and the smoothing pass read it."""
     u = nodes[tris[:, 1]] - nodes[tris[:, 0]]
     v = nodes[tris[:, 2]] - nodes[tris[:, 0]]
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
@@ -551,7 +558,7 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
         tris = remap[tris]
         chains = [remap[c] for c in chains]
     nn = len(nodes)
-    half, _, inv, counts = _edges(tris, nn)
+    half, edges, inv, counts = _edges(tris, nn)
     if np.any(counts > 2):
         raise MeshError("non-conforming mesh: edge shared by >2 triangles")
 
@@ -570,17 +577,18 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     if off.any():
         raise MeshError(f"side chain {off.argmax()} does not start at its corner")
 
-    edges = nodes[np.roll(tris, -1, axis=1)]    # edge k runs vertex k -> k+1
-    edges -= nodes[tris]
-    lens = np.linalg.norm(edges, axis=2)
+    vec = nodes[np.roll(tris, -1, axis=1)]    # edge k runs vertex k -> k+1
+    vec -= nodes[tris]
+    lens = np.linalg.norm(vec, axis=2)
     h = float(lens.max())
-    angles = _angles_deg(edges, lens)
+    angles = _angles_deg(vec, lens)
 
     n_seg = [len(c) - 1 for c in chains]
     sides = np.repeat(np.arange(len(chains)), n_seg)
     corner_pos = dict(enumerate(np.cumsum([0, *n_seg[:-1]]).tolist()))
     return TriMesh(domain=domain, nodes=nodes, triangles=tris,
-                   trace=_boundary_trace(nodes, ids, sides, corner_pos), h=h,
+                   trace=_boundary_trace(nodes, ids, sides, corner_pos),
+                   edges=edges, tri_edges=inv.reshape(3, -1).T.copy(), h=h,
                    min_angle=float(angles.min()),
                    nonobtuse=bool(angles.max() <= 90.0 + 1e-9))
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dclab import fem
 from dclab.config import resolve_config
-from dclab.geometry import PolygonalDomain, l_shape, unit_square
+from dclab.geometry import PolygonalDomain, build_domain, l_shape, unit_square
 from dclab.harness import _make_target, make_mesh
 from dclab.meshing import _edges, _finalize, structured_mesh, triangulate
 from dclab.fem import (
@@ -21,8 +21,6 @@ from dclab.fem import (
     TRI_QUAD_7,
     FemSystem,
     assemble_load,
-    assemble_mass,
-    assemble_stiffness,
     boundary_l2,
     check_max_principle,
     h1_seminorm,
@@ -94,10 +92,94 @@ def test_malloc_trim_runs_before_each_factorization(monkeypatch):
 
 def test_stiffness_structure():
     mesh = triangulate(l_shape(), 0.21)
-    A = assemble_stiffness(mesh)
+    A = FemSystem(mesh).A
     assert (A != A.T).nnz == 0
     # constants are in the kernel
     assert np.abs(A @ np.ones(mesh.n_nodes)).max() < 1e-12
+
+
+def _coo_stiffness(mesh):
+    """Reference stiffness: the 3 x 3 element matrices summed COO -> CSR."""
+    p, t = mesh.nodes, mesh.triangles
+    p0, p1, p2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
+    # edge vectors opposite each vertex
+    E = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)
+    u, v = p1 - p0, p2 - p0
+    area = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    ke = np.einsum("tid,tjd->tij", E, E) / (4.0 * area)[:, None, None]
+    ii = t[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+    jj = t[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
+    n = mesh.n_nodes
+    A = sp.coo_matrix((ke.ravel(), (ii, jj)), shape=(n, n)).tocsr()
+    A.eliminate_zeros()
+    return A
+
+
+def _coo_mass(mesh):
+    """Reference consistent mass: element matrices summed COO -> CSR."""
+    t = mesh.triangles
+    area = mesh.triangle_areas()
+    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    me = area[:, None, None] * base[None, :, :]
+    ii = t[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+    jj = t[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
+    n = mesh.n_nodes
+    return sp.coo_matrix((me.ravel(), (ii, jj)), shape=(n, n)).tocsr()
+
+
+# (mesh, largest diagonal gap of A and of M to the reference, in ulp)
+_ASSEMBLY_CASES = {
+    "square-1/8": (lambda: structured_mesh(unit_square(), 1 / 8), 0, 0),
+    "l-shape-1/12": (lambda: structured_mesh(l_shape(), 1 / 12), 0, 1),
+    "l-shape-1/128": (lambda: structured_mesh(l_shape(), 1 / 128), 0, 0),
+    "graded-l-shape-1/32": (
+        lambda: triangulate(l_shape(), 1 / 32, grading={2: 0.5}), 4, 4),
+    "sector-0.025": (
+        lambda: triangulate(build_domain("sector(3pi/2, 64)"), 0.025), 4, 4),
+    "smoothing-retry": (
+        lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), 4, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_ASSEMBLY_CASES))
+def test_edge_assembly_matches_coo_reference(case):
+    # Same stored pattern, and every coupling bit-equal: an edge sums at
+    # most two terms, and their order does not matter.  A diagonal sums
+    # one term per incident triangle.  The edge form adds them in triangle
+    # order, the reference in the order its per-row sort of the COO
+    # entries leaves them, which is not stable.  They agree bit for bit
+    # where every term is exact (dyadic h), and otherwise to a few ulp.
+    # At h = 1/12 the stiffness terms are exact but the areas are not.
+    build, a_ulps, m_ulps = _ASSEMBLY_CASES[case]
+    mesh = build()
+    system = FemSystem(mesh)
+    for got, want, ulps in [(system.A, _coo_stiffness(mesh), a_ulps),
+                            (system.M, _coo_mass(mesh), m_ulps)]:
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        off = np.repeat(np.arange(mesh.n_nodes), np.diff(got.indptr)) != got.indices
+        assert got.data[off].tobytes() == want.data[off].tobytes()
+        gd, wd = got.diagonal(), want.diagonal()
+        assert np.all(np.abs(gd - wd) <= ulps * np.spacing(wd))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: structured_mesh(l_shape(), 1 / 32),
+    lambda: triangulate(l_shape(), 1 / 32, grading={2: 0.5}),
+], ids=["structured", "graded"])
+def test_factor_pivots_on_the_diagonal_at_the_default_fill(build):
+    # symmetric mode without relaxed supernodes or panels: the same fill
+    # as SuperLU's defaults, diagonal pivots, a backward-stable solve
+    system = FemSystem(build())
+    lu = system.lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    default = spla.splu(system._aii, permc_spec="MMD_AT_PLUS_A")
+    assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+    b = np.random.default_rng(5).normal(size=len(system.itr))
+    x = system.solve_interior(b)
+    assert (np.linalg.norm(system._aii @ x - b)
+            <= 1e-12 * np.linalg.norm(b))
 
 
 def test_interior_factor_uses_symmetric_ordering():
@@ -132,7 +214,7 @@ def test_structured_stiffness_stores_the_5_point_graph(domain, h):
     # (cot 90 = 0) and are not stored: A holds the diagonal and the
     # axis-parallel edges, nothing else and no zero
     mesh = structured_mesh(domain(), h)
-    A = assemble_stiffness(mesh)
+    A = FemSystem(mesh).A
     assert np.count_nonzero(A.data == 0.0) == 0
     e = _edges(mesh.triangles, mesh.n_nodes)[1]
     d = mesh.nodes[e[:, 1]] - mesh.nodes[e[:, 0]]
@@ -196,7 +278,7 @@ def test_zero_rhs_skips_the_factor():
 
 def test_mass_total():
     mesh = triangulate(l_shape(), 0.21)
-    M = assemble_mass(mesh)
+    M = FemSystem(mesh).M
     assert M.sum() == pytest.approx(mesh.domain.area, rel=1e-12)
     one = np.ones(mesh.n_nodes)
     assert one @ (M @ one) == pytest.approx(3.0, rel=1e-12)

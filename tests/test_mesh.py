@@ -331,6 +331,30 @@ def test_smoothing_sums_match_edge_loop():
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: structured_mesh(l_shape(), 1 / 16),
+    lambda: triangulate(l_shape(), 1 / 16, grading={2: 0.5}),
+    lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011),
+    lambda: triangulate(build_domain("sector(3pi/2, 64)"), 0.1),
+], ids=["structured", "graded", "smoothing-retry", "sector"])
+def test_edge_table_maps_every_half_edge(build):
+    mesh = build()
+    t, e, te = mesh.triangles, mesh.edges, mesh.tri_edges
+    assert te.shape == t.shape and e.dtype == te.dtype == np.int64
+    # distinct pairs a < b in lexicographic order
+    keys = e[:, 0] * mesh.n_nodes + e[:, 1]
+    assert np.all(e[:, 0] < e[:, 1]) and np.all(np.diff(keys) > 0)
+    # half-edge k of a triangle, vertex k -> k+1, maps to an edge with the
+    # same two endpoints
+    a, b = t, np.roll(t, -1, axis=1)
+    assert np.array_equal(e[te, 0], np.minimum(a, b))
+    assert np.array_equal(e[te, 1], np.maximum(a, b))
+    # every edge is used once (on the boundary) or twice
+    uses = np.bincount(te.ravel(), minlength=len(e))
+    assert uses.min() == 1 and uses.max() == 2
+    assert np.count_nonzero(uses == 1) == mesh.trace.n
+
+
 def _filter_interior_by_disk_loop(interior, bpts, bsegs):
     """Reference: one pass over every candidate per disk."""
     keep = np.ones(len(interior), dtype=bool)
