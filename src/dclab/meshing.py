@@ -5,14 +5,17 @@ Two generators share one mesh type:
 * ``triangulate`` builds an unstructured conforming Delaunay mesh:
   boundary nodes spaced ~h along each side, a hexagonal interior lattice
   clipped row by row to the polygon, and the Delaunay triangulation of
-  their union.  Interior candidates are filtered out of every boundary
-  segment's diametral disk, which makes each boundary segment a Gabriel
-  (hence Delaunay) edge, so the polygon boundary is recovered by
-  construction.  Lattice triangles whose closed circumdisk holds no other
-  node are certified from their lattice indices: they are Delaunay and
-  inside the polygon.  Qhull (``scipy.spatial.Delaunay``) runs only on
-  the band of nodes that certified triangles do not surround, and only
-  its triangles outside the certified region are trimmed to the polygon.
+  their union.  Interior candidates are filtered out of a disk wider than
+  every boundary segment's diametral disk, which makes each boundary
+  segment a Gabriel (hence Delaunay) edge, so the polygon boundary is
+  recovered by construction, and keeps the triangles at the boundary
+  above ``MIN_ANGLE_DEG``.  Lattice triangles whose closed circumdisk
+  holds no other node are certified from their lattice indices: they are
+  Delaunay and inside the polygon.  Qhull (``scipy.spatial.Delaunay``)
+  runs only on the band of nodes that certified triangles do not
+  surround, and only its triangles outside the certified region are
+  trimmed to the polygon.  The mesh is built once; one below
+  ``MIN_ANGLE_DEG`` raises ``MeshError``.
 
 * ``structured_mesh`` builds the uniform right-isosceles lattice of any
   polygon with axis-parallel sides and vertices on the 1/n grid (the unit
@@ -23,8 +26,9 @@ Corner grading with exponent mu < 1 at corner j places points on the
 layer radii R_j (k/K)^(1/mu), K ~ R_j / (mu h), of ``_graded_layers``:
 the two sides get boundary nodes at those distances from the corner, and
 the lattice points within R_j + h/2 are replaced by ``_ring_points``, arcs
-on the same radii whose angular pitch matches the radial gaps.  The seam
-between the outermost arc, at R_j, and the lattice then scales with h.
+on the same radii, R_j included, whose angular pitch matches the radial
+gaps.  The seam between the outermost arc, at R_j, and the lattice then
+scales with h.
 Local element diameter scales like h (r/R_j)^(1-mu).  A refinement ladder
 is one fresh generator call per level at h0/2^k: on the lattice that is
 the red refinement of the level below (the same triangles, numbered
@@ -124,9 +128,9 @@ class TriMesh:
         return np.sort(self.trace.node_ids)
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+        x, y = self.nodes[:, 0][self.triangles], self.nodes[:, 1][self.triangles]
+        return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                      - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 # ---------------------------------------------------------------------
@@ -209,12 +213,13 @@ def _side_points(domain: PolygonalDomain, h: float, grading: dict):
 
 def _ring_points(domain: PolygonalDomain, j: int, h: float, mu: float) -> np.ndarray:
     """Interior points on concentric arcs inside the graded zone of corner j,
-    with angular spacing matching the radial layer gaps (isotropic cells)."""
+    one per layer radius of ``_graded_layers`` from R_j inward, with
+    angular spacing matching the radial layer gaps (isotropic cells).  The
+    arc at R_j faces the lattice, which starts beyond R_j + h/2."""
     c = domain.corners[j]
     rs = _graded_layers(c.radius, h, mu)
     out = []
-    for k in range(1, len(rs)):
-        r = rs[k]
+    for r in rs:
         pitch = h * (r / c.radius) ** (1.0 - mu)
         n = max(1, int(round(c.angle * r / pitch)))
         for i in range(1, n):
@@ -288,10 +293,16 @@ def _filter_interior(interior, bpts, bsegs):
     along.
 
     Each disk is a (centre, radius) query: the segment midpoint with
-    0.525 * its length, and each boundary node with 0.45 * its longest
-    adjacent segment.  A KD-tree ball query with radii inflated by 1e-9
-    finds the candidates near each disk, and the exact test
-    ``d^2 <= rad^2`` decides which of them to drop.
+    0.6 * its length, and each boundary node with 0.5 * its longest
+    adjacent segment.  The flat triangles at the boundary join a segment
+    AB to a candidate near B, on B's node circle and on the segment
+    circle of the next segment BC.  On a straight side of equal segments
+    that triangle's angle at A is 22.8 degrees, a margin over
+    ``MIN_ANGLE_DEG`` that holds at every lattice angle: the
+    diametral-lens idea of Delaunay refinement (Shewchuk 2002).  A KD-tree
+    ball query with radii inflated by 1e-9 finds the candidates near each
+    disk, and the exact test ``d^2 <= rad^2`` decides which of them to
+    drop.
     """
     # imported here: scipy.spatial adds ~0.1 s to ``import dclab``
     from scipy.spatial import cKDTree
@@ -300,14 +311,12 @@ def _filter_interior(interior, bpts, bsegs):
         return interior
     xy = interior[:, :2]
     ia, ib = np.asarray(bsegs).T
-    # one np.linalg.norm per segment, so every radius keeps its last bit
-    seg_len = np.array([float(np.linalg.norm(bpts[b] - bpts[a]))
-                        for a, b in bsegs])
+    seg_len = np.linalg.norm(bpts[ib] - bpts[ia], axis=1)
     ln = np.zeros(len(bpts))
     np.maximum.at(ln, ia, seg_len)
     np.maximum.at(ln, ib, seg_len)
     centres = np.vstack([0.5 * (bpts[ia] + bpts[ib]), bpts])
-    rad = np.concatenate([0.525 * seg_len, 0.45 * ln])
+    rad = np.concatenate([0.6 * seg_len, 0.5 * ln])
     near = cKDTree(xy).query_ball_point(centres, rad * (1.0 + 1e-9))
     counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
     cand = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
@@ -328,7 +337,9 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
     the mesh toward that corner (boundary layers spaced by h (r/R)^(1-mu),
     interior rings with matching angular pitch, so cells stay isotropic).
     ``lattice_angle`` rotates the interior point lattice (useful to align
-    it with a symmetry axis).
+    it with a symmetry axis).  The mesh is built in one pass; a minimum
+    angle below ``MIN_ANGLE_DEG`` raises ``MeshError`` (h unreachable for
+    this geometry).
     """
     if h <= 0:
         raise MeshError("h must be positive")
@@ -349,16 +360,9 @@ def triangulate(domain: PolygonalDomain, h: float, grading: dict | None = None,
     on_lat = interior[:, 2] >= 0
     lat_ids = len(bpts_g) + np.flatnonzero(on_lat)
     lat_ij = ij[interior[on_lat, 2].astype(np.int64)]
-    interior_g = interior[:, :2]
-
-    for attempt in range(3):
-        pts = np.vstack([bpts_g, interior_g])
-        tris = _triangles(domain, pts, lat_ids, lat_ij, h, lattice_angle)
-        mesh = _finalize(domain, pts, tris, chains)
-        if mesh.min_angle >= MIN_ANGLE_DEG or len(interior_g) == 0:
-            return mesh
-        interior_g = _smooth_interior(domain, mesh, len(bpts_g), grading)
-        lat_ids, lat_ij = lat_ids[:0], lat_ij[:0]
+    pts = np.vstack([bpts_g, interior[:, :2]])
+    tris = _triangles(domain, pts, lat_ids, lat_ij, h, lattice_angle)
+    mesh = _finalize(domain, pts, tris, chains)
     if mesh.min_angle < MIN_ANGLE_DEG:
         raise MeshError(
             f"min angle {mesh.min_angle:.2f} deg below {MIN_ANGLE_DEG}; "
@@ -449,29 +453,6 @@ def _lattice_cell(p, h, angle):
     return up, i, u + 2 * (f > 2.0 - t)
 
 
-def _smooth_interior(domain, mesh, n_bnd, grading):
-    """One Laplacian pass on interior nodes outside graded zones."""
-    pts = mesh.nodes.copy()
-    e = mesh.edges
-    # np.add.at applies the updates in index order: the sums are those of
-    # a loop over the edges, a -> b then b -> a
-    nbr_sum = np.zeros_like(pts)
-    np.add.at(nbr_sum, e.ravel(), pts[e[:, ::-1].ravel()])
-    nbr_cnt = np.bincount(e.ravel(), minlength=len(pts))
-    movable = np.zeros(len(pts), dtype=bool)
-    movable[n_bnd:] = True
-    for j, mu in grading.items():
-        if mu < 1.0:
-            c = mesh.domain.corners[j]
-            d = pts - np.asarray(c.vertex)
-            movable &= np.hypot(d[:, 0], d[:, 1]) > c.radius
-    target = nbr_sum[movable] / np.maximum(nbr_cnt[movable], 1)[:, None]
-    pts[movable] += 0.6 * (target - pts[movable])
-    inside = np.ones(len(pts), dtype=bool)
-    inside[n_bnd:] = domain.contains(pts[n_bnd:])
-    return pts[n_bnd:][inside[n_bnd:]]
-
-
 def _edges(tris: np.ndarray, n_nodes: int):
     """(half, edges, inv, counts): ``half`` stacks the oriented 0-1, 1-2
     and 2-0 edges of all triangles, ``edges`` the distinct pairs a < b in
@@ -537,7 +518,7 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     one loop without a repeated node, start at the polygon's vertices, and
     their segments must be exactly the boundary half-edges.  The edge
     table of these checks is kept on the mesh (``edges``, ``tri_edges``),
-    where the assembly and the smoothing pass read it."""
+    where the assembly reads it."""
     u = nodes[tris[:, 1]] - nodes[tris[:, 0]]
     v = nodes[tris[:, 2]] - nodes[tris[:, 0]]
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])

@@ -136,7 +136,7 @@ _ASSEMBLY_CASES = {
         lambda: triangulate(l_shape(), 1 / 32, grading={2: 0.5}), 4, 4),
     "sector-0.025": (
         lambda: triangulate(build_domain("sector(3pi/2, 64)"), 0.025), 4, 4),
-    "smoothing-retry": (
+    "rotated-lattice": (
         lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), 4, 4),
 }
 

@@ -22,7 +22,6 @@ from dclab.meshing import (
     _finalize,
     _hex_lattice,
     _side_points,
-    _smooth_interior,
     _triangles,
     structured_mesh,
     triangulate,
@@ -91,7 +90,7 @@ def test_structured_mesh_depends_on_vertices_not_name(h):
 @pytest.mark.parametrize("name,h,angle", [
     ("unit-square", 0.11, 0.0),
     ("l-shape", 0.13, 0.0),
-    # below 20 degrees until one smoothing pass, which ends at 21.13
+    # a rotated lattice: 23.49 degrees on its one pass
     ("l-shape", 1 / 16, 0.011),
 ], ids=["unit-square-0.11", "l-shape-0.13", "l-shape-0.0625-0.011"])
 def test_triangulate_quality(name, h, angle):
@@ -106,6 +105,32 @@ def test_triangulate_sector():
     dom = build_domain("sector(3pi/2, 32)")
     mesh = triangulate(dom, 0.1)
     _check_invariants(mesh)
+
+
+# inputs that once fell below 20 degrees between the boundary and the
+# lattice: the first four at these lattice angles (19.59, 19.78, 19.67 and
+# 19.59), the graded L-shape at 1/8 (17.14) and the two-corner polygon
+# (17.74) at any; test_graded_sector_reaches_fine_h covers the graded
+# sector past the seam (19.74)
+_GATE_CASES = {
+    "l-shape-1/16-6deg": ("l-shape", None, 1 / 16, {}, 6),
+    "l-shape-1/16-8deg": ("l-shape", None, 1 / 16, {}, 8),
+    "l-shape-0.05-2deg": ("l-shape", None, 0.05, {}, 2),
+    "graded-square-1/16-36deg": ("unit-square", None, 1 / 16, {0: 0.5}, 36),
+    "graded-l-shape-1/8": ("l-shape", None, 1 / 8, {2: 0.5}, 0),
+    "two-corner-polygon-1/16": (
+        [(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1.5), (1, 2), (0, 2)],
+        None, 1 / 16, {4: 0.5, 5: 0.5}, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_GATE_CASES))
+def test_first_pass_clears_the_gate(case):
+    spec, radii, h, grading, degrees = _GATE_CASES[case]
+    mesh = triangulate(build_domain(spec, r_overrides=radii), h, grading,
+                       lattice_angle=math.radians(degrees))
+    _check_invariants(mesh)
+    assert mesh.min_angle >= 21.0
 
 
 def test_sector_mesh_symmetric_about_bisector():
@@ -283,18 +308,16 @@ def _digest(a):
 # Counts (nodes, triangles, boundary nodes) and sha256 prefixes of nodes,
 # triangles, trace.node_ids and trace.side_of_segment (float64, int64,
 # int64, int64; little-endian bytes) of meshes whose edge tables go
-# through every user: _finalize (both generators) and _smooth_interior.
-# Node digests are pinned where the coordinates are exact lattice
-# arithmetic; a rotated lattice rounds through the cosine and sine of its
-# angle, so its nodes are checked by test_smoothing_sums_match_edge_loop
-# instead.
+# through _finalize from both generators.  Node digests are pinned where
+# the coordinates are exact lattice arithmetic; a rotated lattice rounds
+# through the cosine and sine of its angle, so its nodes are not pinned.
 @pytest.mark.parametrize("build,counts,digests", [
     (lambda: structured_mesh(l_shape(), 1 / 16), (833, 1536, 128),
      ("aa97ade078dca93e", "bda7cc03bc890a63", "9eefe902c7061bfb",
       "bd0673ff69c7ab5d")),
-    (lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), (943, 1756, 128),
-     (None, "821c3be9e49d35b1", "64dafb8980da2fae", "bd0673ff69c7ab5d")),
-], ids=["structured", "smoothing-retry"])
+    (lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), (929, 1728, 128),
+     (None, "9f9c7d0bd218b805", "64dafb8980da2fae", "bd0673ff69c7ab5d")),
+], ids=["structured", "rotated-lattice"])
 def test_mesh_arrays_are_pinned(build, counts, digests):
     mesh = build()
     arrays = _arrays(mesh)
@@ -305,38 +328,12 @@ def test_mesh_arrays_are_pinned(build, counts, digests):
             assert _digest(a) == want
 
 
-def _smooth_by_edge_loop(mesh, n_bnd):
-    """Ungraded _smooth_interior, one edge at a time."""
-    pts = mesh.nodes.copy()
-    t = mesh.triangles
-    edges = np.unique(np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
-                              axis=1), axis=0)
-    nbr_sum = np.zeros_like(pts)
-    nbr_cnt = np.zeros(len(pts))
-    for a, b in edges:
-        nbr_sum[a] += pts[b]
-        nbr_sum[b] += pts[a]
-        nbr_cnt[a] += 1
-        nbr_cnt[b] += 1
-    inner = pts[n_bnd:]
-    inner += 0.6 * (nbr_sum[n_bnd:] / np.maximum(nbr_cnt[n_bnd:], 1)[:, None] - inner)
-    return inner[mesh.domain.contains(inner)]
-
-
-def test_smoothing_sums_match_edge_loop():
-    mesh = triangulate(l_shape(), 1 / 16, lattice_angle=0.011)
-    n_bnd = mesh.trace.n  # boundary nodes come first
-    got = _smooth_interior(mesh.domain, mesh, n_bnd, {})
-    want = _smooth_by_edge_loop(mesh, n_bnd)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("build", [
     lambda: structured_mesh(l_shape(), 1 / 16),
     lambda: triangulate(l_shape(), 1 / 16, grading={2: 0.5}),
     lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011),
     lambda: triangulate(build_domain("sector(3pi/2, 64)"), 0.1),
-], ids=["structured", "graded", "smoothing-retry", "sector"])
+], ids=["structured", "graded", "rotated-lattice", "sector"])
 def test_edge_table_maps_every_half_edge(build):
     mesh = build()
     t, e, te = mesh.triangles, mesh.edges, mesh.tri_edges
@@ -363,10 +360,10 @@ def _filter_interior_by_disk_loop(interior, bpts, bsegs):
         a, b = bpts[ia], bpts[ib]
         L = float(np.linalg.norm(b - a))
         ln[ia], ln[ib] = max(ln[ia], L), max(ln[ib], L)
-        d, r = interior - 0.5 * (a + b), 0.525 * L
+        d, r = interior - 0.5 * (a + b), 0.6 * L
         keep &= (d[:, 0] ** 2 + d[:, 1] ** 2) > r * r
     for i, p in enumerate(bpts):
-        d, r = interior - p, 0.45 * ln[i]
+        d, r = interior - p, 0.5 * ln[i]
         keep &= (d[:, 0] ** 2 + d[:, 1] ** 2) > r * r
     return interior[keep]
 
@@ -378,7 +375,7 @@ def test_interior_filter_matches_disk_loop():
     segs = _chain_segments(chains)
     rng = np.random.default_rng(0)
     a, b = bpts[[s[0] for s in segs]], bpts[[s[1] for s in segs]]
-    rad = 0.525 * np.linalg.norm(b - a, axis=1)
+    rad = 0.6 * np.linalg.norm(b - a, axis=1)
     ang = rng.uniform(0.0, 2.0 * math.pi, len(segs))
     on_circle = 0.5 * (a + b) + rad[:, None] * np.column_stack([np.cos(ang),
                                                                 np.sin(ang)])
@@ -490,10 +487,12 @@ def test_graded_refinement_stays_graded():
 def test_graded_sector_reaches_fine_h(omega, mu):
     # the lattice cut at R + h/2 keeps the seam between the outermost ring
     # and the lattice at ~h as h shrinks; at 1.05 R it was 2.4 h here, and
-    # the mesh failed the angle gate at 17-18 degrees
+    # the mesh failed the angle gate at 17-18 degrees; with the ring at R
+    # it clears the gate with a margin on its one pass
     dom = build_domain(f"sector({omega}, 64)", r_overrides={0: 0.3})
     mesh = triangulate(dom, 0.00625, grading={0: mu})
     _check_invariants(mesh)
+    assert mesh.min_angle >= 21.0
 
 
 # ---------------------------------------------------------------------
