@@ -56,28 +56,27 @@ def write_columns(path, header, columns):
 
 
 def write_mesh_csv(outdir, mesh: TriMesh) -> None:
+    """``mesh_nodes.csv`` (x, y) and ``mesh_triangles.csv`` (n0, n1, n2):
+    row k is node k, resp. triangle k, so no index column is written."""
     p, t = mesh.nodes, mesh.triangles
-    write_columns(os.path.join(outdir, "mesh_nodes.csv"), ["node", "x", "y"],
-                  [np.arange(len(p)), p[:, 0], p[:, 1]])
+    write_columns(os.path.join(outdir, "mesh_nodes.csv"), ["x", "y"],
+                  [p[:, 0], p[:, 1]])
     write_columns(os.path.join(outdir, "mesh_triangles.csv"),
-                  ["triangle", "n0", "n1", "n2"],
-                  [np.arange(len(t)), t[:, 0], t[:, 1], t[:, 2]])
+                  ["n0", "n1", "n2"], [t[:, 0], t[:, 1], t[:, 2]])
 
 
-def write_field_csv(path, mesh: TriMesh, columns: dict) -> None:
-    """Nodal fields: node, x, y, then one column per dict entry."""
-    p = mesh.nodes
-    write_columns(path, ["node", "x", "y"] + list(columns),
-                  [np.arange(len(p)), p[:, 0], p[:, 1],
-                   *(np.asarray(a, dtype=float) for a in columns.values())])
+def write_field_csv(path, columns: dict) -> None:
+    """Nodal fields, one column per dict entry; row k is node k."""
+    write_columns(path, list(columns),
+                  [np.asarray(a, dtype=float) for a in columns.values()])
 
 
 def write_boundary_csv(path, mesh: TriMesh, columns: dict) -> None:
-    """Trace-ordered boundary table with side index and arc length."""
+    """Trace-ordered node id, side index, arc length, then one column per
+    dict entry; a node's x, y are the ``mesh_nodes.csv`` row at its id."""
     tr = mesh.trace
-    write_columns(path, ["pos", "node", "side", "arc", "x", "y"] + list(columns),
-                  [np.arange(tr.n), tr.node_ids, tr.side_of_segment, tr.arc,
-                   tr.points[:, 0], tr.points[:, 1],
+    write_columns(path, ["node", "side", "arc"] + list(columns),
+                  [tr.node_ids, tr.side_of_segment, tr.arc,
                    *(np.asarray(a, dtype=float) for a in columns.values())])
 
 

@@ -179,21 +179,22 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
         if not ana["structure"] or fit is None:
             continue
         fl = rec.flatness.get(j)
-        if fl is not None and fl.verdict in ("flat-at-a", "flat-at-b"):
-            # locally constant control: nothing singular to subtract
-            terms = {}
-        else:
-            terms = predicted_control_terms(domain, j, fit.coefficients,
-                                            prob["nu"], *bounds)
-        rec.terms[j] = terms
-        try:
-            rec.structure[j] = structural_fit_control(domain, mesh, main.u,
-                                                      j, terms)
-        except AnalysisError as exc:
-            rec.skipped.setdefault(j, str(exc))
+        flat = fl is not None and fl.verdict in ("flat-at-a", "flat-at-b")
+        # a flat corner's control is locally constant: no singular terms,
+        # so no structure fit and no u_sing column
+        terms = {} if flat else predicted_control_terms(
+            domain, j, fit.coefficients, prob["nu"], *bounds)
+        if terms:
+            rec.terms[j] = terms
+            try:
+                rec.structure[j] = structural_fit_control(domain, mesh,
+                                                          main.u, j, terms)
+            except AnalysisError as exc:
+                rec.skipped.setdefault(j, str(exc))
         c = domain.corners[j]
         alpha = 2.0 * c.lam - 1.0
-        if c.reentrant and 0.0 < alpha < 1.0:
+        # an unconstrained control grows like r^(lam-1): no Holder quotient
+        if primary == "constrained" and c.reentrant and 0.0 < alpha < 1.0:
             q_raw = holder_quotient(domain, mesh, main.u, j, alpha)
             pred = control_singular_profile(domain, mesh, j, terms)
             q_rem = holder_quotient(domain, mesh, main.u - pred, j, alpha)
@@ -216,7 +217,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
         for j, terms in sorted(rec.terms.items()):
             sing += control_singular_profile(domain, mesh, j, terms)
         bnd["u_sing"] = sing
-    write_field_csv(os.path.join(leveldir, "fields.csv"), mesh, fields)
+    write_field_csv(os.path.join(leveldir, "fields.csv"), fields)
     write_boundary_csv(os.path.join(leveldir, "boundary.csv"), mesh, bnd)
     if "constrained" in sols:
         write_iteration_csv(os.path.join(leveldir, "iterations.csv"),
@@ -235,7 +236,7 @@ def _run_singular_level(domain, mesh, cfg, rec, leveldir):
         rec.expansion = verify_singular_expansion(domain, mesh, y.values, data)
     except AnalysisError as exc:
         rec.skipped[d["corner"]] = str(exc)
-    write_field_csv(os.path.join(leveldir, "fields.csv"), mesh,
+    write_field_csv(os.path.join(leveldir, "fields.csv"),
                     {"state": y.values, "lift": lift,
                      "remainder": y.values - lift})
     write_boundary_csv(os.path.join(leveldir, "boundary.csv"), mesh,

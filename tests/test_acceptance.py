@@ -6,6 +6,7 @@ session (module fixture) and are shared by the criteria that grade them.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -206,3 +207,18 @@ def test_criterion_10_singular_data_expansion(preset_results):
         assert ok, (res.name, det)
     print("criterion 10 PASS: remainder decay at the two finest levels "
           "for both parities")
+
+
+def test_corner_diagnostics_only_where_defined(preset_results):
+    # no Holder quotient for an unbounded control, no structure fit or
+    # u_sing column at a flat corner
+    (unc,) = preset_results["lshape-unconstrained"]
+    (con,) = preset_results["lshape-constrained"]
+    assert unc.trends["holder"] == {}
+    assert con.trends["structure"] == {}
+    with open(os.path.join(con.outdir, "level0", "boundary.csv")) as fh:
+        header = fh.readline().strip().split(",")
+    assert "u_sing" not in header
+    ok, det = _verdict(preset_results["ex38-skew"], "holder_ratio_max")
+    assert ok, det
+    print(f"diagnostics PASS: boundary.csv columns {header}; {det}")

@@ -1,5 +1,7 @@
-"""Nodal CSV writers: byte-equal to the per-cell ``write_rows`` path."""
+"""Nodal CSV writers: byte-equal to the per-cell ``write_rows`` path, and
+the per-level tables join on row numbers."""
 
+import csv
 import os
 from types import SimpleNamespace
 
@@ -8,33 +10,33 @@ import pytest
 
 from dclab import exports
 from dclab.geometry import l_shape
-from dclab.meshing import structured_mesh
+from dclab.meshing import structured_mesh, triangulate
 
 SPECIAL = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308,
            0.1, -2.5e-300, 1.0, 123456789.0]
 
 
 def _reference_mesh_csv(outdir, mesh):
-    exports.write_rows(os.path.join(outdir, "mesh_nodes.csv"), ["node", "x", "y"],
-                       ((i, p[0], p[1]) for i, p in enumerate(mesh.nodes)))
+    exports.write_rows(os.path.join(outdir, "mesh_nodes.csv"), ["x", "y"],
+                       ((p[0], p[1]) for p in mesh.nodes))
     exports.write_rows(os.path.join(outdir, "mesh_triangles.csv"),
-                       ["triangle", "n0", "n1", "n2"],
-                       ((i, t[0], t[1], t[2]) for i, t in enumerate(mesh.triangles)))
+                       ["n0", "n1", "n2"],
+                       ((t[0], t[1], t[2]) for t in mesh.triangles))
 
 
-def _reference_field_csv(path, mesh, columns):
+def _reference_field_csv(path, columns):
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
-    exports.write_rows(path, ["node", "x", "y"] + list(columns),
-                       ((i, p[0], p[1], *(a[i] for a in arrays))
-                        for i, p in enumerate(mesh.nodes)))
+    exports.write_rows(path, list(columns),
+                       (tuple(a[i] for a in arrays)
+                        for i in range(len(arrays[0]))))
 
 
 def _reference_boundary_csv(path, mesh, columns):
     tr = mesh.trace
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
-    exports.write_rows(path, ["pos", "node", "side", "arc", "x", "y"] + list(columns),
-                       ((k, tr.node_ids[k], tr.side_of_segment[k], tr.arc[k],
-                         tr.points[k, 0], tr.points[k, 1], *(a[k] for a in arrays))
+    exports.write_rows(path, ["node", "side", "arc"] + list(columns),
+                       ((tr.node_ids[k], tr.side_of_segment[k], tr.arc[k],
+                         *(a[k] for a in arrays))
                         for k in range(tr.n)))
 
 
@@ -65,7 +67,7 @@ def test_nodal_writers_match_per_cell_rows(tmp_path, monkeypatch, block_rows):
         out.mkdir()
         write_mesh, write_field, write_boundary = writers
         write_mesh(str(out), odd)
-        write_field(str(out / "fields.csv"), odd, fields)
+        write_field(str(out / "fields.csv"), fields)
         write_boundary(str(out / "boundary.csv"), mesh, bnd)
         (out / "empty").mkdir()
         write_mesh(str(out / "empty"),
@@ -79,3 +81,32 @@ def test_nodal_writers_match_per_cell_rows(tmp_path, monkeypatch, block_rows):
     assert "-0," in text and "nan" in text and "-inf" in text
     assert "4.9406564584124654e-324" in text
     assert str(2 ** 40) in (tmp_path / "new" / "mesh_triangles.csv").read_text()
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_tables_join_on_row_numbers(tmp_path):
+    mesh = triangulate(l_shape(), 1 / 8, {2: 0.5})
+    n, tr = mesh.n_nodes, mesh.trace
+    exports.write_mesh_csv(str(tmp_path), mesh)
+    exports.write_field_csv(str(tmp_path / "fields.csv"),
+                            {"state": np.linspace(0.0, 1.0, n)})
+    exports.write_boundary_csv(str(tmp_path / "boundary.csv"), mesh,
+                               {"u": np.ones(tr.n)})
+    nodes = _read_csv(tmp_path / "mesh_nodes.csv")
+    tris = _read_csv(tmp_path / "mesh_triangles.csv")
+    fields = _read_csv(tmp_path / "fields.csv")
+    bnd = _read_csv(tmp_path / "boundary.csv")
+    assert nodes[0] == ["x", "y"] and len(nodes) == n + 1
+    assert fields[0] == ["state"] and len(fields) == len(nodes)
+    assert tris[0] == ["n0", "n1", "n2"]
+    assert len(tris) == mesh.n_triangles + 1
+    ids = np.array(tris[1:], dtype=np.int64)
+    assert ids.min() >= 0 and ids.max() < len(nodes) - 1
+    assert bnd[0] == ["node", "side", "arc", "u"] and len(bnd) == tr.n + 1
+    for row, p in zip(bnd[1:], tr.points):
+        assert nodes[1 + int(row[0])] == [format(p[0], ".17g"),
+                                          format(p[1], ".17g")]
