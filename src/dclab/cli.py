@@ -1,9 +1,8 @@
 """Command line interface.
 
-The environment variable DCLAB_THREADS caps the BLAS/OpenMP thread pools
-used by assembly and the sparse solvers.  It must take effect before
-numpy is first imported, so this module imports the numerical stack
-lazily inside the subcommands.
+Importing dclab loads numpy and scipy, so their thread pools follow the
+standard variables (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS)
+of the environment the command starts in.
 
 Exit codes: 0 ok, 1 expectation failed, 2 config or output error, 3 solver
 failure.
@@ -14,15 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-
-def _apply_thread_cap():
-    n = os.environ.get("DCLAB_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, n)
 
 
 def _report(result) -> None:
@@ -139,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

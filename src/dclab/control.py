@@ -189,10 +189,9 @@ class ControlProblem:
         _, dv = self._flux(self.system.M @ yv.values)
         return self.lumped * (self.nu * v - dv)
 
-    def kkt_residual(self, u: np.ndarray, d: np.ndarray | None = None):
-        """Nodewise projection residual and feasibility violation."""
-        if d is None:
-            _, _, _, d = self.gradient(u)
+    def kkt_residual(self, u: np.ndarray, d: np.ndarray):
+        """Nodewise projection residual and feasibility violation at u,
+        given the lumped adjoint flux d there."""
         proj = np.clip(d / self.nu, self.lower, self.upper)
         r = u - proj
         feas = max(0.0, float((self.lower - u).max()), float((u - self.upper).max()))
@@ -221,18 +220,22 @@ class OptimalSolution:
     objective: float
     kkt: KKTReport
     iterations: int
-    converged: bool
     method: str
     active_lower: np.ndarray = None
     active_upper: np.ndarray = None
     history: list = field(default_factory=list)
 
+    @property
+    def converged(self) -> bool:
+        return self.kkt.satisfied
+
 
 def _finish(problem: ControlProblem, u, iterations, method, history,
             fields=None):
-    """Assemble the solution at u, converged exactly when its KKT report
-    is satisfied; ``fields`` = (y, phi, d_phi) already computed at this
-    very u skips re-solving for them."""
+    """Assemble the solution at u; ``fields`` = (y, phi, d_phi) already
+    computed at this very u skips re-solving for them.  Pinning and
+    clipping put every active node exactly on its bound, so a node is
+    active where u equals a finite bound."""
     if fields is None:
         y = problem.state(u)
         phi, d = problem.adjoint(y)
@@ -242,11 +245,9 @@ def _finish(problem: ControlProblem, u, iterations, method, history,
     return OptimalSolution(
         u=u, y=y, phi=phi, flux=d,
         objective=problem.objective(u, y), kkt=kkt, iterations=iterations,
-        converged=kkt.satisfied, method=method,
-        active_lower=np.isclose(u, problem.lower, rtol=0.0, atol=1e-14)
-        & np.isfinite(problem.lower),
-        active_upper=np.isclose(u, problem.upper, rtol=0.0, atol=1e-14)
-        & np.isfinite(problem.upper),
+        method=method,
+        active_lower=(u == problem.lower) & np.isfinite(problem.lower),
+        active_upper=(u == problem.upper) & np.isfinite(problem.upper),
         history=history)
 
 

@@ -60,7 +60,6 @@ class LevelRecord:
     holder: dict = field(default_factory=dict)      # corner -> (raw, rem)
     slopes: dict = field(default_factory=dict)      # corner -> log-log slope
     expansion = None                                # SingularDataReport
-    profile = None                                  # (arc, u, perimeter)
 
 
 @dataclass
@@ -118,15 +117,6 @@ def _solve_summary(system, sol):
     }
 
 
-def _profile_diff(coarse, fine):
-    """Max nodal difference of two boundary profiles via arc interpolation."""
-    arc_c, u_c, _ = coarse
-    arc_f, u_f, per_f = fine
-    arc = np.concatenate([arc_f, [per_f]])
-    vals = np.concatenate([u_f, [u_f[0]]])
-    return float(np.max(np.abs(np.interp(arc_c, arc, vals) - u_c)))
-
-
 def _run_control_level(domain, mesh, cfg, rec, leveldir):
     prob = cfg["problem"]
     ana = cfg["analysis"]
@@ -153,9 +143,6 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
             raise ControlError(f"{tag} solve did not converge at level "
                                f"{rec.index}")
     main = sols[primary]
-    tr = system.trace
-    rec.profile = (tr.arc.copy(), np.asarray(main.u, dtype=float),
-                   tr.perimeter())
 
     # per-corner diagnostics on the primary solve's adjoint and control;
     # a corner's first failure is the note it keeps
@@ -213,7 +200,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
         bnd["u_twin"] = sols[twin].u
         bnd["flux_twin"] = sols[twin].flux
     if rec.terms:
-        sing = np.zeros(tr.n)
+        sing = np.zeros(system.trace.n)
         for j, terms in sorted(rec.terms.items()):
             sing += control_singular_profile(domain, mesh, j, terms)
         bnd["u_sing"] = sing
@@ -246,7 +233,7 @@ def _run_singular_level(domain, mesh, cfg, rec, leveldir):
 def _collect_trends(domain, cfg, levels):
     ana = cfg["analysis"]
     trends = {"coeff": {}, "flatness": {}, "flat_radius": {}, "slope": {},
-              "holder": {}, "structure": {}, "profile_diffs": []}
+              "holder": {}, "structure": {}}
 
     history = [rec.fits for rec in levels if rec.fits]
     if history:
@@ -278,10 +265,6 @@ def _collect_trends(domain, cfg, levels):
                     reports[-2], reports[-1])
             except AnalysisError:
                 pass
-
-    profiles = [rec.profile for rec in levels if rec.profile is not None]
-    for a, b in zip(profiles, profiles[1:]):
-        trends["profile_diffs"].append(_profile_diff(a, b))
     return trends
 
 
@@ -332,9 +315,6 @@ def _info_rows(cfg, levels, trends):
         rows.append(f"H-sets: h1={sorted(rep.h1)} h2={sorted(rep.h2)} "
                     f"h3={sorted(rep.h3)} "
                     f"undetermined={sorted(rep.undetermined)}")
-    if trends["profile_diffs"]:
-        rows.append("control profile max diff between levels: "
-                    f"{[g6(d) for d in trends['profile_diffs']]}")
     skips = [(rec.index, j, why) for rec in levels
              for j, why in sorted(rec.skipped.items())]
     for idx, j, why in skips:

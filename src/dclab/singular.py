@@ -59,16 +59,17 @@ class AnalysisError(RuntimeError):
 
 
 def _corner_sides(domain: PolygonalDomain, tr, j: int, r_max: float):
-    """(side, trace positions, corner distances) on Gamma_j and then on
-    Gamma_{j-1}, for the boundary nodes with 1e-14 < r < r_max."""
+    """The window of corner j: (trace positions, corner distances, chi)
+    of the boundary nodes with 1e-14 < r < r_max, those on Gamma_j
+    (chi = +1) first, then those on Gamma_{j-1} (chi = -1)."""
     vertex = np.asarray(domain.corners[j].vertex)
-    out = []
-    for side in (j, (j - 1) % len(domain.vertices)):
-        pos = tr.side_positions(side)
-        radii = np.linalg.norm(tr.points[pos] - vertex, axis=1)
-        keep = (radii > 1e-14) & (radii < r_max)
-        out.append((side, pos[keep], radii[keep]))
-    return out
+    pos = [tr.side_positions(j),
+           tr.side_positions((j - 1) % len(domain.vertices))]
+    chi = np.repeat([1.0, -1.0], [len(p) for p in pos])
+    pos = np.concatenate(pos)
+    radii = np.linalg.norm(tr.points[pos] - vertex, axis=1)
+    keep = (radii > 1e-14) & (radii < r_max)
+    return pos[keep], radii[keep], chi[keep]
 
 
 # ---------------------------------------------------------------------
@@ -292,8 +293,11 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
             f"flatness diagnostic undefined at convex corner {j} "
             "when 0 is admissible")
 
-    per_side = {side: _side_flat_scan(u[pos], radii, lo[pos], hi[pos])
-                for side, pos, radii in _corner_sides(domain, tr, j, c.radius)}
+    pos, radii, chi = _corner_sides(domain, tr, j, c.radius)
+    per_side = {}
+    for side, on in ((j, chi > 0), ((j - 1) % len(domain.vertices), chi < 0)):
+        p = pos[on]
+        per_side[side] = _side_flat_scan(u[p], radii[on], lo[p], hi[p])
 
     bounds_seen = {b for b, _ in per_side.values() if b is not None}
     radius = min((rad for b, rad in per_side.values() if b is not None),
@@ -362,11 +366,11 @@ def _trace_terms(domain: PolygonalDomain, mesh: TriMesh, j: int,
     Gamma_{j-1} (chi = -1) within 2R_j of corner j; zero elsewhere."""
     tr = mesh.trace
     out = np.zeros(tr.n)
-    sides = _corner_sides(domain, tr, j, 2.0 * domain.corners[j].radius)
-    for chi, (_, pos, radii) in zip((1.0, -1.0), sides):
-        xi = cutoff(domain, j, radii)
-        for amplitude, parity, exponent in terms:
-            out[pos] += amplitude * chi ** (parity + 1) * xi * radii ** exponent
+    pos, radii, chi = _corner_sides(domain, tr, j,
+                                    2.0 * domain.corners[j].radius)
+    xi = cutoff(domain, j, radii)
+    for amplitude, parity, exponent in terms:
+        out[pos] += amplitude * chi ** (parity + 1) * xi * radii ** exponent
     return out
 
 
@@ -388,8 +392,7 @@ def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
     u = np.asarray(u, dtype=float)
     rem = u - control_singular_profile(domain, mesh, j, terms)
     c = domain.corners[j]
-    _, pos, radii = zip(*_corner_sides(domain, tr, j, c.radius))
-    pos, radii = np.concatenate(pos), np.concatenate(radii)
+    pos, radii, _ = _corner_sides(domain, tr, j, c.radius)
     u, rem = u[pos], rem[pos]
 
     shells = []
@@ -458,8 +461,8 @@ def holder_quotient(domain: PolygonalDomain, mesh: TriMesh, u, j: int,
     """
     tr = mesh.trace
     u = np.asarray(u, dtype=float)
-    _, pos, _ = zip(*_corner_sides(domain, tr, j, domain.corners[j].radius))
-    sel = np.concatenate([[tr.corner_pos[j]], *pos])
+    pos, _, _ = _corner_sides(domain, tr, j, domain.corners[j].radius)
+    sel = np.concatenate([[tr.corner_pos[j]], pos])
     if len(sel) < 2:
         raise AnalysisError("not enough boundary nodes for the quotient")
     # imported here: scipy.spatial adds ~0.1 s to ``import dclab``
@@ -475,8 +478,7 @@ def corner_log_slope(domain: PolygonalDomain, mesh: TriMesh, u,
     where r_min is the distance of the corner's nearest boundary node.
     None with fewer than four such nodes."""
     c = domain.corners[j]
-    _, pos, radii = zip(*_corner_sides(domain, mesh.trace, j, c.radius))
-    pos, r = np.concatenate(pos), np.concatenate(radii)
+    pos, r, _ = _corner_sides(domain, mesh.trace, j, c.radius)
     if len(r) == 0:
         return None
     # trace order fixes polyfit's summation order, and so the last bits
@@ -557,8 +559,8 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
 
     # the corner node is left out: its remainder is 0 (datum and lift both vanish)
     tr = mesh.trace
-    _, pos, _ = zip(*_corner_sides(domain, tr, j, c.radius))
-    bres = float(np.abs(rem[tr.node_ids[np.concatenate(pos)]]).max(initial=0.0))
+    pos, _, _ = _corner_sides(domain, tr, j, c.radius)
+    bres = float(np.abs(rem[tr.node_ids[pos]]).max(initial=0.0))
 
     endpoint = float(eval_s_profile(domain, j, data.n, data.eta, c.angle))
     return SingularDataReport(corner=j, eta=data.eta, n=data.n, slope=slope,

@@ -222,3 +222,19 @@ def test_corner_diagnostics_only_where_defined(preset_results):
     ok, det = _verdict(preset_results["ex38-skew"], "holder_ratio_max")
     assert ok, det
     print(f"diagnostics PASS: boundary.csv columns {header}; {det}")
+
+
+def test_summaries_print_only_graded_lines(preset_results):
+    # the control profile difference graded nothing and measured no order
+    verdicts = []
+    for results in preset_results.values():
+        for res in results:
+            with open(os.path.join(res.outdir, "summary.txt")) as fh:
+                text = fh.read()
+            assert "control profile" not in text, res.name
+            for label, ok, detail in res.verdicts:
+                assert f"{'PASS' if ok else 'FAIL'}  {label}: {detail}\n" \
+                    in text
+            verdicts += res.verdicts
+    assert len(verdicts) == 22 and all(ok for _, ok, _ in verdicts)
+    print(f"summaries PASS: {len(verdicts)} verdict lines, no profile line")

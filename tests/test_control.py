@@ -204,6 +204,36 @@ def test_active_bounds_have_correct_multiplier_sign(boxed_problem):
     assert np.abs(sol.u[inact] - cand[inact]).max() < KKT_TOL
 
 
+def test_active_nodes_sit_exactly_on_their_bound(boxed_problem):
+    # pinning and clipping put each active node on its bound, with no
+    # tolerance: the flags are the nodes where u equals a finite bound
+    p = boxed_problem
+    one_sided = ControlProblem(p.system, nu=p.nu, target=p.target,
+                               upper=p.upper)
+    for q in (p, one_sided):
+        sol = solve_constrained(q)
+        assert sol.active_upper.any()
+        assert np.array_equal(sol.active_lower,
+                              (sol.u == q.lower) & np.isfinite(q.lower))
+        assert np.array_equal(sol.active_upper,
+                              (sol.u == q.upper) & np.isfinite(q.upper))
+        # every node the projection moves is flagged
+        cand = sol.flux / q.nu
+        assert sol.active_lower[cand < q.lower - KKT_TOL].all()
+        assert sol.active_upper[cand > q.upper + KKT_TOL].all()
+
+
+def test_converged_is_the_kkt_verdict(boxed_problem, wavy_problem):
+    nb = boxed_problem.system.trace.n
+    sols = [solve_constrained(boxed_problem),
+            solve_unconstrained(wavy_problem),
+            _projected_gradient(boxed_problem, np.zeros(nb), [],
+                                max_solves=70)]
+    assert [s.method for s in sols] == ["pdas", "cg", "pg"]
+    assert [s.converged for s in sols] == [True, True, False]
+    assert all(s.converged == s.kkt.satisfied for s in sols)
+
+
 def test_cg_makes_no_discarded_hessian_applies(boxed_problem, monkeypatch):
     # from the zero correction CG applies the Hessian once per iteration
     # and not for the initial residual: scipy's cg from zero, on the same

@@ -67,7 +67,6 @@ def test_first_listed_corner_with_data_is_graded():
         "slope": {3: -0.3, 1: -0.9},
         "holder": {3: (0.0, 0.0), 1: (1.0, 0.5)},
         "structure": {1: ([(1.0, 0.5)], True), 3: ([(2.0, 1.0)], False)},
-        "profile_diffs": [],
     }
     keys = {"flat_verdict": 1, "sign_consistent": 1, "flat_radius_stable": 1,
             "slope_range": 3, "c1_min": 1, "c2_stable_within": 3,

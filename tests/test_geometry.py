@@ -424,9 +424,10 @@ def test_jump_chi():
     j = L_SHAPE_REENTRANT_CORNER
     mesh = structured_mesh(dom, 1.0 / 16.0)
     tr = mesh.trace
-    (next_side, next_pos, _), (prev_side, prev_pos, _) = singular._corner_sides(
-        dom, tr, j, 1.0)
-    assert (next_side, prev_side) == (j, j - 1)
+    pos, _, chi = singular._corner_sides(dom, tr, j, 1.0)
+    next_pos, prev_pos = pos[chi > 0], pos[chi < 0]
+    assert np.isin(next_pos, tr.side_positions(j)).all()
+    assert np.isin(prev_pos, tr.side_positions(j - 1)).all()
     assert np.all((tr.points[next_pos, 0] > 0.0) & (tr.points[next_pos, 1] == 0.0))
     assert np.all((tr.points[prev_pos, 0] == 0.0) & (tr.points[prev_pos, 1] < 0.0))
     g = singular.singular_boundary_values(

@@ -1,6 +1,7 @@
 """Coefficient extraction, H-set classification, flatness and structure
 diagnostics, singular-data expansion checks, rate estimation."""
 import functools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from dclab import control, fem, meshing, singular
 from dclab import geometry as geo
+from dclab.cli import main
 from dclab.geometry import L_SHAPE_REENTRANT_CORNER as J
 
 DOM = geo.l_shape()
@@ -404,6 +406,45 @@ def test_corner_window_matches_trace_scan(spec, radii, build, slopes):
             assert singular.corner_log_slope(dom, mesh, u, j) == want
             fitted += want is not None
     assert fitted == slopes
+
+
+# polygon with two re-entrant corners: 4 at (2, 1) (omega = 1.648 pi) and 5
+# at (1, 1.5) (omega = 1.352 pi), whose neighbouring sides keep R_5 at 1/16
+TWO_CORNERS = [(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1.5), (1, 2), (0, 2)]
+
+
+def test_two_corner_windows_are_disjoint():
+    # each corner's window out to the cutoff support 2R_j holds its own
+    # nodes only, so each corner's singular profile is zero on the other's
+    dom = geo.build_domain(TWO_CORNERS)
+    mesh = meshing.triangulate(dom, 1 / 16, grading={4: 0.5, 5: 0.5})
+    tr = mesh.trace
+    windows = {j: singular._corner_sides(dom, tr, j,
+                                         2.0 * dom.corners[j].radius)
+               for j in (4, 5)}
+    assert [len(windows[j][0]) for j in (4, 5)] == [9, 5]
+    assert not np.intersect1d(windows[4][0], windows[5][0]).size
+    for j, other in ((4, 5), (5, 4)):
+        pos, _, chi = windows[j]
+        # Gamma_j's nodes first, then Gamma_{j-1}'s
+        assert np.array_equal(chi, np.sort(chi)[::-1])
+        prof = singular.control_singular_profile(dom, mesh, j,
+                                                 {1: 1.0, 2: 1.0})
+        assert np.flatnonzero(prof).tolist() == sorted(pos)
+        assert not prof[windows[other][0]].any()
+
+
+def test_overlapping_corner_disks_are_a_config_error(tmp_path, capsys):
+    cfg = {"domain": {"vertices": TWO_CORNERS},
+           "corner_radii": {"4": 0.37, "5": 0.2, "6": 0.01},
+           "mesh": {"h0": 1 / 16},
+           "problem": {"nu": 0.2, "target": {"kind": "constant",
+                                             "value": 1.0}}}
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert ("config.domain: localization disks of corners 4 and 5 overlap"
+            in capsys.readouterr().err)
 
 
 # ------------------------------------------------------ singular boundary data
