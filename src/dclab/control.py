@@ -158,8 +158,8 @@ class ControlProblem:
     def _flux(self, w: np.ndarray):
         """Zero-trace solve of A phi = w and the lumped boundary flux of phi."""
         sysm = self.system
-        phi = np.zeros(sysm.mesh.n_nodes)
-        phi[sysm.itr] = sysm.solve_interior(w[sysm.itr])
+        nb = sysm.trace.n
+        phi = np.concatenate([np.zeros(nb), sysm.solve_interior(w[nb:])])
         return phi, variational_normal_derivative(sysm, phi, load=w)
 
     def adjoint(self, y: ScalarField):

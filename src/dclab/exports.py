@@ -72,11 +72,11 @@ def write_field_csv(path, columns: dict) -> None:
 
 
 def write_boundary_csv(path, mesh: TriMesh, columns: dict) -> None:
-    """Trace-ordered node id, side index, arc length, then one column per
-    dict entry; a node's x, y are the ``mesh_nodes.csv`` row at its id."""
+    """Trace-ordered side index, arc length, then one column per dict
+    entry; row k is trace position k, node k of ``mesh_nodes.csv``."""
     tr = mesh.trace
-    write_columns(path, ["node", "side", "arc"] + list(columns),
-                  [tr.node_ids, tr.side_of_segment, tr.arc,
+    write_columns(path, ["side", "arc"] + list(columns),
+                  [tr.side_of_segment, tr.arc,
                    *(np.asarray(a, dtype=float) for a in columns.values())])
 
 

@@ -176,7 +176,8 @@ class FemSystem:
     """Assembled operators of a mesh plus a cached interior factorization.
 
     Attributes: A (stiffness), A_bnd (its boundary rows, for the flux),
-    M (mass), trace (boundary structure), interior/boundary index arrays.
+    M (mass), trace (boundary structure).  Nodes k < trace.n are the
+    trace (see ``meshing._finalize``), so A's blocks are slices.
     A and M are per-edge and per-node ``np.bincount`` sums over the mesh's
     edge table (``TriMesh.edges``, ``TriMesh.tri_edges``).  With E_v the
     edge vector of triangle T opposite its vertex v, half-edge k couples
@@ -210,14 +211,10 @@ class FemSystem:
             n, edges,
             np.bincount(half, np.repeat(area * (1.0 / 12.0), 3), len(edges)),
             np.bincount(vert, np.repeat(area * (2.0 / 12.0), 3), n))
-        self.bnd = self.trace.node_ids
-        mask = np.ones(n, dtype=bool)
-        mask[self.bnd] = False
-        self.itr = np.where(mask)[0]
-        a_i = self.A[self.itr]
-        self._aii = a_i[:, self.itr].tocsc()
-        self._aib = a_i[:, self.bnd].tocsr()
-        self.A_bnd = self.A[self.bnd]
+        nb = self.trace.n
+        self._aii = self.A[nb:, nb:].tocsc()
+        self._aib = self.A[nb:, :nb]
+        self.A_bnd = self.A[:nb]
         self._lu = None
 
     @property
@@ -257,9 +254,8 @@ class FemSystem:
 
 def _boundary_values_from(system: FemSystem, g) -> np.ndarray:
     tr = system.trace
-    if callable(g):
-        return np.asarray(g(tr.points[:, 0], tr.points[:, 1]), dtype=float)
-    vals = np.asarray(g, dtype=float)
+    vals = np.asarray(g(tr.points[:, 0], tr.points[:, 1]) if callable(g) else g,
+                      dtype=float)
     if vals.shape != (tr.n,):
         raise FemError(f"boundary data must have length {tr.n}")
     return vals
@@ -276,12 +272,9 @@ def solve_dirichlet(system: FemSystem, g,
     gb = _boundary_values_from(system, g)
     ell = (np.zeros(system.mesh.n_nodes) if load is None
            else np.asarray(load, dtype=float))
-    rhs = ell[system.itr] - system._aib @ gb
-    yi = system.solve_interior(rhs)
-    vals = np.empty(system.mesh.n_nodes)
-    vals[system.itr] = yi
-    vals[system.bnd] = gb
-    return ScalarField(system.mesh, vals)
+    rhs = ell[system.trace.n:] - system._aib @ gb
+    return ScalarField(system.mesh,
+                       np.concatenate([gb, system.solve_interior(rhs)]))
 
 
 def variational_normal_derivative(system: FemSystem, z, load=None) -> np.ndarray:
@@ -293,7 +286,7 @@ def variational_normal_derivative(system: FemSystem, z, load=None) -> np.ndarray
     vals = z.values if isinstance(z, ScalarField) else np.asarray(z, dtype=float)
     res = system.A_bnd @ vals
     if load is not None:
-        res = res - np.asarray(load, dtype=float)[system.bnd]
+        res = res - np.asarray(load, dtype=float)[:system.trace.n]
     return res / system.trace.lumped
 
 
@@ -363,8 +356,7 @@ def check_max_principle(system: FemSystem, field) -> MaxPrincipleReport:
     """Discrete maximum principle: interior range within boundary range,
     up to 1e-10."""
     vals = field.values if isinstance(field, ScalarField) else np.asarray(field)
-    vi = vals[system.itr]
-    vb = vals[system.bnd]
+    vb, vi = np.split(vals, [system.trace.n])
     if len(vi) == 0:
         vi = vb
     bmin, bmax = float(vb.min()), float(vb.max())

@@ -35,8 +35,10 @@ the red refinement of the level below (the same triangles, numbered
 afresh), and a graded mesh stays in its grading family.
 
 Both generators hand ``_finalize`` one chain of node ids per polygon side,
-corner j through corner j+1.  It checks that the boundary edges are exactly
-the chains' segments; read from corner 0, the chains are the mesh's ``trace``.
+corner j through corner j+1.  Read from corner 0, the chains are the mesh's
+``trace``, and ``_finalize`` numbers the nodes by it: node k < nb is trace
+position k, the interior nodes follow in the generator's order.  It checks
+that the boundary edges are exactly the chains' segments.
 """
 
 from __future__ import annotations
@@ -61,14 +63,14 @@ class MeshError(RuntimeError):
 class BoundaryTrace:
     """Ordered boundary-node structure of a mesh.
 
-    Nodes are listed counterclockwise starting at polygon corner 0.
+    Nodes are listed counterclockwise starting at polygon corner 0;
+    trace position k is mesh node k, and ``points`` views those nodes.
     ``mass`` is the cyclic piecewise-linear boundary mass matrix,
     ``lumped`` its row sums.  ``side_of_segment[i]`` tags the segment
     from node i to node i+1; ``arc[i]`` is the cumulative arclength.
     ``corner_pos`` maps polygon corner index -> trace position.
     """
 
-    node_ids: np.ndarray
     points: np.ndarray
     seg_lengths: np.ndarray
     side_of_segment: np.ndarray
@@ -79,7 +81,7 @@ class BoundaryTrace:
 
     @property
     def n(self) -> int:
-        return len(self.node_ids)
+        return len(self.points)
 
     def side_positions(self, j: int) -> np.ndarray:
         """Trace positions of side j's nodes, corner j through corner j+1."""
@@ -124,8 +126,8 @@ class TriMesh:
         return len(self.triangles)
 
     def boundary_node_ids(self) -> np.ndarray:
-        """Boundary node ids, ascending."""
-        return np.sort(self.trace.node_ids)
+        """Boundary node ids, ascending: the trace positions."""
+        return np.arange(self.trace.n)
 
     def triangle_areas(self) -> np.ndarray:
         x, y = self.nodes[:, 0][self.triangles], self.nodes[:, 1][self.triangles]
@@ -516,9 +518,11 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     """Checked mesh of a generator's output.  ``chains[j]`` lists the
     boundary node ids from corner j through corner j+1: they must join into
     one loop without a repeated node, start at the polygon's vertices, and
-    their segments must be exactly the boundary half-edges.  The edge
-    table of these checks is kept on the mesh (``edges``, ``tri_edges``),
-    where the assembly reads it."""
+    their segments must be exactly the boundary half-edges.  The mesh
+    numbers the loop's nodes first, in loop order, then the interior nodes
+    that some triangle uses, in their given order; unused points are
+    dropped.  The edge table of these checks is kept on the mesh
+    (``edges``, ``tri_edges``), where the assembly reads it."""
     u = nodes[tris[:, 1]] - nodes[tris[:, 0]]
     v = nodes[tris[:, 2]] - nodes[tris[:, 0]]
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
@@ -529,32 +533,32 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
             f"triangle areas sum to {areas.sum()!r}, domain area {domain.area!r}")
 
     chains = [np.asarray(c, dtype=np.int64) for c in chains]
-    used = np.zeros(len(nodes), dtype=bool)
-    used[tris.ravel()] = True
-    if not used.all():
-        # drop unreferenced points (filtered lattice leftovers)
-        remap = -np.ones(len(nodes), dtype=np.int64)
-        remap[used] = np.arange(used.sum())
-        nodes = nodes[used]
-        tris = remap[tris]
-        chains = [remap[c] for c in chains]
+    ids = np.concatenate([c[:-1] for c in chains])
+    if (len(np.unique(ids)) != len(ids) or not np.array_equal(
+            np.concatenate([c[1:] for c in chains]), np.roll(ids, -1))):
+        raise MeshError("boundary is not a simple loop")
+    nb = len(ids)
+    inner = np.zeros(len(nodes), dtype=bool)
+    inner[tris.ravel()] = True
+    inner[ids] = False
+    order = np.concatenate([ids, np.flatnonzero(inner)])
+    remap = np.empty(len(nodes), dtype=np.int64)
+    remap[order] = np.arange(len(order))
+    nodes, tris = nodes[order], remap[tris]
     nn = len(nodes)
     half, edges, inv, counts = _edges(tris, nn)
     if np.any(counts > 2):
         raise MeshError("non-conforming mesh: edge shared by >2 triangles")
-
-    ids = np.concatenate([c[:-1] for c in chains])
-    heads = np.concatenate([c[1:] for c in chains])
-    if (len(np.unique(ids)) != len(ids)
-            or not np.array_equal(heads, np.roll(ids, -1))):
-        raise MeshError("boundary is not a simple loop")
     bed = half[counts[inv] == 1]
+    loop = np.arange(nb)
     if not np.array_equal(np.sort(bed[:, 0] * nn + bed[:, 1]),
-                          np.sort(ids * nn + heads)):
+                          loop * nn + np.roll(loop, -1)):
         raise MeshError("boundary edges are not the generator's side chains")
     if len(chains) != len(domain.vertices):
         raise MeshError(f"{len(chains)} side chains for {len(domain.vertices)} sides")
-    off = np.hypot(*(nodes[[c[0] for c in chains]] - domain.vertices).T) > 1e-9
+    n_seg = [len(c) - 1 for c in chains]
+    corner_pos = dict(enumerate(np.cumsum([0, *n_seg[:-1]]).tolist()))
+    off = np.hypot(*(nodes[list(corner_pos.values())] - domain.vertices).T) > 1e-9
     if off.any():
         raise MeshError(f"side chain {off.argmax()} does not start at its corner")
 
@@ -564,11 +568,9 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     h = float(lens.max())
     angles = _angles_deg(vec, lens)
 
-    n_seg = [len(c) - 1 for c in chains]
     sides = np.repeat(np.arange(len(chains)), n_seg)
-    corner_pos = dict(enumerate(np.cumsum([0, *n_seg[:-1]]).tolist()))
     return TriMesh(domain=domain, nodes=nodes, triangles=tris,
-                   trace=_boundary_trace(nodes, ids, sides, corner_pos),
+                   trace=_boundary_trace(nodes[:nb], sides, corner_pos),
                    edges=edges, tri_edges=inv.reshape(3, -1).T.copy(), h=h,
                    min_angle=float(angles.min()),
                    nonobtuse=bool(angles.max() <= 90.0 + 1e-9))
@@ -586,12 +588,11 @@ def _angles_deg(edges: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return angs
 
 
-def _boundary_trace(nodes, ids, sides, corner_pos) -> BoundaryTrace:
-    """Trace of the boundary nodes ``ids`` in loop order; segment i, from
+def _boundary_trace(pts, sides, corner_pos) -> BoundaryTrace:
+    """Trace of the boundary nodes ``pts`` in loop order; segment i, from
     node i to node i+1 (cyclically), lies on side ``sides[i]``."""
-    pts = nodes[ids]
-    nb = len(ids)
-    seg = np.linalg.norm(nodes[np.roll(ids, -1)] - pts, axis=1)
+    nb = len(pts)
+    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
 
     # segment i couples node i with node k = i + 1 (cyclically)
@@ -602,6 +603,6 @@ def _boundary_trace(nodes, ids, sides, corner_pos) -> BoundaryTrace:
     vals = np.column_stack([seg / 3.0, seg / 6.0, seg / 6.0, seg / 3.0]).ravel()
     mass = sp.csr_matrix((vals, (rows, cols)), shape=(nb, nb))
     lumped = np.asarray(mass.sum(axis=1)).ravel()
-    return BoundaryTrace(node_ids=ids, points=pts, seg_lengths=seg,
+    return BoundaryTrace(points=pts, seg_lengths=seg,
                          side_of_segment=sides, arc=arc,
                          corner_pos=corner_pos, mass=mass, lumped=lumped)

@@ -560,7 +560,7 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
     # the corner node is left out: its remainder is 0 (datum and lift both vanish)
     tr = mesh.trace
     pos, _, _ = _corner_sides(domain, tr, j, c.radius)
-    bres = float(np.abs(rem[tr.node_ids[pos]]).max(initial=0.0))
+    bres = float(np.abs(rem[pos]).max(initial=0.0))
 
     endpoint = float(eval_s_profile(domain, j, data.n, data.eta, c.angle))
     return SingularDataReport(corner=j, eta=data.eta, n=data.n, slope=slope,

@@ -34,8 +34,8 @@ def _reference_field_csv(path, columns):
 def _reference_boundary_csv(path, mesh, columns):
     tr = mesh.trace
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
-    exports.write_rows(path, ["node", "side", "arc"] + list(columns),
-                       ((tr.node_ids[k], tr.side_of_segment[k], tr.arc[k],
+    exports.write_rows(path, ["side", "arc"] + list(columns),
+                       ((tr.side_of_segment[k], tr.arc[k],
                          *(a[k] for a in arrays))
                         for k in range(tr.n)))
 
@@ -106,7 +106,11 @@ def test_tables_join_on_row_numbers(tmp_path):
     assert len(tris) == mesh.n_triangles + 1
     ids = np.array(tris[1:], dtype=np.int64)
     assert ids.min() >= 0 and ids.max() < len(nodes) - 1
-    assert bnd[0] == ["node", "side", "arc", "u"] and len(bnd) == tr.n + 1
-    for row, p in zip(bnd[1:], tr.points):
-        assert nodes[1 + int(row[0])] == [format(p[0], ".17g"),
-                                          format(p[1], ".17g")]
+    # row k of boundary.csv is trace position k, row k of mesh_nodes.csv
+    assert bnd[0] == ["side", "arc", "u"] and len(bnd) == tr.n + 1
+    assert nodes[1:tr.n + 1] == [[format(x, ".17g"), format(y, ".17g")]
+                                 for x, y in tr.points]
+    arc = np.array([row[1] for row in bnd[1:]], dtype=float)
+    seg = np.linalg.norm(np.diff(np.array(nodes[1:tr.n + 1], dtype=float),
+                                 axis=0), axis=1)
+    assert np.allclose(np.diff(arc), seg, rtol=0.0, atol=1e-12)

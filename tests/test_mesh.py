@@ -41,8 +41,7 @@ def _check_invariants(mesh):
 
 
 def _arrays(mesh):
-    return (mesh.nodes, mesh.triangles, mesh.trace.node_ids,
-            mesh.trace.side_of_segment)
+    return mesh.nodes, mesh.triangles, mesh.trace.side_of_segment
 
 
 # ---------------------------------------------------------------------
@@ -306,23 +305,24 @@ def _digest(a):
 
 
 # Counts (nodes, triangles, boundary nodes) and sha256 prefixes of nodes,
-# triangles, trace.node_ids and trace.side_of_segment (float64, int64,
-# int64, int64; little-endian bytes) of meshes whose edge tables go
-# through _finalize from both generators.  Node digests are pinned where
-# the coordinates are exact lattice arithmetic; a rotated lattice rounds
-# through the cosine and sine of its angle, so its nodes are not pinned.
+# triangles and trace.side_of_segment (float64, int64, int64;
+# little-endian bytes) of meshes whose edge tables go through _finalize
+# from both generators.  Node digests are pinned where the coordinates
+# are exact lattice arithmetic; a rotated lattice rounds through the
+# cosine and sine of its angle, so its nodes are not pinned.  The trace
+# is numbered first, so its points are the first trace.n nodes.
 @pytest.mark.parametrize("build,counts,digests", [
     (lambda: structured_mesh(l_shape(), 1 / 16), (833, 1536, 128),
-     ("aa97ade078dca93e", "bda7cc03bc890a63", "9eefe902c7061bfb",
-      "bd0673ff69c7ab5d")),
+     ("cb44f56c413700ca", "d49755c8a114126a", "bd0673ff69c7ab5d")),
     (lambda: triangulate(l_shape(), 1 / 16, lattice_angle=0.011), (929, 1728, 128),
-     (None, "9f9c7d0bd218b805", "64dafb8980da2fae", "bd0673ff69c7ab5d")),
+     (None, "05a503c774457c6c", "bd0673ff69c7ab5d")),
 ], ids=["structured", "rotated-lattice"])
 def test_mesh_arrays_are_pinned(build, counts, digests):
     mesh = build()
     arrays = _arrays(mesh)
-    assert [a.dtype for a in arrays] == [np.float64] + 3 * [np.int64]
+    assert [a.dtype for a in arrays] == [np.float64] + 2 * [np.int64]
     assert (mesh.n_nodes, mesh.n_triangles, mesh.trace.n) == counts
+    assert np.array_equal(mesh.nodes[:mesh.trace.n], mesh.trace.points)
     for a, want in zip(arrays, digests):
         if want is not None:
             assert _digest(a) == want
@@ -427,7 +427,7 @@ def test_side_segments_match_distance_search(spec, h, grading):
 def test_structured_chains_match_distance_search(vertices, h):
     # the trace reads structured_mesh's side chains in order
     mesh = structured_mesh(build_domain(vertices), h)
-    ids = mesh.trace.node_ids.tolist()
+    ids = list(range(mesh.trace.n))
     assert (list(zip(ids, ids[1:] + ids[:1]))
             == _segments_by_distance(mesh.domain, mesh.nodes))
 
@@ -533,9 +533,27 @@ def test_finalize_reads_the_trace_from_the_chains():
     mesh = _finalize(unit_square(), _SQUARE_NODES, _SQUARE_TRIS,
                      [[0, 1], [1, 2], [2, 3], [3, 0]])
     tr = mesh.trace
-    assert tr.node_ids.tolist() == [0, 1, 2, 3]
+    assert tr.points.tolist() == _SQUARE_NODES.tolist()
     assert tr.side_of_segment.tolist() == [0, 1, 2, 3]
     assert tr.corner_pos == {0: 0, 1: 1, 2: 2, 3: 3}
+
+
+def test_finalize_numbers_the_trace_first():
+    # the unit square with its corners scrambled among the generator's
+    # ids, one interior node (id 2) and one point no triangle uses (id 4)
+    pts = np.array([[1.0, 1.0], [0.0, 1.0], [0.5, 0.5], [0.0, 0.0],
+                    [0.3, 0.7], [1.0, 0.0]])
+    tris = np.array([[3, 5, 2], [5, 0, 2], [0, 1, 2], [1, 3, 2]])
+    mesh = _finalize(unit_square(), pts, tris, [[3, 5], [5, 0], [0, 1], [1, 3]])
+    # node k < 4 is trace position k, the interior node follows, the
+    # unused point is gone
+    assert mesh.trace.n == 4 and mesh.n_nodes == 5
+    assert mesh.nodes.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                   [0.0, 1.0], [0.5, 0.5]]
+    assert np.array_equal(mesh.trace.points, mesh.nodes[:4])
+    assert mesh.boundary_node_ids().tolist() == [0, 1, 2, 3]
+    # every triangle holds the same points, in the same order
+    assert mesh.nodes[mesh.triangles].tobytes() == pts[tris].tobytes()
 
 
 @pytest.mark.parametrize("chains,match", [
