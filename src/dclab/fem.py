@@ -175,20 +175,23 @@ def _symmetric(n: int, edges: np.ndarray, off: np.ndarray,
 class FemSystem:
     """Assembled operators of a mesh plus a cached interior factorization.
 
-    Attributes: A (stiffness), A_bnd (its boundary rows, for the flux),
-    M (mass), trace (boundary structure).  Nodes k < trace.n are the
-    trace (see ``meshing._finalize``), so A's blocks are slices.
-    A and M are per-edge and per-node ``np.bincount`` sums over the mesh's
-    edge table (``TriMesh.edges``, ``TriMesh.tri_edges``).  With E_v the
-    edge vector of triangle T opposite its vertex v, half-edge k couples
-    vertices k and k+1 by E_k . E_(k+1) / (4 |T|) in A and |T| / 12 in M,
-    and vertex v gets |E_v|^2 / (4 |T|) and |T| / 6 on the diagonal.  An
-    edge sums at most two terms, so its coupling is the same in any order;
-    A does not store the couplings that sum to exactly 0.0 (the hypotenuse
-    of a right-isosceles cell, cot 90 = 0), so the factor of a structured
-    mesh sees the 5-point graph of its operator.  The LU factorization of
-    the interior block A_II is computed on first use (see ``lu``) and
-    reused by every solve; a zero right-hand side is answered without it.
+    Attributes: A_bnd (the boundary rows of the stiffness A, for the flux),
+    M (mass), trace (boundary structure).  Nodes k < trace.n are the trace
+    (see ``meshing._finalize``), so A's blocks are slices.  A is kept only
+    as A_bnd and the interior block A_II, which hold each coupling once: A
+    is bitwise symmetric, so A_II is the CSC transpose of its CSR slice (the
+    same arrays, no copy), and the Dirichlet lift reads A_IB = A_BI^T
+    through A_bnd.  A and M are per-edge and per-node ``np.bincount`` sums
+    over the mesh's edge table (``TriMesh.edges``, ``TriMesh.tri_edges``).
+    With E_v the edge vector of triangle T opposite its vertex v, half-edge
+    k couples vertices k and k+1 by E_k . E_(k+1) / (4 |T|) in A and
+    |T| / 12 in M, and vertex v gets |E_v|^2 / (4 |T|) and |T| / 6 on the
+    diagonal.  An edge sums at most two terms, so its coupling is the same
+    in any order; A does not store the couplings that sum to exactly 0.0
+    (the hypotenuse of a right-isosceles cell, cot 90 = 0), so the factor
+    of a structured mesh sees the 5-point graph of its operator.  The LU
+    factorization of A_II is computed on first use (see ``lu``) and reused
+    by every solve; a zero right-hand side is answered without it.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -206,15 +209,14 @@ class FemSystem:
         a_off = np.bincount(half, (dot / q).ravel(), len(edges))
         a_diag = np.bincount(vert, ((ex * ex + ey * ey) / q).ravel(), n)
         keep = a_off != 0.0
-        self.A = _symmetric(n, edges[keep], a_off[keep], a_diag)
+        A = _symmetric(n, edges[keep], a_off[keep], a_diag)
         self.M = _symmetric(
             n, edges,
             np.bincount(half, np.repeat(area * (1.0 / 12.0), 3), len(edges)),
             np.bincount(vert, np.repeat(area * (2.0 / 12.0), 3), n))
         nb = self.trace.n
-        self._aii = self.A[nb:, nb:].tocsc()
-        self._aib = self.A[nb:, :nb]
-        self.A_bnd = self.A[:nb]
+        self._aii = A[nb:, nb:].T
+        self.A_bnd = A[:nb]
         self._lu = None
 
     @property
@@ -272,7 +274,8 @@ def solve_dirichlet(system: FemSystem, g,
     gb = _boundary_values_from(system, g)
     ell = (np.zeros(system.mesh.n_nodes) if load is None
            else np.asarray(load, dtype=float))
-    rhs = ell[system.trace.n:] - system._aib @ gb
+    # A_IB gb = (A_bnd^T gb)[nb:] by symmetry, each sum in A_IB's row order
+    rhs = (ell - system.A_bnd.T @ gb)[system.trace.n:]
     return ScalarField(system.mesh,
                        np.concatenate([gb, system.solve_interior(rhs)]))
 
@@ -344,10 +347,6 @@ def boundary_l2(trace, vals) -> float:
 
 @dataclass(frozen=True)
 class MaxPrincipleReport:
-    interior_min: float
-    interior_max: float
-    boundary_min: float
-    boundary_max: float
     violation: float
     satisfied: bool
 
@@ -359,9 +358,5 @@ def check_max_principle(system: FemSystem, field) -> MaxPrincipleReport:
     vb, vi = np.split(vals, [system.trace.n])
     if len(vi) == 0:
         vi = vb
-    bmin, bmax = float(vb.min()), float(vb.max())
-    imin, imax = float(vi.min()), float(vi.max())
-    viol = max(0.0, bmin - imin, imax - bmax)
-    return MaxPrincipleReport(interior_min=imin, interior_max=imax,
-                              boundary_min=bmin, boundary_max=bmax,
-                              violation=viol, satisfied=bool(viol <= 1e-10))
+    viol = max(0.0, float(vb.min() - vi.min()), float(vi.max() - vb.max()))
+    return MaxPrincipleReport(violation=viol, satisfied=bool(viol <= 1e-10))

@@ -106,7 +106,6 @@ def _solve_summary(system, sol):
     mp = check_max_principle(system, sol.y)
     return {
         "iterations": sol.iterations,
-        "converged": sol.converged,
         "method": sol.method,
         "kkt": sol.kkt.stationarity_max,
         "feasibility": sol.kkt.feasibility,
@@ -163,14 +162,14 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
             except AnalysisError as exc:
                 rec.skipped.setdefault(j, str(exc))
 
-        if not ana["structure"] or fit is None:
-            continue
         fl = rec.flatness.get(j)
-        flat = fl is not None and fl.verdict in ("flat-at-a", "flat-at-b")
         # a flat corner's control is locally constant: no singular terms,
-        # so no structure fit and no u_sing column
-        terms = {} if flat else predicted_control_terms(
-            domain, j, fit.coefficients, prob["nu"], *bounds)
+        # no Holder quotient and no slope of a constant are measured there
+        if (not ana["structure"] or fit is None or fl is not None
+                and fl.verdict in ("flat-at-a", "flat-at-b")):
+            continue
+        terms = predicted_control_terms(domain, j, fit.coefficients,
+                                        prob["nu"], *bounds)
         if terms:
             rec.terms[j] = terms
             try:

@@ -243,7 +243,6 @@ class FlatnessVerdict:
     corner: int
     verdict: str                # "flat-at-a" | "flat-at-b" | "one-sided" | "not-flat"
     radius: float               # largest radius on which the control is flat
-    flat_value: float | None
     per_side: dict              # side index -> (bound char or None, radius)
     predicted_bound: str | None  # from the sign of c_{j,1}
     consistent: bool
@@ -303,18 +302,12 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
     radius = min((rad for b, rad in per_side.values() if b is not None),
                  default=0.0)
     if len(bounds_seen) == 1 and all(b is not None for b, _ in per_side.values()):
-        bound = bounds_seen.pop()
-        verdict = f"flat-at-{bound}"
-        flat_value = float(lo[corner_pos] if bound == "a" else hi[corner_pos])
+        verdict = f"flat-at-{bounds_seen.pop()}"
     elif bounds_seen:
         verdict = "one-sided"
-        bound = None
-        flat_value = None
         radius = max(rad for b, rad in per_side.values() if b is not None)
     else:
         verdict = "not-flat"
-        bound = None
-        flat_value = None
 
     predicted = None
     if c1 is not None and abs(c1) > C1_SIGN_MIN:
@@ -322,7 +315,7 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
     consistent = (predicted is None or verdict == f"flat-at-{predicted}")
     contradiction = (predicted is not None and verdict == "not-flat")
     return FlatnessVerdict(corner=j, verdict=verdict, radius=float(radius),
-                           flat_value=flat_value, per_side=per_side,
+                           per_side=per_side,
                            predicted_bound=predicted, consistent=consistent,
                            contradiction=contradiction)
 
@@ -336,18 +329,13 @@ class StructureFitReport:
 
     The boundary nodes near the corner are binned into geometric shells
     r in [R/2^(k+1), R/2^k).  A singular control grows from shell to
-    shell toward the corner (negative log-log slope of the shell maxima);
-    subtracting the predicted terms should remove most of that growth at
-    a single level (``removed_fraction``), and the remainder on any fixed
-    shell should decay under mesh refinement (``structure_refinement_trend``).
+    shell toward the corner; subtracting the predicted terms should
+    remove most of that growth, and the remainder on any fixed shell
+    should decay under mesh refinement (``structure_refinement_trend``).
     """
 
     corner: int
     shells: list                # (r_in, r_out, max_raw, osc_raw, max_rem, osc_rem)
-    slope_raw: float            # log-log slope of shell max vs shell radius
-    raw_blows_up: bool
-    removed_fraction: float     # 1 - max_rem/max_raw on the innermost shell
-    remainder_subdominant: bool
 
 
 def predicted_control_terms(domain: PolygonalDomain, j: int, c_fit: dict,
@@ -409,16 +397,7 @@ def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
     if len(shells) < 3:
         raise AnalysisError("not enough boundary resolution for the "
                             "structural comparison")
-
-    mids = np.array([math.sqrt(s[0] * s[1]) for s in shells])
-    raw = np.array([max(s[2], 1e-300) for s in shells])
-    slope_raw = float(np.polyfit(np.log(mids), np.log(raw), 1)[0])
-    removed = 1.0 - max(shells[-1][4], 1e-300) / raw[-1]
-    return StructureFitReport(
-        corner=j, shells=shells, slope_raw=slope_raw,
-        raw_blows_up=bool(slope_raw <= -0.15),
-        removed_fraction=float(removed),
-        remainder_subdominant=bool(removed >= 0.75))
+    return StructureFitReport(corner=j, shells=shells)
 
 
 def structure_refinement_trend(coarse: StructureFitReport,
@@ -428,7 +407,8 @@ def structure_refinement_trend(coarse: StructureFitReport,
     Outer shells are dominated by the regular part, which converges to a
     fixed nonzero profile, so the decay verdict uses only the inner
     shells (outer radius <= R/4) where the subtracted singular term
-    dominates and the remainder is discretization error.  Returns
+    dominates and the remainder is discretization error.  A shell whose
+    coarse remainder is exactly 0 has no ratio and is left out.  Returns
     (ratios, decayed) with ``decayed`` true when the geometric-mean inner
     ratio is at most 0.9.
     """
@@ -437,15 +417,15 @@ def structure_refinement_trend(coarse: StructureFitReport,
     ratios = []
     inner = []
     for s in fine.shells:
-        key = round(math.log2(s[1]))
-        if key in by_radius:
-            c = by_radius[key]
-            q = s[4] / max(c[4], 1e-300)
+        c = by_radius.get(round(math.log2(s[1])))
+        if c is not None and c[4] != 0.0:
+            q = s[4] / c[4]
             ratios.append((s[1], q))
             if s[1] <= 0.25 * R + 1e-15:
                 inner.append(q)
     if not inner:
-        raise AnalysisError("no common inner shells between refinement levels")
+        raise AnalysisError("no common inner shell with a nonzero coarse "
+                            "remainder between refinement levels")
     gm = math.exp(np.mean([math.log(max(q, 1e-300)) for q in inner]))
     return ratios, bool(gm <= 0.9)
 

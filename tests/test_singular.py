@@ -188,7 +188,9 @@ def test_flatness_constrained_lshape():
     rep = singular.flatness_diagnostic(DOM, mesh, sol.u, -1.0, 1.0, J, c1=c1)
     assert c1 < 0.0
     assert rep.verdict == "flat-at-b"  # sign rule: c1 < 0 -> upper bound
-    assert rep.flat_value == 1.0
+    # every boundary node within the flat radius sits at the upper bound
+    pos, _ = _near_corner(mesh, rep.radius)
+    assert np.abs(sol.u[pos] - 1.0).max() <= singular.FLAT_TOL
     assert 0.01 < rep.radius < 0.08
     assert rep.consistent and not rep.contradiction
     assert set(rep.per_side) == {J, J - 1}
@@ -294,10 +296,11 @@ def test_structure_fit_unconstrained_blowup_removed():
             sel = (radii > 1e-14) & (radii >= r_in) & (radii < r_out)
             assert sizes == [np.abs(u[sel]).max(), np.ptp(u[sel]),
                              np.abs(rem[sel]).max(), np.ptp(rem[sel])]
-        assert rep.raw_blows_up
-        assert rep.slope_raw < -0.2
-        assert rep.removed_fraction > 0.8
-        assert rep.remainder_subdominant
+        # the control grows on every shell toward the corner, and the
+        # subtraction removes over 80% of it on the innermost one
+        raw = [s[2] for s in rep.shells]
+        assert all(b > a for a, b in zip(raw, raw[1:])) and raw[-1] > 2 * raw[0]
+        assert rep.shells[-1][4] < 0.2 * raw[-1]
     ratios, decayed = singular.structure_refinement_trend(*reports)
     assert decayed
 
@@ -305,8 +308,19 @@ def test_structure_fit_unconstrained_blowup_removed():
 def test_structure_fit_flat_control_is_regular():
     mesh, sol, _ = constrained_solution()
     rep = singular.structural_fit_control(DOM, mesh, sol.u, J, {})
-    assert not rep.raw_blows_up
-    assert rep.removed_fraction == 0.0
+    # no terms, nothing removed; the control is bounded by the upper bound
+    # and sits on it across the innermost shell
+    assert all(s[4:] == s[2:4] and s[2] <= 1.0 for s in rep.shells)
+    assert rep.shells[-1][2:4] == (1.0, 0.0)
+
+
+def test_structure_trend_of_zero_remainders_is_undefined():
+    # u = 0 leaves nothing to compare: no ratio, no verdict
+    shells = [(0.25 / 2 ** k, 0.5 / 2 ** k, 0.0, 0.0, 0.0, 0.0)
+              for k in range(5)]
+    rep = singular.StructureFitReport(corner=J, shells=shells)
+    with pytest.raises(singular.AnalysisError, match="nonzero"):
+        singular.structure_refinement_trend(rep, rep)
 
 
 def test_predicted_terms_zero_when_zero_not_admissible():
