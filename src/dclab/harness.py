@@ -55,8 +55,7 @@ class LevelRecord:
     fits: dict = field(default_factory=dict)        # corner -> CoefficientFit
     skipped: dict = field(default_factory=dict)     # corner -> reason
     flatness: dict = field(default_factory=dict)    # corner -> FlatnessVerdict
-    terms: dict = field(default_factory=dict)       # corner -> {m: a_m}
-    structure: dict = field(default_factory=dict)   # corner -> report
+    structure: dict = field(default_factory=dict)   # corner -> shell peaks
     holder: dict = field(default_factory=dict)      # corner -> (raw, rem)
     slopes: dict = field(default_factory=dict)      # corner -> log-log slope
     expansion = None                                # SingularDataReport
@@ -106,9 +105,7 @@ def _solve_summary(system, sol):
     mp = check_max_principle(system, sol.y)
     return {
         "iterations": sol.iterations,
-        "method": sol.method,
         "kkt": sol.kkt.stationarity_max,
-        "feasibility": sol.kkt.feasibility,
         "max_u": float(np.max(np.abs(np.asarray(sol.u, dtype=float)))),
         "max_principle_ok": mp.satisfied,
         "max_principle_violation": mp.violation,
@@ -144,8 +141,10 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
     main = sols[primary]
 
     # per-corner diagnostics on the primary solve's adjoint and control;
-    # a corner's first failure is the note it keeps
+    # a corner's first failure is the note it keeps.  The structure shells
+    # and the second Holder quotient measure one remainder, u - profile
     bounds = (lo, hi) if primary == "constrained" else (-UNBOUNDED, UNBOUNDED)
+    sing = None
     for j in ana["corners"]:
         try:
             rec.fits[j] = extract_coefficients(domain, mesh, main.phi.values,
@@ -170,21 +169,22 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
             continue
         terms = predicted_control_terms(domain, j, fit.coefficients,
                                         prob["nu"], *bounds)
+        prof = control_singular_profile(domain, mesh, j, terms)
+        rem = main.u - prof
         if terms:
-            rec.terms[j] = terms
+            # the corners' 2R_j windows are disjoint: the sum is exact
+            sing = prof if sing is None else sing + prof
             try:
                 rec.structure[j] = structural_fit_control(domain, mesh,
-                                                          main.u, j, terms)
+                                                          rem, j)
             except AnalysisError as exc:
                 rec.skipped.setdefault(j, str(exc))
         c = domain.corners[j]
         alpha = 2.0 * c.lam - 1.0
         # an unconstrained control grows like r^(lam-1): no Holder quotient
         if primary == "constrained" and c.reentrant and 0.0 < alpha < 1.0:
-            q_raw = holder_quotient(domain, mesh, main.u, j, alpha)
-            pred = control_singular_profile(domain, mesh, j, terms)
-            q_rem = holder_quotient(domain, mesh, main.u - pred, j, alpha)
-            rec.holder[j] = (q_raw, q_rem)
+            rec.holder[j] = (holder_quotient(domain, mesh, main.u, j, alpha),
+                             holder_quotient(domain, mesh, rem, j, alpha))
         if c.reentrant:
             s = corner_log_slope(domain, mesh, main.u, j)
             if s is not None:
@@ -198,10 +198,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
         fields["adjoint_twin"] = sols[twin].phi.values
         bnd["u_twin"] = sols[twin].u
         bnd["flux_twin"] = sols[twin].flux
-    if rec.terms:
-        sing = np.zeros(system.trace.n)
-        for j, terms in sorted(rec.terms.items()):
-            sing += control_singular_profile(domain, mesh, j, terms)
+    if sing is not None:
         bnd["u_sing"] = sing
     write_field_csv(os.path.join(leveldir, "fields.csv"), fields)
     write_boundary_csv(os.path.join(leveldir, "boundary.csv"), mesh, bnd)
@@ -218,13 +215,13 @@ def _run_singular_level(domain, mesh, cfg, rec, leveldir):
     g = singular_boundary_values(domain, mesh, data)
     y = solve_dirichlet(system, g)
     lift = wedge_lift(domain, mesh, data)
+    rem = y.values - lift
     try:
-        rec.expansion = verify_singular_expansion(domain, mesh, y.values, data)
+        rec.expansion = verify_singular_expansion(domain, mesh, rem, data)
     except AnalysisError as exc:
         rec.skipped[d["corner"]] = str(exc)
     write_field_csv(os.path.join(leveldir, "fields.csv"),
-                    {"state": y.values, "lift": lift,
-                     "remainder": y.values - lift})
+                    {"state": y.values, "lift": lift, "remainder": rem})
     write_boundary_csv(os.path.join(leveldir, "boundary.csv"), mesh,
                        {"g": g})
 
@@ -257,11 +254,11 @@ def _collect_trends(domain, cfg, levels):
         holders = [rec.holder[j] for rec in levels if j in rec.holder]
         if holders:
             trends["holder"][j] = holders[-1]
-        reports = [rec.structure[j] for rec in levels if j in rec.structure]
-        if len(reports) >= 2:
+        peaks = [rec.structure[j] for rec in levels if j in rec.structure]
+        if len(peaks) >= 2:
             try:
                 trends["structure"][j] = structure_refinement_trend(
-                    reports[-2], reports[-1])
+                    peaks[-2], peaks[-1], domain.corners[j].radius)
             except AnalysisError:
                 pass
     return trends
@@ -331,7 +328,7 @@ def _write_trends_csv(path, cfg, levels):
             header += [f"c{m}_corner{j}" for m in modes]
             header += [f"flat_radius_corner{j}", f"slope_corner{j}"]
     else:
-        header += ["slope", "boundary_residual", "endpoint"]
+        header += ["slope", "boundary_residual"]
     rows = []
     for rec in levels:
         row = [rec.index, rec.h, rec.n_nodes, rec.n_triangles]
@@ -352,8 +349,7 @@ def _write_trends_csv(path, cfg, levels):
                 row.append(rec.slopes.get(j, ""))
         else:
             r = rec.expansion
-            row += (["", "", ""] if r is None else
-                    [r.slope, r.boundary_residual, r.endpoint_value])
+            row += ["", ""] if r is None else [r.slope, r.boundary_residual]
         rows.append(row)
     write_rows(path, header, rows)
 

@@ -246,7 +246,6 @@ class FlatnessVerdict:
     per_side: dict              # side index -> (bound char or None, radius)
     predicted_bound: str | None  # from the sign of c_{j,1}
     consistent: bool
-    contradiction: bool
 
 
 def _side_flat_scan(u, radii, lower, upper):
@@ -313,30 +312,13 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
     if c1 is not None and abs(c1) > C1_SIGN_MIN:
         predicted = "a" if c1 > 0 else "b"
     consistent = (predicted is None or verdict == f"flat-at-{predicted}")
-    contradiction = (predicted is not None and verdict == "not-flat")
     return FlatnessVerdict(corner=j, verdict=verdict, radius=float(radius),
                            per_side=per_side,
-                           predicted_bound=predicted, consistent=consistent,
-                           contradiction=contradiction)
+                           predicted_bound=predicted, consistent=consistent)
 
 
 # ---------------------------------------------------------------------
 # structural decomposition of the control
-
-@dataclass
-class StructureFitReport:
-    """Raw vs singular-subtracted control size over shrinking shells.
-
-    The boundary nodes near the corner are binned into geometric shells
-    r in [R/2^(k+1), R/2^k).  A singular control grows from shell to
-    shell toward the corner; subtracting the predicted terms should
-    remove most of that growth, and the remainder on any fixed shell
-    should decay under mesh refinement (``structure_refinement_trend``).
-    """
-
-    corner: int
-    shells: list                # (r_in, r_out, max_raw, osc_raw, max_rem, osc_rem)
-
 
 def predicted_control_terms(domain: PolygonalDomain, j: int, c_fit: dict,
                             nu: float, a, b) -> dict:
@@ -372,57 +354,55 @@ def control_singular_profile(domain: PolygonalDomain, mesh: TriMesh, j: int,
                                           if am != 0.0])
 
 
-def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, u,
-                           j: int, terms: dict) -> StructureFitReport:
-    """Compare the raw control against the singular-subtracted remainder
-    over at most 12 geometric shells shrinking toward corner j."""
-    tr = mesh.trace
-    u = np.asarray(u, dtype=float)
-    rem = u - control_singular_profile(domain, mesh, j, terms)
-    c = domain.corners[j]
-    pos, radii, _ = _corner_sides(domain, tr, j, c.radius)
-    u, rem = u[pos], rem[pos]
+def structural_fit_control(domain: PolygonalDomain, mesh: TriMesh, rem,
+                           j: int) -> list:
+    """Largest |rem| on each geometric shell r in [R_j/2^(k+1), R_j/2^k),
+    k = 0 ... 11, of the boundary nodes near corner j, stopping at the
+    first empty shell.
 
-    shells = []
+    ``rem`` is a trace-order field: the harness passes the control minus
+    its predicted singular profile.  A singular control grows from shell
+    to shell toward the corner; the remainder should not, and on each
+    fixed shell it should decay under mesh refinement
+    (``structure_refinement_trend``).
+    """
+    rem = np.asarray(rem, dtype=float)
+    c = domain.corners[j]
+    pos, radii, _ = _corner_sides(domain, mesh.trace, j, c.radius)
+    rem = rem[pos]
+    peaks = []
     for k in range(12):
         r_out = c.radius / 2.0 ** k
-        r_in = 0.5 * r_out
-        sel = (radii >= r_in) & (radii < r_out)
+        sel = (radii >= 0.5 * r_out) & (radii < r_out)
         if not np.any(sel):
             break
-        ur, rr = u[sel], rem[sel]
-        shells.append((float(r_in), float(r_out),
-                       float(np.abs(ur).max()), float(ur.max() - ur.min()),
-                       float(np.abs(rr).max()), float(rr.max() - rr.min())))
-    if len(shells) < 3:
+        peaks.append(float(np.abs(rem[sel]).max()))
+    if len(peaks) < 3:
         raise AnalysisError("not enough boundary resolution for the "
                             "structural comparison")
-    return StructureFitReport(corner=j, shells=shells)
+    return peaks
 
 
-def structure_refinement_trend(coarse: StructureFitReport,
-                               fine: StructureFitReport) -> tuple:
+def structure_refinement_trend(coarse: list, fine: list, R: float) -> tuple:
     """Per-shell remainder ratios fine/coarse on shells both levels resolve.
 
-    Outer shells are dominated by the regular part, which converges to a
-    fixed nonzero profile, so the decay verdict uses only the inner
-    shells (outer radius <= R/4) where the subtracted singular term
-    dominates and the remainder is discretization error.  A shell whose
-    coarse remainder is exactly 0 has no ratio and is left out.  Returns
-    (ratios, decayed) with ``decayed`` true when the geometric-mean inner
-    ratio is at most 0.9.
+    ``coarse`` and ``fine`` are the shell peaks of ``structural_fit_control``
+    at two refinement levels, paired by shell index k; shell k has outer
+    radius R/2^k.  Outer shells are dominated by the regular part, which
+    converges to a fixed nonzero profile, so the decay verdict uses only
+    the inner shells (k >= 2) where the subtracted singular term dominates
+    and the remainder is discretization error.  A shell whose coarse
+    remainder is exactly 0 has no ratio and is left out.  Returns
+    (ratios, decayed): ratios holds (R/2^k, ratio) pairs, and ``decayed``
+    is true when the geometric-mean inner ratio is at most 0.9.
     """
-    by_radius = {round(math.log2(s[1])): s for s in coarse.shells}
-    R = coarse.shells[0][1]
     ratios = []
     inner = []
-    for s in fine.shells:
-        c = by_radius.get(round(math.log2(s[1])))
-        if c is not None and c[4] != 0.0:
-            q = s[4] / c[4]
-            ratios.append((s[1], q))
-            if s[1] <= 0.25 * R + 1e-15:
-                inner.append(q)
+    for k, (c, f) in enumerate(zip(coarse, fine)):
+        if c != 0.0:
+            ratios.append((R / 2.0 ** k, f / c))
+            if k >= 2:
+                inner.append(f / c)
     if not inner:
         raise AnalysisError("no common inner shell with a nonzero coarse "
                             "remainder between refinement levels")
@@ -483,7 +463,6 @@ class SingularDataReport:
     n: int
     slope: float                # log-log decay rate of the remainder
     boundary_residual: float    # remainder size on boundary nodes near corner
-    endpoint_value: float       # s(omega), expect (-1)^(n+1)
 
 
 def singular_boundary_values(domain: PolygonalDomain, mesh: TriMesh,
@@ -506,22 +485,21 @@ def wedge_lift(domain: PolygonalDomain, mesh: TriMesh,
                                          data.n, data.eta))
 
 
-def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
-                              state_values, data: SingularBoundaryData
+def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh, rem,
+                              data: SingularBoundaryData
                               ) -> SingularDataReport:
     """Check the structural expansion of the state for a singular datum.
 
-    Subtracts the closed-form wedge lift from the computed state and
-    measures the remainder over at most five balls of radius R_j / 2^k:
-    the remainder must decay strictly faster than r^eta (it consists of
-    wedge modes and a regular part).  Also reports the remainder's trace
-    residual near the corner (continuity across the corner).
+    ``rem`` is the nodal remainder: the computed state minus the
+    closed-form ``wedge_lift``.  Measures it over at most five balls of
+    radius R_j / 2^k: the remainder must decay strictly faster than r^eta
+    (it consists of wedge modes and a regular part).  Also reports the
+    remainder's trace residual near the corner (continuity across the
+    corner).
     """
     j = data.corner
     c = domain.corners[j]
-    vals = np.asarray(state_values, dtype=float)
-    lift = wedge_lift(domain, mesh, data)
-    rem = vals - lift
+    rem = np.asarray(rem, dtype=float)
 
     r, _ = _polar_arrays(domain, j, mesh.nodes)
     rhos, peaks = [], []
@@ -538,13 +516,10 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh,
     slope = float(np.polyfit(np.log(rhos), np.log(peaks), 1)[0])
 
     # the corner node is left out: its remainder is 0 (datum and lift both vanish)
-    tr = mesh.trace
-    pos, _, _ = _corner_sides(domain, tr, j, c.radius)
+    pos, _, _ = _corner_sides(domain, mesh.trace, j, c.radius)
     bres = float(np.abs(rem[pos]).max(initial=0.0))
-
-    endpoint = float(eval_s_profile(domain, j, data.n, data.eta, c.angle))
     return SingularDataReport(corner=j, eta=data.eta, n=data.n, slope=slope,
-                              boundary_residual=bres, endpoint_value=endpoint)
+                              boundary_residual=bres)
 
 
 # ---------------------------------------------------------------------

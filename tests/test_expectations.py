@@ -58,7 +58,7 @@ def test_empty_ladder_grades_every_key_in_table_order():
 
 def test_first_listed_corner_with_data_is_graded():
     flat = SimpleNamespace(verdict="flat-at-b", radius=0.1, consistent=True,
-                           contradiction=False, predicted_bound="upper")
+                           predicted_bound="upper")
     trends = {
         "coeff": {3: {1: [], 2: [0.5, 0.5]}, 1: {1: [0.2, 0.1],
                                                   2: [0.9, 0.9]}},

@@ -440,14 +440,25 @@ def test_jump_chi():
     assert rest[tr.corner_pos[j]] and np.all(g[rest] == 0.0)
 
 
-def test_s_profile_endpoints():
+@pytest.mark.parametrize("dom, j, n, eta", [
+    # the two singular data of the lemma25-check preset
+    (unit_square(), 0, 1, 1.5),
+    (l_shape(), L_SHAPE_REENTRANT_CORNER, 2, 1.0 / 3.0),
+    (l_shape(), L_SHAPE_REENTRANT_CORNER, 1, 0.4),
+    (l_shape(), L_SHAPE_REENTRANT_CORNER, 2, 0.4),
+], ids=["lemma25-n1-square", "lemma25-n2-lshape", "lshape-n1", "lshape-n2"])
+def test_s_profile_endpoints(dom, j, n, eta):
+    # s(0) = 1 and s(omega) = (-1)^(n+1): the odd datum keeps its sign
+    # across the corner, the even one flips it
+    w = dom.corners[j].angle
+    s = eval_s_profile(dom, j, n, eta=eta, theta=np.array([0.0, w]))
+    assert s[0] == pytest.approx(1.0)
+    assert s[1] == pytest.approx((-1.0) ** (n + 1))
+
+
+def test_s_profile_rejects_resonant_eta():
     dom = l_shape()
     j = L_SHAPE_REENTRANT_CORNER
-    w = dom.corners[j].angle
-    for n, sign in ((1, 1.0), (2, -1.0)):
-        s = eval_s_profile(dom, j, n, eta=0.4, theta=np.array([0.0, w]))
-        assert s[0] == pytest.approx(1.0)
-        assert s[1] == pytest.approx(sign)
     # eta = lam resonates: sin(lam w) = sin(pi) = 0
     with pytest.raises(GeometryError, match="resonant"):
         eval_s_profile(dom, j, 1, eta=2.0 / 3.0, theta=0.3)

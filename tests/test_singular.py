@@ -192,7 +192,7 @@ def test_flatness_constrained_lshape():
     pos, _ = _near_corner(mesh, rep.radius)
     assert np.abs(sol.u[pos] - 1.0).max() <= singular.FLAT_TOL
     assert 0.01 < rep.radius < 0.08
-    assert rep.consistent and not rep.contradiction
+    assert rep.consistent
     assert set(rep.per_side) == {J, J - 1}
     assert all(b == "b" for b, _ in rep.per_side.values())
 
@@ -249,7 +249,7 @@ def test_flatness_not_flat_with_contradiction_flag():
     assert rep.verdict == "not-flat"
     assert rep.radius == 0.0
     assert rep.predicted_bound == "a"
-    assert rep.contradiction
+    assert not rep.consistent
 
 
 def test_flatness_one_sided():
@@ -277,8 +277,14 @@ def _near_corner(mesh, radius):
     return np.flatnonzero(near), radii[near]
 
 
+def _shell(radii, k):
+    """Mask of the radii in shell k, [R_j/2^(k+1), R_j/2^k), corner left out."""
+    r_out = DOM.corners[J].radius / 2 ** k
+    return (radii > 1e-14) & (radii >= r_out / 2) & (radii < r_out)
+
+
 def test_structure_fit_unconstrained_blowup_removed():
-    reports = []
+    peaks = []
     for hinv in (32, 64):
         mesh, sol, fit = unconstrained_solution(hinv)
         terms = singular.predicted_control_terms(
@@ -286,41 +292,41 @@ def test_structure_fit_unconstrained_blowup_removed():
         # the leading boundary coefficient is -lam*c1/nu, recomputable
         lam = DOM.corners[J].lam
         assert terms[1] == pytest.approx(-lam * fit.coefficients[1] / 0.2)
-        rep = singular.structural_fit_control(DOM, mesh, sol.u, J, terms)
-        reports.append(rep)
+        rem = sol.u - singular.control_singular_profile(DOM, mesh, J, terms)
+        raw = singular.structural_fit_control(DOM, mesh, sol.u, J)
+        peaks.append(singular.structural_fit_control(DOM, mesh, rem, J))
         # the shells hold every boundary node within R_j except the corner
         pos, radii = _near_corner(mesh, DOM.corners[J].radius)
-        u = sol.u[pos]
-        rem = u - singular.control_singular_profile(DOM, mesh, J, terms)[pos]
-        for r_in, r_out, *sizes in rep.shells:
-            sel = (radii > 1e-14) & (radii >= r_in) & (radii < r_out)
-            assert sizes == [np.abs(u[sel]).max(), np.ptp(u[sel]),
-                             np.abs(rem[sel]).max(), np.ptp(rem[sel])]
+        assert len(raw) == len(peaks[-1])
+        for k, (p_raw, p_rem) in enumerate(zip(raw, peaks[-1])):
+            sel = pos[_shell(radii, k)]
+            assert (p_raw, p_rem) == (np.abs(sol.u[sel]).max(),
+                                      np.abs(rem[sel]).max())
         # the control grows on every shell toward the corner, and the
         # subtraction removes over 80% of it on the innermost one
-        raw = [s[2] for s in rep.shells]
         assert all(b > a for a, b in zip(raw, raw[1:])) and raw[-1] > 2 * raw[0]
-        assert rep.shells[-1][4] < 0.2 * raw[-1]
-    ratios, decayed = singular.structure_refinement_trend(*reports)
+        assert peaks[-1][-1] < 0.2 * raw[-1]
+    R = DOM.corners[J].radius
+    ratios, decayed = singular.structure_refinement_trend(*peaks, R)
+    assert [r for r, _ in ratios] == [R / 2 ** k for k in range(len(ratios))]
     assert decayed
 
 
 def test_structure_fit_flat_control_is_regular():
     mesh, sol, _ = constrained_solution()
-    rep = singular.structural_fit_control(DOM, mesh, sol.u, J, {})
-    # no terms, nothing removed; the control is bounded by the upper bound
-    # and sits on it across the innermost shell
-    assert all(s[4:] == s[2:4] and s[2] <= 1.0 for s in rep.shells)
-    assert rep.shells[-1][2:4] == (1.0, 0.0)
+    peaks = singular.structural_fit_control(DOM, mesh, sol.u, J)
+    # the control is bounded by the upper bound and sits on it across the
+    # innermost shell
+    assert all(p <= 1.0 for p in peaks) and peaks[-1] == 1.0
+    pos, radii = _near_corner(mesh, DOM.corners[J].radius)
+    assert np.ptp(sol.u[pos[_shell(radii, len(peaks) - 1)]]) == 0.0
 
 
 def test_structure_trend_of_zero_remainders_is_undefined():
     # u = 0 leaves nothing to compare: no ratio, no verdict
-    shells = [(0.25 / 2 ** k, 0.5 / 2 ** k, 0.0, 0.0, 0.0, 0.0)
-              for k in range(5)]
-    rep = singular.StructureFitReport(corner=J, shells=shells)
+    zeros = [0.0] * 5
     with pytest.raises(singular.AnalysisError, match="nonzero"):
-        singular.structure_refinement_trend(rep, rep)
+        singular.structure_refinement_trend(zeros, zeros, 0.5)
 
 
 def test_predicted_terms_zero_when_zero_not_admissible():
@@ -486,10 +492,10 @@ def test_expansion_square_corner_parity1():
     sysm = fem.FemSystem(mesh)
     g = singular.singular_boundary_values(dom, mesh, data)
     y = fem.solve_dirichlet(sysm, g)
-    rep = singular.verify_singular_expansion(dom, mesh, y.values, data)
+    rem = y.values - singular.wedge_lift(dom, mesh, data)
+    rep = singular.verify_singular_expansion(dom, mesh, rem, data)
     assert rep.slope > 1.5  # remainder decays faster than r^eta
     assert rep.boundary_residual < 1e-12
-    assert rep.endpoint_value == pytest.approx(1.0)
 
 
 def test_expansion_lshape_corner_parity2():
@@ -498,13 +504,12 @@ def test_expansion_lshape_corner_parity2():
     sysm = fem.FemSystem(mesh)
     g = singular.singular_boundary_values(DOM, mesh, data)
     y = fem.solve_dirichlet(sysm, g)
-    rep = singular.verify_singular_expansion(DOM, mesh, y.values, data)
+    rem = y.values - singular.wedge_lift(DOM, mesh, data)
+    rep = singular.verify_singular_expansion(DOM, mesh, rem, data)
     assert rep.slope > 1.0 / 3.0
     assert rep.boundary_residual < 1e-12
     pos, _ = _near_corner(mesh, DOM.corners[J].radius)
-    rem = y.values - singular.wedge_lift(DOM, mesh, data)
     assert rep.boundary_residual == np.abs(rem[pos]).max()
-    assert rep.endpoint_value == pytest.approx(-1.0)  # sign flip on the far side
 
 
 def test_zero_datum_gives_zero_state():
