@@ -216,8 +216,6 @@ SCHEMA = {
     "analysis": ({
         "corners": ((LIST, CORNER), False, []),
         "modes": ((LIST, COUNT), False, [1, 2]),
-        "flatness": (BOOL, False, False),
-        "structure": (BOOL, False, False),
         "s_star": ((NUMBER, lambda s: s >= 2.0, "must be >= 2"), False, 4.0),
     }, False, {}),
     "expectations": ({key: (_EXPECTATION_KINDS[kind], False, OMIT)

@@ -66,8 +66,9 @@ def _max_principle(cfg, levels, trends, want):
 @_at_corner("flatness", "no flatness data (expected {want})")
 def _flat_verdict(j, latest, want):
     index, v = latest
-    return v.verdict, (f"corner {j} level {index}: {v.verdict}, radius "
-                       f"{g6(v.radius)} (expected {want})")
+    radius = "" if v.radius is None else f", radius {g6(v.radius)}"
+    return v.verdict, (f"corner {j} level {index}: {v.verdict}{radius} "
+                       f"(expected {want})")
 
 
 def _last_two_radii(radii):

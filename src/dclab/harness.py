@@ -4,9 +4,13 @@ run_config() executes one validated configuration.  Each refinement level
 gets a freshly generated mesh at h0 / 2^k (so corner grading deepens with
 h rather than being frozen at the coarse level), the requested solves and
 per-corner diagnostics run on it, and deterministic CSV artifacts are
-written.  After the ladder, cross-level trends are computed and the
-expectation table (dclab.expectations) grades the configured expectations
-into PASS/FAIL verdict lines.
+written.  Each diagnostic runs wherever it is defined for the control it
+measures, with no switch: the flatness scan on the constrained solve, and
+the structure fit, singular profile, Holder quotient and log-log slope on
+the primary control unless that control is flat at the corner.  After
+the ladder, cross-level trends are computed and the expectation table
+(dclab.expectations) grades the configured expectations into PASS/FAIL
+verdict lines.
 
 Exit codes follow the CLI convention: 0 all expectations hold, 1 some
 verdict failed, 3 a solver or mesh generator failed.  Config errors (2)
@@ -153,7 +157,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
             rec.skipped[j] = str(exc)
         fit = rec.fits.get(j)
 
-        if ana["flatness"] and "constrained" in sols:
+        if "constrained" in sols:
             c1 = fit.coefficients.get(1) if fit is not None else None
             try:
                 rec.flatness[j] = flatness_diagnostic(
@@ -162,10 +166,11 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
                 rec.skipped.setdefault(j, str(exc))
 
         fl = rec.flatness.get(j)
-        # a flat corner's control is locally constant: no singular terms,
-        # no Holder quotient and no slope of a constant are measured there
-        if (not ana["structure"] or fit is None or fl is not None
-                and fl.verdict in ("flat-at-a", "flat-at-b")):
+        # a control flat at the corner is locally constant: no singular
+        # terms, no Holder quotient and no slope of a constant are measured
+        # on it.  The flatness of a twin says nothing of the primary control
+        if fit is None or (primary == "constrained" and fl is not None
+                           and fl.verdict in ("flat-at-a", "flat-at-b")):
             continue
         terms = predicted_control_terms(domain, j, fit.coefficients,
                                         prob["nu"], *bounds)
@@ -345,7 +350,7 @@ def _write_trends_csv(path, cfg, levels):
                 row += ["" if fit is None else fit.coefficients.get(m, "")
                         for m in modes]
                 v = rec.flatness.get(j)
-                row.append("" if v is None else v.radius)
+                row.append("" if v is None or v.radius is None else v.radius)
                 row.append(rec.slopes.get(j, ""))
         else:
             r = rec.expansion

@@ -23,7 +23,7 @@ PRESETS = {
                      "grading": {2: 0.5}},
             "problem": {"nu": 0.2, "lower": 0.0, "upper": 1.0,
                         "target": {"kind": "constant", "value": -1.0}},
-            "analysis": {"corners": [2], "flatness": True},
+            "analysis": {"corners": [2]},
             "expectations": {"control_max": 1e-10,
                              "flat_verdict": "flat-at-a",
                              "max_principle": True},
@@ -40,7 +40,7 @@ PRESETS = {
             "problem": {"nu": 1.0, "lower": -1.0, "upper": 1.0,
                         "target": {"kind": "skew-step", "corner": 0,
                                    "value": 1.0}},
-            "analysis": {"corners": [0], "structure": True},
+            "analysis": {"corners": [0]},
             "expectations": {"c1_decay_factor": 2.0, "c2_stable_within": 0.2,
                              "holder_ratio_max": 0.6, "h2": [0]},
         })]),
@@ -55,7 +55,7 @@ PRESETS = {
                      "lattice_angle": 0.0},
             "problem": {"nu": 1.0, "lower": -1.0, "upper": 1.0,
                         "target": {"kind": "constant", "value": 1.0}},
-            "analysis": {"corners": [0], "structure": True},
+            "analysis": {"corners": [0]},
             "expectations": {"c1_min": 0.05, "c1_stable_within": 0.2,
                              "h2": []},
         })]),
@@ -89,7 +89,7 @@ PRESETS = {
                      "grading": {2: 0.5}},
             "problem": {"nu": 0.2, "lower": -1.0, "upper": 1.0,
                         "target": {"kind": "constant", "value": 1.0}},
-            "analysis": {"corners": [2], "flatness": True, "structure": True},
+            "analysis": {"corners": [2]},
             "expectations": {"flat_verdict": "flat-at-b",
                              "flat_radius_stable": 0.2,
                              "sign_consistent": True, "max_principle": True},
@@ -106,7 +106,7 @@ PRESETS = {
             "problem": {"nu": 0.2, "lower": -1.0, "upper": 1.0,
                         "solve": "both",
                         "target": {"kind": "constant", "value": 1.0}},
-            "analysis": {"corners": [2], "structure": True},
+            "analysis": {"corners": [2]},
             "expectations": {"slope_range": [-0.43, -0.23],
                              "twin_bounded": True, "structure_decays": True},
         })]),

@@ -79,7 +79,6 @@ def _corner_sides(domain: PolygonalDomain, tr, j: int, r_max: float):
 class CoefficientFit:
     """Wedge-mode coefficients of one field at one corner."""
 
-    corner: int
     coefficients: dict          # m -> extracted coefficient
     annulus: tuple
     n_nodes: int
@@ -151,7 +150,7 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
     coefficients = {m: float(coef[k]) for k, m in enumerate(active)}
     for m in dropped:
         coefficients[m] = math.nan
-    return CoefficientFit(corner=j, coefficients=coefficients,
+    return CoefficientFit(coefficients=coefficients,
                           annulus=(float(lo), float(hi)), n_nodes=len(sel),
                           residual=rel, condition=cond,
                           dropped_modes=tuple(dropped), warning=warning)
@@ -240,9 +239,8 @@ def classify_H_sets(domain: PolygonalDomain, s_star: float,
 class FlatnessVerdict:
     """Outcome of the flat-control scan at one corner."""
 
-    corner: int
     verdict: str                # "flat-at-a" | "flat-at-b" | "one-sided" | "not-flat"
-    radius: float               # largest radius on which the control is flat
+    radius: float | None        # largest flat radius, None if not flat
     per_side: dict              # side index -> (bound char or None, radius)
     predicted_bound: str | None  # from the sign of c_{j,1}
     consistent: bool
@@ -252,14 +250,15 @@ def _side_flat_scan(u, radii, lower, upper):
     """Classify the run of nodes at a bound, outward from the corner.
 
     The radius is the midpoint between the last node of the longer run
-    and the first node off both bounds (the last node if there is none).
+    and the first node off both bounds (the last node if there is none);
+    a side with no node at a bound has no radius.
     """
     order = np.argsort(radii)
     r = radii[order]
     n_a = int(np.cumprod(np.abs(u - lower)[order] <= FLAT_TOL).sum())
     n_b = int(np.cumprod(np.abs(u - upper)[order] <= FLAT_TOL).sum())
     if n_a == n_b == 0:
-        return None, 0.0
+        return None, None
     rad_a = r[n_a - 1] if n_a else 0.0
     rad_b = r[n_b - 1] if n_b else 0.0
     first_off = r[min(max(n_a, n_b), len(r) - 1)]
@@ -298,22 +297,20 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
         per_side[side] = _side_flat_scan(u[p], radii[on], lo[p], hi[p])
 
     bounds_seen = {b for b, _ in per_side.values() if b is not None}
-    radius = min((rad for b, rad in per_side.values() if b is not None),
-                 default=0.0)
-    if len(bounds_seen) == 1 and all(b is not None for b, _ in per_side.values()):
-        verdict = f"flat-at-{bounds_seen.pop()}"
+    flat_radii = [float(rad) for _, rad in per_side.values()
+                  if rad is not None]
+    if len(bounds_seen) == 1 and len(flat_radii) == len(per_side):
+        verdict, radius = f"flat-at-{bounds_seen.pop()}", min(flat_radii)
     elif bounds_seen:
-        verdict = "one-sided"
-        radius = max(rad for b, rad in per_side.values() if b is not None)
+        verdict, radius = "one-sided", max(flat_radii)
     else:
-        verdict = "not-flat"
+        verdict, radius = "not-flat", None
 
     predicted = None
     if c1 is not None and abs(c1) > C1_SIGN_MIN:
         predicted = "a" if c1 > 0 else "b"
     consistent = (predicted is None or verdict == f"flat-at-{predicted}")
-    return FlatnessVerdict(corner=j, verdict=verdict, radius=float(radius),
-                           per_side=per_side,
+    return FlatnessVerdict(verdict=verdict, radius=radius, per_side=per_side,
                            predicted_bound=predicted, consistent=consistent)
 
 
@@ -458,9 +455,7 @@ def corner_log_slope(domain: PolygonalDomain, mesh: TriMesh, u,
 class SingularDataReport:
     """Decay of the state remainder after subtracting the wedge lift."""
 
-    corner: int
     eta: float
-    n: int
     slope: float                # log-log decay rate of the remainder
     boundary_residual: float    # remainder size on boundary nodes near corner
 
@@ -518,7 +513,7 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh, rem,
     # the corner node is left out: its remainder is 0 (datum and lift both vanish)
     pos, _, _ = _corner_sides(domain, mesh.trace, j, c.radius)
     bres = float(np.abs(rem[pos]).max(initial=0.0))
-    return SingularDataReport(corner=j, eta=data.eta, n=data.n, slope=slope,
+    return SingularDataReport(eta=data.eta, slope=slope,
                               boundary_residual=bres)
 
 

@@ -210,10 +210,24 @@ def test_criterion_10_singular_data_expansion(preset_results):
 
 def test_corner_diagnostics_only_where_defined(preset_results):
     # no Holder quotient for an unbounded control; at a flat corner no
-    # structure fit, u_sing column, Holder quotient or log-log slope
+    # structure fit, u_sing column, Holder quotient or log-log slope.  The
+    # constrained twin is scanned for flatness, and its flat verdict does
+    # not withhold the measures of the unconstrained primary control
     (unc,) = preset_results["lshape-unconstrained"]
     (con,) = preset_results["lshape-constrained"]
     assert unc.trends["holder"] == {}
+    twin = [rec.flatness.get(2) for rec in unc.levels]
+    assert [getattr(v, "verdict", None) for v in twin] == ["flat-at-b"] * 2
+    assert all(v.radius > 0 for v in twin)
+    assert set(unc.trends["slope"]) == set(unc.trends["structure"]) == {2}
+    for key in ("slope_range", "structure_decays"):
+        ok, det = _verdict([unc], key)
+        assert ok, det
+    # a level whose control is not flat has no flat radius to print
+    (skew,) = preset_results["ex38-skew"]
+    assert [rec.flatness[0].radius for rec in skew.levels] == [None] * 3
+    with open(os.path.join(skew.outdir, "summary.txt")) as fh:
+        assert "flat radius" not in fh.read()
     for key in ("structure", "holder", "slope"):
         assert con.trends[key] == {}, key
     with open(os.path.join(con.outdir, "level0", "boundary.csv")) as fh:

@@ -49,9 +49,7 @@ def test_defaults_filled():
     assert out["mesh"]["levels"] == 1
     assert out["mesh"]["kind"] == "structured"
     assert out["problem"]["solve"] == "constrained"
-    assert out["analysis"] == {"corners": [], "modes": [1, 2],
-                               "flatness": False, "structure": False,
-                               "s_star": 4.0}
+    assert out["analysis"] == {"corners": [], "modes": [1, 2], "s_star": 4.0}
     assert out["expectations"] == {}
 
 
@@ -151,6 +149,11 @@ def test_error_paths_carry_field_names():
                                            "amplitud": 2}),
          "config.singular_data.amplitud: unknown field"),
         (_cfg(analysis={"corner": [0]}), "config.analysis.corner: unknown field"),
+        # every corner diagnostic runs where it is defined, with no switch
+        (_cfg(analysis={"flatness": True}),
+         "config.analysis.flatness: unknown field"),
+        (_cfg(analysis={"structure": False}),
+         "config.analysis.structure: unknown field"),
         # a value is never mistaken for the schema's leave-out default
         (_cfg(expectations={"kkt_max": "omit"}), "config.expectations.kkt_max"),
         (_cfg(domain={"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],

@@ -31,7 +31,7 @@ TINY = {
     "mesh": {"h0": 0.0625, "levels": 2, "grading": {2: 0.5}},
     "problem": {"nu": 0.2, "lower": -1.0, "upper": 1.0,
                 "target": {"kind": "constant", "value": 1.0}},
-    "analysis": {"corners": [2], "flatness": True, "structure": True},
+    "analysis": {"corners": [2]},
 }
 
 
@@ -79,6 +79,21 @@ def test_first_listed_corner_with_data_is_graded():
     assert [key for key, _, _ in rows] == [k for k in TABLE if k in keys]
     for key, _, detail in rows:
         assert detail.startswith(f"corner {keys[key]}"), (key, detail)
+
+
+def test_not_flat_level_has_no_radius():
+    # a not-flat scan measures no radius, and no grader prints or uses one
+    scan = SimpleNamespace(verdict="not-flat", radius=None, consistent=False,
+                           predicted_bound="b")
+    trends = {"flatness": {1: (1, scan)}, "flat_radius": {1: [None, None]}}
+    cfg = validate_config(_with(
+        TINY, domain="unit-square", mesh={"h0": 0.25},
+        analysis={"corners": [1]},
+        expectations={"flat_verdict": "flat-at-b", "flat_radius_stable": 0.2}))
+    assert evaluate(cfg, [], trends) == [
+        ("flat_verdict", False,
+         "corner 1 level 1: not-flat (expected flat-at-b)"),
+        ("flat_radius_stable", False, "fewer than 2 flatness radii")]
 
 
 @pytest.fixture(scope="module")

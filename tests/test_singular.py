@@ -133,7 +133,7 @@ def _fake_history(values):
     levels = []
     for v in values:
         fit = singular.CoefficientFit(
-            corner=J, coefficients={1: v, 2: -0.5},
+            coefficients={1: v, 2: -0.5},
             annulus=(0.03, 0.06), n_nodes=40, residual=1e-3, condition=3.0)
         levels.append({J: fit})
     return levels
@@ -219,7 +219,7 @@ def test_flatness_rejects_convex_corner_with_zero_admissible():
      {0: ("a", 0.046875), 3: ("b", 0.078125)}),
     # lower to 0.07 on side 0 only
     ({0: (1.0, 0.07)}, "one-sided", 0.078125,
-     {0: ("a", 0.078125), 3: (None, 0.0)}),
+     {0: ("a", 0.078125), 3: (None, None)}),
 ], ids=["all-lower", "lower-to-0.04", "lower-to-0.07-and-0.04",
         "lower-and-upper", "lower-on-one-side"])
 def test_flatness_convex_corner_allowed_without_zero(marks, verdict, radius,
@@ -247,7 +247,7 @@ def test_flatness_not_flat_with_contradiction_flag():
     u = np.full(mesh.trace.n, 0.25)
     rep = singular.flatness_diagnostic(DOM, mesh, u, -1.0, 1.0, J, c1=0.4)
     assert rep.verdict == "not-flat"
-    assert rep.radius == 0.0
+    assert rep.radius is None
     assert rep.predicted_bound == "a"
     assert not rep.consistent
 
