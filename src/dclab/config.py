@@ -2,10 +2,11 @@
 
 A configuration is a JSON-compatible dict describing one experiment: a
 domain, a mesh ladder, either a control problem or a singular boundary
-datum, the analyses to run, and optional expectations the harness turns
-into pass/fail verdicts.  One walker checks a config against SCHEMA,
-fills in defaults and rejects any key a block does not list; the rules
-that tie fields together run after it.  Errors name the field path.
+datum, and optional expectations the harness turns into pass/fail
+verdicts; the corners to analyse follow from the domain.  One walker
+checks a config against SCHEMA, fills in defaults and rejects any key a
+block does not list; the rules that tie fields together run after it.
+Errors name the field path.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .expectations import (BOOL, CORNERS, FACTOR, FLAT_VERDICTS, RANGE,
                            TABLE, TOLERANCE, VERDICT)
 from .geometry import (GeometryError, SingularBoundaryData, build_domain,
                        validate_singular_boundary_data)
+from .meshing import MIN_ANGLE_DEG
 
 #: Node budget of a ladder's finest level.  Its estimate, domain area /
 #: h_finest**2, is a lower bound for both mesh generators.  It is 49,152
@@ -213,11 +215,6 @@ SCHEMA = {
         "eta": (POSITIVE, True, None),
         "amplitude": (NUMBER, False, 1.0),
     }, False, None),
-    "analysis": ({
-        "corners": ((LIST, CORNER), False, []),
-        "modes": ((LIST, COUNT), False, [1, 2]),
-        "s_star": ((NUMBER, lambda s: s >= 2.0, "must be >= 2"), False, 4.0),
-    }, False, {}),
     "expectations": ({key: (_EXPECTATION_KINDS[kind], False, OMIT)
                       for key, (kind, _) in TABLE.items()}, False, {}),
 }
@@ -238,6 +235,11 @@ def _resolve(fields, cfg):
                               r_overrides=out.get("corner_radii"))
     except GeometryError as exc:
         _fail("config.domain", str(exc))
+    for c in domain.corners:  # the triangles at a vertex split its angle
+        deg = math.degrees(c.angle)
+        if deg < MIN_ANGLE_DEG:
+            _fail("config.domain", f"corner {c.index} has angle {deg:.2f} "
+                                   f"deg, below the mesh minimum {MIN_ANGLE_DEG}")
     # build_domain ignores radius overrides of corners it does not have
     n_corners = len(domain.corners)
     for path, j in corners:

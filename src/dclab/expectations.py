@@ -9,9 +9,10 @@ tolerance is a non-negative number, a factor a positive one, a range
 A bool or verdict (a name in FLAT_VERDICTS) passes when the measured
 property equals it, and fails when nothing was measured.
 
-Corner rule: an expectation about one corner is graded at the first corner
-listed in analysis.corners that has the measurement it needs.  This module
-imports nothing else from dclab, so config and harness both import it.
+Corner rule: an expectation about one corner is graded at the
+lowest-numbered corner that has the measurement it needs; the harness
+measures at the domain's re-entrant corners.  This module imports
+nothing else from dclab, so config and harness both import it.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ def g6(x) -> str:
 
 def _at_corner(trend, missing, measure=lambda value: value):
     """Turn judge(j, value, want) into a grader that keeps the corner rule:
-    value = measure(trends[trend][j]) at the first listed corner j where it
-    is not None, and (None, missing) when no corner has it."""
+    value = measure(trends[trend][j]) at the lowest-numbered corner j where
+    it is not None, and (None, missing) when no corner has it."""
     def wrap(judge):
         def grade(cfg, levels, trends, want):
-            for j in cfg["analysis"]["corners"]:
-                value = trends[trend].get(j)
+            for j, value in sorted(trends[trend].items()):
                 value = None if value is None else measure(value)
                 if value is not None:
                     return judge(j, value, want)
@@ -63,7 +63,13 @@ def _max_principle(cfg, levels, trends, want):
     return True, "interior range within boundary range in every solve"
 
 
-@_at_corner("flatness", "no flatness data (expected {want})")
+def _latest(scans):
+    """(level, scan) at the finest level whose flatness scan ran."""
+    ran = [(k, v) for k, v in enumerate(scans) if v is not None]
+    return ran[-1] if ran else None
+
+
+@_at_corner("flatness", "no flatness data (expected {want})", _latest)
 def _flat_verdict(j, latest, want):
     index, v = latest
     radius = "" if v.radius is None else f", radius {g6(v.radius)}"
@@ -71,12 +77,12 @@ def _flat_verdict(j, latest, want):
                        f"(expected {want})")
 
 
-def _last_two_radii(radii):
-    radii = [r for r in radii if r]
-    return radii if len(radii) >= 2 and radii[-2] > 0 else None
+def _radii(scans):
+    radii = [v.radius for v in scans if v is not None and v.radius]
+    return radii if len(radii) >= 2 else None
 
 
-@_at_corner("flat_radius", "fewer than 2 flatness radii", _last_two_radii)
+@_at_corner("flatness", "fewer than 2 flatness radii", _radii)
 def _flat_radius_stable(j, radii, tol):
     change = abs(radii[-1] - radii[-2]) / radii[-2]
     return change <= tol, (f"corner {j} radii {[g6(r) for r in radii]}, last "
@@ -84,7 +90,7 @@ def _flat_radius_stable(j, radii, tol):
                            f"{g6(100 * tol)}%)")
 
 
-@_at_corner("flatness", "no flatness data")
+@_at_corner("flatness", "no flatness data", _latest)
 def _sign_consistent(j, latest, want):
     v = latest[1]
     return (v.consistent,
@@ -158,7 +164,7 @@ def _holder_ratio(j, q, tol):
 def _h2(cfg, levels, trends, want):
     rep = trends.get("h_sets")
     if rep is None:
-        return False, "no extraction history"
+        return False, trends.get("h_sets_error", "no extraction history")
     want = set(want)
     return (rep.h2 == want and not rep.undetermined,
             f"h2 = {sorted(rep.h2)} (expected {sorted(want)}), "

@@ -362,30 +362,17 @@ def _polar_arrays(domain: PolygonalDomain, j: int, points):
 
 # -- cut-off ----------------------------------------------------------
 
-def cutoff(domain: PolygonalDomain, j: int, r, deriv: int = 0):
+def cutoff(domain: PolygonalDomain, j: int, r):
     """C^2 cut-off xi_j: 1 on [0, R_j], 0 on [2R_j, inf), quintic blend between.
 
     The blend is the quintic smoothstep, which has vanishing first and
     second derivatives at both ends, so xi_j is C^2; xi_j(1.5 R_j) = 1/2.
-    ``deriv`` in {0, 1, 2} selects the derivative order in r.
     """
     R = domain.corners[j].radius
     r = np.asarray(r, dtype=float)
     t = np.clip((r - R) / R, 0.0, 1.0)
-    if deriv == 0:
-        s = t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
-        out = 1.0 - s
-    elif deriv == 1:
-        ds = 30.0 * t * t * (1.0 - t) ** 2
-        out = -ds / R
-    elif deriv == 2:
-        d2s = 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-        out = -d2s / (R * R)
-    else:
-        raise ValueError("deriv must be 0, 1, or 2")
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+    out = 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
+    return float(out) if np.ndim(r) == 0 else out
 
 
 # -- index sets and exponents -----------------------------------------

@@ -4,9 +4,10 @@ run_config() executes one validated configuration.  Each refinement level
 gets a freshly generated mesh at h0 / 2^k (so corner grading deepens with
 h rather than being frozen at the coarse level), the requested solves and
 per-corner diagnostics run on it, and deterministic CSV artifacts are
-written.  Each diagnostic runs wherever it is defined for the control it
-measures, with no switch: the flatness scan on the constrained solve, and
-the structure fit, singular profile, Holder quotient and log-log slope on
+written.  At each re-entrant corner, each diagnostic runs wherever it is
+defined for the control it measures, with no switch: the flatness scan
+on the constrained solve, with c_{j,1} of that solve's adjoint, and the
+structure fit, singular profile, Holder quotient and log-log slope on
 the primary control unless that control is flat at the corner.  After
 the ladder, cross-level trends are computed and the expectation table
 (dclab.expectations) grades the configured expectations into PASS/FAIL
@@ -36,12 +37,12 @@ from .exports import (write_boundary_csv, write_extraction_csv,
                       write_summary)
 from .fem import (DiscontinuityLine, FemError, FemSystem, check_max_principle,
                   solve_dirichlet)
-from .geometry import UNBOUNDED, SingularBoundaryData
+from .geometry import UNBOUNDED, GeometryError, SingularBoundaryData
 from .meshing import MeshError, structured_mesh, triangulate
-from .singular import (AnalysisError, classify_H_sets,
+from .singular import (MODES, S_STAR, AnalysisError, classify_H_sets,
                        control_singular_profile, corner_log_slope,
-                       extract_coefficients,
-                       flatness_diagnostic, holder_quotient,
+                       extract_coefficients, flatness_diagnostic,
+                       holder_quotient,
                        predicted_control_terms, singular_boundary_values,
                        structural_fit_control, structure_refinement_trend,
                        verify_singular_expansion, wedge_lift)
@@ -86,6 +87,11 @@ def make_mesh(domain, mesh_block, level):
                        lattice_angle=mesh_block["lattice_angle"])
 
 
+def _analysed_corners(domain):
+    """Indices of the corners a run analyses: the re-entrant ones."""
+    return [c.index for c in domain.corners if c.reentrant]
+
+
 def _make_target(domain, tcfg):
     if tcfg["kind"] == "constant":
         return ConstantTarget(tcfg["value"])
@@ -119,7 +125,6 @@ def _solve_summary(system, sol):
 
 def _run_control_level(domain, mesh, cfg, rec, leveldir):
     prob = cfg["problem"]
-    ana = cfg["analysis"]
     system = FemSystem(mesh)
     target = _make_target(domain, prob["target"])
     lo = -UNBOUNDED if prob["lower"] is None else prob["lower"]
@@ -134,8 +139,6 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
         p = ControlProblem(system, prob["nu"], target)
         sols["unconstrained"] = solve_unconstrained(p)
     primary = "unconstrained" if mode != "constrained" else "constrained"
-    twin = ({"constrained", "unconstrained"} - {primary}).pop() \
-        if mode == "both" else None
 
     for tag, sol in sols.items():
         rec.solves[tag] = _solve_summary(system, sol)
@@ -143,25 +146,32 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
             raise ControlError(f"{tag} solve did not converge at level "
                                f"{rec.index}")
     main = sols[primary]
+    con = sols.get("constrained")
+    twin = con if mode == "both" else None
+
+    def fit_at(sol, j):
+        try:
+            return extract_coefficients(domain, mesh, sol.phi.values, j)
+        except AnalysisError as exc:
+            rec.skipped.setdefault(j, str(exc))
 
     # per-corner diagnostics on the primary solve's adjoint and control;
     # a corner's first failure is the note it keeps.  The structure shells
     # and the second Holder quotient measure one remainder, u - profile
     bounds = (lo, hi) if primary == "constrained" else (-UNBOUNDED, UNBOUNDED)
     sing = None
-    for j in ana["corners"]:
-        try:
-            rec.fits[j] = extract_coefficients(domain, mesh, main.phi.values,
-                                               j, modes=tuple(ana["modes"]))
-        except AnalysisError as exc:
-            rec.skipped[j] = str(exc)
-        fit = rec.fits.get(j)
+    for j in _analysed_corners(domain):
+        fit = fit_at(main, j)
+        if fit is not None:
+            rec.fits[j] = fit
 
-        if "constrained" in sols:
-            c1 = fit.coefficients.get(1) if fit is not None else None
+        if con is not None:
+            # the sign rule reads the adjoint of the solve it scans
+            cfit = fit if con is main else fit_at(con, j)
+            c1 = None if cfit is None else cfit.coefficients.get(1)
             try:
                 rec.flatness[j] = flatness_diagnostic(
-                    domain, mesh, sols["constrained"].u, lo, hi, j, c1=c1)
+                    domain, mesh, con.u, lo, hi, j, c1=c1)
             except AnalysisError as exc:
                 rec.skipped.setdefault(j, str(exc))
 
@@ -184,32 +194,31 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
                                                           rem, j)
             except AnalysisError as exc:
                 rec.skipped.setdefault(j, str(exc))
-        c = domain.corners[j]
-        alpha = 2.0 * c.lam - 1.0
-        # an unconstrained control grows like r^(lam-1): no Holder quotient
-        if primary == "constrained" and c.reentrant and 0.0 < alpha < 1.0:
+        # lam in (1/2, 1) puts the Holder exponent 2 lam - 1 in (0, 1); an
+        # unconstrained control grows like r^(lam-1): no Holder quotient
+        if primary == "constrained":
+            alpha = 2.0 * domain.corners[j].lam - 1.0
             rec.holder[j] = (holder_quotient(domain, mesh, main.u, j, alpha),
                              holder_quotient(domain, mesh, rem, j, alpha))
-        if c.reentrant:
-            s = corner_log_slope(domain, mesh, main.u, j)
-            if s is not None:
-                rec.slopes[j] = s
+        s = corner_log_slope(domain, mesh, main.u, j)
+        if s is not None:
+            rec.slopes[j] = s
 
     # artifacts
     fields = {"state": main.y.values, "adjoint": main.phi.values}
     bnd = {"u": main.u, "flux": main.flux}
     if twin is not None:
-        fields["state_twin"] = sols[twin].y.values
-        fields["adjoint_twin"] = sols[twin].phi.values
-        bnd["u_twin"] = sols[twin].u
-        bnd["flux_twin"] = sols[twin].flux
+        fields["state_twin"] = twin.y.values
+        fields["adjoint_twin"] = twin.phi.values
+        bnd["u_twin"] = twin.u
+        bnd["flux_twin"] = twin.flux
     if sing is not None:
         bnd["u_sing"] = sing
     write_field_csv(os.path.join(leveldir, "fields.csv"), fields)
     write_boundary_csv(os.path.join(leveldir, "boundary.csv"), mesh, bnd)
-    if "constrained" in sols:
+    if con is not None:
         write_iteration_csv(os.path.join(leveldir, "iterations.csv"),
-                            sols["constrained"].history)
+                            con.history)
 
 
 def _run_singular_level(domain, mesh, cfg, rec, leveldir):
@@ -231,28 +240,24 @@ def _run_singular_level(domain, mesh, cfg, rec, leveldir):
                        {"g": g})
 
 
-def _collect_trends(domain, cfg, levels):
-    ana = cfg["analysis"]
-    trends = {"coeff": {}, "flatness": {}, "flat_radius": {}, "slope": {},
-              "holder": {}, "structure": {}}
+def _collect_trends(domain, levels):
+    trends = {"coeff": {}, "flatness": {}, "slope": {}, "holder": {},
+              "structure": {}}
 
     history = [rec.fits for rec in levels if rec.fits]
     if history:
-        trends["h_sets"] = classify_H_sets(domain, ana["s_star"], history)
+        try:
+            trends["h_sets"] = classify_H_sets(domain, S_STAR, history)
+        except GeometryError as exc:  # an exponent resonant with S_STAR
+            trends["h_sets_error"] = f"H-sets not classified: {exc}"
 
-    for j in ana["corners"]:
+    for j in _analysed_corners(domain):
         fits = [rec.fits[j] for rec in levels if j in rec.fits]
         trends["coeff"][j] = {
             m: [f.coefficients[m] for f in fits
                 if not math.isnan(f.coefficients.get(m, math.nan))]
-            for m in ana["modes"]}
-        latest = [(rec.index, rec.flatness[j]) for rec in levels
-                  if j in rec.flatness]
-        if latest:
-            trends["flatness"][j] = latest[-1]
-        trends["flat_radius"][j] = [
-            rec.flatness[j].radius if j in rec.flatness else None
-            for rec in levels]
+            for m in MODES}
+        trends["flatness"][j] = [rec.flatness.get(j) for rec in levels]
         slopes = [rec.slopes[j] for rec in levels if j in rec.slopes]
         if slopes:
             trends["slope"][j] = slopes[-1]
@@ -298,10 +303,12 @@ def _info_rows(cfg, levels, trends):
             if vals:
                 rows.append(f"corner {j} c{m} history: "
                             f"{[g6(v) for v in vals]}")
-    for j, radii in sorted(trends["flat_radius"].items()):
-        if any(r is not None for r in radii):
-            rows.append(f"corner {j} flat radius per level: "
-                        f"{[None if r is None else g6(r) for r in radii]}")
+    for j, scans in sorted(trends["flatness"].items()):
+        # 'verdict radius', the verdict alone without one, None unscanned
+        labels = [v if v is None else v.verdict if v.radius is None
+                  else f"{v.verdict} {g6(v.radius)}" for v in scans]
+        if any(labels):
+            rows.append(f"corner {j} flatness per level: {labels}")
     for j, s in sorted(trends["slope"].items()):
         rows.append(f"corner {j} finest log-log control slope: {g6(s)}")
     for j, (q_raw, q_rem) in sorted(trends["holder"].items()):
@@ -316,21 +323,20 @@ def _info_rows(cfg, levels, trends):
         rows.append(f"H-sets: h1={sorted(rep.h1)} h2={sorted(rep.h2)} "
                     f"h3={sorted(rep.h3)} "
                     f"undetermined={sorted(rep.undetermined)}")
-    skips = [(rec.index, j, why) for rec in levels
+    if "h_sets_error" in trends:
+        rows.append(f"note: {trends['h_sets_error']}")
+    rows += [f"note: level {rec.index} corner {j}: {why}" for rec in levels
              for j, why in sorted(rec.skipped.items())]
-    for idx, j, why in skips:
-        rows.append(f"note: level {idx} corner {j}: {why}")
     return rows
 
 
-def _write_trends_csv(path, cfg, levels):
-    corners = cfg["analysis"]["corners"]
-    modes = cfg["analysis"]["modes"]
+def _write_trends_csv(path, cfg, domain, levels):
+    corners = _analysed_corners(domain)
     header = ["level", "h", "nodes", "triangles"]
     if cfg["problem"] is not None:
         header += ["iterations", "kkt", "max_u", "objective"]
         for j in corners:
-            header += [f"c{m}_corner{j}" for m in modes]
+            header += [f"c{m}_corner{j}" for m in MODES]
             header += [f"flat_radius_corner{j}", f"slope_corner{j}"]
     else:
         header += ["slope", "boundary_residual"]
@@ -338,17 +344,13 @@ def _write_trends_csv(path, cfg, levels):
     for rec in levels:
         row = [rec.index, rec.h, rec.n_nodes, rec.n_triangles]
         if cfg["problem"] is not None:
-            tags = sorted(rec.solves)
-            if tags:
-                main = rec.solves[tags[-1]]
-                row += [main["iterations"], main["kkt"], main["max_u"],
-                        main["objective"]]
-            else:
-                row += ["", "", "", ""]
+            main = rec.solves[max(rec.solves)]  # the primary solve
+            row += [main["iterations"], main["kkt"], main["max_u"],
+                    main["objective"]]
             for j in corners:
                 fit = rec.fits.get(j)
                 row += ["" if fit is None else fit.coefficients.get(m, "")
-                        for m in modes]
+                        for m in MODES]
                 v = rec.flatness.get(j)
                 row.append("" if v is None or v.radius is None else v.radius)
                 row.append(rec.slopes.get(j, ""))
@@ -390,12 +392,13 @@ def run_config(cfg, outdir) -> RunResult:
         return RunResult(name=cfg["name"], exit_code=3, verdicts=[],
                          levels=levels, trends={}, outdir=outdir, error=msg)
 
-    trends = _collect_trends(domain, cfg, levels)
+    trends = _collect_trends(domain, levels)
     verdicts = evaluate(cfg, levels, trends)
     info = _info_rows(cfg, levels, trends)
     write_summary(os.path.join(outdir, "summary.txt"), cfg["name"],
                   verdicts, info)
-    _write_trends_csv(os.path.join(outdir, "trends.csv"), cfg, levels)
+    _write_trends_csv(os.path.join(outdir, "trends.csv"), cfg, domain,
+                      levels)
     fits_by_level = [rec.fits for rec in levels]
     if any(fits_by_level):
         write_extraction_csv(os.path.join(outdir, "extraction.csv"),

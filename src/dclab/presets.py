@@ -23,7 +23,6 @@ PRESETS = {
                      "grading": {2: 0.5}},
             "problem": {"nu": 0.2, "lower": 0.0, "upper": 1.0,
                         "target": {"kind": "constant", "value": -1.0}},
-            "analysis": {"corners": [2]},
             "expectations": {"control_max": 1e-10,
                              "flat_verdict": "flat-at-a",
                              "max_principle": True},
@@ -40,7 +39,6 @@ PRESETS = {
             "problem": {"nu": 1.0, "lower": -1.0, "upper": 1.0,
                         "target": {"kind": "skew-step", "corner": 0,
                                    "value": 1.0}},
-            "analysis": {"corners": [0]},
             "expectations": {"c1_decay_factor": 2.0, "c2_stable_within": 0.2,
                              "holder_ratio_max": 0.6, "h2": [0]},
         })]),
@@ -55,7 +53,6 @@ PRESETS = {
                      "lattice_angle": 0.0},
             "problem": {"nu": 1.0, "lower": -1.0, "upper": 1.0,
                         "target": {"kind": "constant", "value": 1.0}},
-            "analysis": {"corners": [0]},
             "expectations": {"c1_min": 0.05, "c1_stable_within": 0.2,
                              "h2": []},
         })]),
@@ -68,7 +65,6 @@ PRESETS = {
             "mesh": {"kind": "triangulated", "h0": 1.0 / 16, "levels": 3,
                      "grading": {0: 0.5}},
             "singular_data": {"corner": 0, "n": 1, "eta": 1.5},
-            "analysis": {"corners": [0]},
             "expectations": {"expansion_ok": True},
         }), ("n2-lshape", {
             "name": "lemma25-n2-lshape",
@@ -76,7 +72,6 @@ PRESETS = {
             "mesh": {"kind": "triangulated", "h0": 1.0 / 16, "levels": 3,
                      "grading": {2: 0.5}},
             "singular_data": {"corner": 2, "n": 2, "eta": 1.0 / 3.0},
-            "analysis": {"corners": [2]},
             "expectations": {"expansion_ok": True},
         })]),
     "lshape-constrained": (
@@ -89,7 +84,6 @@ PRESETS = {
                      "grading": {2: 0.5}},
             "problem": {"nu": 0.2, "lower": -1.0, "upper": 1.0,
                         "target": {"kind": "constant", "value": 1.0}},
-            "analysis": {"corners": [2]},
             "expectations": {"flat_verdict": "flat-at-b",
                              "flat_radius_stable": 0.2,
                              "sign_consistent": True, "max_principle": True},
@@ -106,7 +100,6 @@ PRESETS = {
             "problem": {"nu": 0.2, "lower": -1.0, "upper": 1.0,
                         "solve": "both",
                         "target": {"kind": "constant", "value": 1.0}},
-            "analysis": {"corners": [2]},
             "expectations": {"slope_range": [-0.43, -0.23],
                              "twin_bounded": True, "structure_decays": True},
         })]),
@@ -119,7 +112,6 @@ PRESETS = {
             "mesh": {"kind": "structured", "h0": 1.0 / 8, "levels": 2},
             "problem": {"nu": 1.0, "lower": -1.0, "upper": 1.0,
                         "target": {"kind": "constant", "value": 0.0}},
-            "analysis": {"corners": []},
             "expectations": {"control_max": 1e-10, "kkt_max": 1e-10,
                              "max_principle": True},
         })]),

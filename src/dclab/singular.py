@@ -53,6 +53,12 @@ FLAT_TOL = 1e-8
 #: smallest |c_{j,1}| whose sign predicts the flat bound
 C1_SIGN_MIN = 1e-3
 
+#: wedge modes extracted at each corner
+MODES = (1, 2)
+
+#: exponent s* of the H-sets: j is in the m-th set if 0 < m lam_j < 2 - 2/s*
+S_STAR = 4.0
+
 
 class AnalysisError(RuntimeError):
     pass
@@ -89,7 +95,7 @@ class CoefficientFit:
 
 
 def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
-                         j: int, modes=(1, 2)) -> CoefficientFit:
+                         j: int, modes=MODES) -> CoefficientFit:
     """Least-squares wedge-mode coefficients of a nodal field at corner j.
 
     The field must vanish on the boundary near the corner (adjoint type);

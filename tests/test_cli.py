@@ -49,8 +49,9 @@ def test_defaults_filled():
     assert out["mesh"]["levels"] == 1
     assert out["mesh"]["kind"] == "structured"
     assert out["problem"]["solve"] == "constrained"
-    assert out["analysis"] == {"corners": [], "modes": [1, 2], "s_star": 4.0}
     assert out["expectations"] == {}
+    # the corners to analyse follow from the domain: there is no block
+    assert "analysis" not in out
 
 
 def test_solve_mode_inferred_from_bounds():
@@ -77,7 +78,6 @@ def test_error_paths_carry_field_names():
         (_cfg(mesh={"lattice_angle": 0.3}), "config.mesh.lattice_angle"),
         (_cfg(problem={"nu": 0.0}), "config.problem.nu"),
         (_cfg(problem={"lower": 2.0, "upper": 1.0}), "config.problem"),
-        (_cfg(analysis={"s_star": 1.5}), "config.analysis.s_star"),
         (_cfg(expectations={"bogus": 1}), "config.expectations.bogus"),
         (_cfg(extra_field=1), "config.extra_field"),
         (_cfg(mesh={"levels": True}), "config.mesh.levels"),
@@ -91,8 +91,8 @@ def test_error_paths_carry_field_names():
          "config.singular_data.n"),
         (_cfg(seed=False), "config.seed"),
         # corner indices are range-checked against the built domain
-        (_cfg(analysis={"corners": [7]}), "config.analysis.corners[0]"),
-        (_cfg(analysis={"corners": [0, -1]}), "config.analysis.corners[1]"),
+        (_cfg(expectations={"h2": [7]}), "config.expectations.h2[0]"),
+        (_cfg(expectations={"h2": [0, -1]}), "config.expectations.h2[1]"),
         (_cfg(problem={"target": {"kind": "skew-step", "corner": 4}}),
          "config.problem.target.corner"),
         (_cfg(problem=None, singular_data={"corner": 5, "n": 1, "eta": 1.5}),
@@ -148,12 +148,9 @@ def test_error_paths_carry_field_names():
         (_cfg(problem=None, singular_data={"corner": 0, "n": 1, "eta": 1.5,
                                            "amplitud": 2}),
          "config.singular_data.amplitud: unknown field"),
-        (_cfg(analysis={"corner": [0]}), "config.analysis.corner: unknown field"),
-        # every corner diagnostic runs where it is defined, with no switch
-        (_cfg(analysis={"flatness": True}),
-         "config.analysis.flatness: unknown field"),
-        (_cfg(analysis={"structure": False}),
-         "config.analysis.structure: unknown field"),
+        # the analysed corners, wedge modes and s* are not settable
+        (_cfg(analysis={"corners": [0]}), "config.analysis: unknown field"),
+        (_cfg(analysis={}), "config.analysis: unknown field"),
         # a value is never mistaken for the schema's leave-out default
         (_cfg(expectations={"kkt_max": "omit"}), "config.expectations.kkt_max"),
         (_cfg(domain={"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
@@ -391,9 +388,9 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
                              "mesh": {"h0": 0.25}}))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
-    p.write_text(json.dumps(_cfg(analysis={"corners": [7]})))
+    p.write_text(json.dumps(_cfg(expectations={"h2": [7]})))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
-    assert "config.analysis.corners[0]" in capsys.readouterr().err
+    assert "config.expectations.h2[0]" in capsys.readouterr().err
     p.write_text(json.dumps(_cfg(expectations={"kkt_max": "x"})))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "config.expectations.kkt_max" in capsys.readouterr().err
@@ -578,4 +575,27 @@ def test_too_many_vertices_is_exit_2(tmp_path, capsys, monkeypatch):
     assert main(["mesh", sector, "--h", "0.2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         "config error: config.domain: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain, angle", [
+    ({"vertices": [[0, 0], [1, 0],
+                   [0.9659258262890683, 0.25881904510252074]]}, "15.00"),
+    ("sector(0.3, 8)", "17.19"),
+], ids=["triangle-15-deg", "sector-0.3"])
+def test_corner_below_min_angle_is_exit_2(tmp_path, capsys, monkeypatch,
+                                          domain, angle):
+    # the triangles at a vertex split its angle, so no mesh of a corner
+    # sharper than MIN_ANGLE_DEG passes the gate: rejected before meshing
+    _no_meshing(monkeypatch)
+    p, out = tmp_path / "c.json", tmp_path / "o"
+    p.write_text(json.dumps(_cfg(domain=domain,
+                                 mesh={"kind": "triangulated", "h0": 0.05})))
+    needle = (f"config error: config.domain: corner 0 has angle "
+              f"{angle} deg, below the mesh minimum {meshing.MIN_ANGLE_DEG}")
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(needle)
+    if isinstance(domain, str):
+        assert main(["mesh", domain, "--h", "0.05", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(needle)
     assert not out.exists()

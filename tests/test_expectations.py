@@ -2,7 +2,7 @@
 
 Every configured expectation is validated by the kind its table entry
 names and graded by its grader, with per-corner expectations read at the
-first listed corner that has the measurement.
+lowest-numbered corner that has the measurement.
 """
 
 import copy
@@ -31,7 +31,6 @@ TINY = {
     "mesh": {"h0": 0.0625, "levels": 2, "grading": {2: 0.5}},
     "problem": {"nu": 0.2, "lower": -1.0, "upper": 1.0,
                 "target": {"kind": "constant", "value": 1.0}},
-    "analysis": {"corners": [2]},
 }
 
 
@@ -48,32 +47,32 @@ def test_table_covers_every_key_once():
 def test_empty_ladder_grades_every_key_in_table_order():
     cfg, domain = resolve_config(_with(TINY, domain="unit-square",
                                        mesh={"h0": 0.25},
-                                       analysis={"corners": [0]},
                                        expectations=EVERY_KEY))
-    rows = evaluate(cfg, [], _collect_trends(domain, cfg, []))
+    rows = evaluate(cfg, [], _collect_trends(domain, []))
     assert [key for key, _, _ in rows] == list(TABLE)
     # an empty ladder measures nothing, so no expectation can hold
     assert not any(ok for _, ok, _ in rows)
 
 
-def test_first_listed_corner_with_data_is_graded():
+def test_lowest_numbered_corner_with_data_is_graded():
+    # corner 1 lacks the slope, the c2 history, a second flat radius and a
+    # nonzero Holder quotient, whose lowest-numbered corner with data is 3;
+    # corner 5, listed first, is never reached
     flat = SimpleNamespace(verdict="flat-at-b", radius=0.1, consistent=True,
                            predicted_bound="upper")
     trends = {
-        "coeff": {3: {1: [], 2: [0.5, 0.5]}, 1: {1: [0.2, 0.1],
-                                                  2: [0.9, 0.9]}},
-        "flatness": {1: (0, flat)},
-        "flat_radius": {3: [None, None], 1: [0.1, 0.1]},
-        "slope": {3: -0.3, 1: -0.9},
-        "holder": {3: (0.0, 0.0), 1: (1.0, 0.5)},
-        "structure": {1: ([(1.0, 0.5)], True), 3: ([(2.0, 1.0)], False)},
+        "coeff": {5: {1: [0.3, 0.3], 2: [0.5, 0.5]},
+                  3: {1: [], 2: [0.5, 0.5]}, 1: {1: [0.2, 0.1], 2: []}},
+        "flatness": {5: [flat, flat], 3: [flat, flat], 1: [None, flat]},
+        "slope": {5: -0.3, 3: -0.3},
+        "holder": {5: (1.0, 0.5), 3: (1.0, 0.5), 1: (0.0, 0.0)},
+        "structure": {5: ([(2.0, 1.0)], False), 1: ([(1.0, 0.5)], True)},
     }
-    keys = {"flat_verdict": 1, "sign_consistent": 1, "flat_radius_stable": 1,
+    keys = {"flat_verdict": 1, "sign_consistent": 1, "flat_radius_stable": 3,
             "slope_range": 3, "c1_min": 1, "c2_stable_within": 3,
-            "structure_decays": 3, "holder_ratio_max": 1}
+            "structure_decays": 1, "holder_ratio_max": 3}
     cfg = validate_config(_with(
         TINY, domain="unit-square", mesh={"h0": 0.25},
-        analysis={"corners": [3, 1]},
         expectations={k: EVERY_KEY[k] for k in keys}))
     rows = evaluate(cfg, [], trends)
     assert [key for key, _, _ in rows] == [k for k in TABLE if k in keys]
@@ -85,10 +84,9 @@ def test_not_flat_level_has_no_radius():
     # a not-flat scan measures no radius, and no grader prints or uses one
     scan = SimpleNamespace(verdict="not-flat", radius=None, consistent=False,
                            predicted_bound="b")
-    trends = {"flatness": {1: (1, scan)}, "flat_radius": {1: [None, None]}}
+    trends = {"flatness": {1: [None, scan]}}
     cfg = validate_config(_with(
         TINY, domain="unit-square", mesh={"h0": 0.25},
-        analysis={"corners": [1]},
         expectations={"flat_verdict": "flat-at-b", "flat_radius_stable": 0.2}))
     assert evaluate(cfg, [], trends) == [
         ("flat_verdict", False,

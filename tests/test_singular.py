@@ -90,8 +90,11 @@ def test_fem_path_recovery():
         r, theta = geo._polar_arrays(DOM, J, np.column_stack([x, y]))
         out = np.zeros(len(r))
         band = (r > 1e-14) & (theta <= DOM.corners[J].angle + 1e-12)
-        xi1 = geo.cutoff(DOM, J, r[band], deriv=1)
-        xi2 = geo.cutoff(DOM, J, r[band], deriv=2)
+        # first and second r-derivatives of the quintic blend of xi
+        R = DOM.corners[J].radius
+        t = np.clip((r[band] - R) / R, 0.0, 1.0)
+        xi1 = -30.0 * t * t * (1.0 - t) ** 2 / R
+        xi2 = -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / (R * R)
         for m, cm in coeffs.items():
             k = m * lam
             out[band] += -cm * np.sin(k * theta[band]) * r[band] ** (k - 1) * (
