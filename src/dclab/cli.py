@@ -68,8 +68,7 @@ def _cmd_mesh(args) -> int:
         grading = unique_keys(pairs, "config.mesh.grading")
         m, domain = resolve_mesh(args.domain, {
             "kind": "structured" if args.structured else "triangulated",
-            "h0": args.h, "grading": grading,
-            "lattice_angle": args.lattice_angle})
+            "h0": args.h, "grading": grading})
         check_node_budget(m, domain)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -119,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="grade toward corner J with exponent MU (repeatable)")
     m.add_argument("--structured", action="store_true",
                    help="lattice mesh instead of Delaunay")
-    m.add_argument("--lattice-angle", type=float, default=0.0)
     m.add_argument("--out", default=None, help="output directory")
     m.set_defaults(fn=_cmd_mesh)
 

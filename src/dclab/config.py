@@ -191,7 +191,6 @@ SCHEMA = {
         "levels": (COUNT, False, 1),
         "grading": ((MAP, (NUMBER, lambda mu: 0.0 < mu <= 1.0,
                            "exponent must lie in (0, 1]")), False, None),
-        "lattice_angle": (NUMBER, False, 0.0),
     }, True, None),
     "problem": ({
         "nu": (POSITIVE, True, None),
@@ -201,8 +200,7 @@ SCHEMA = {
             "constant": {"kind": (STR, True, None),
                          "value": (NUMBER, True, None)},
             "skew-step": {"kind": (STR, True, None),
-                          "corner": (CORNER, True, None),
-                          "value": (NUMBER, False, 1.0)},
+                          "corner": (CORNER, True, None)},
         }), True, None),
         # None until the bounds decide it
         "solve": ((ENUM, ("both", "constrained", "unconstrained")), False,
@@ -213,7 +211,6 @@ SCHEMA = {
         "n": ((ENUM, (1, 2)), True, None),
         # nodal imposition needs a continuous datum
         "eta": (POSITIVE, True, None),
-        "amplitude": (NUMBER, False, 1.0),
     }, False, None),
     "expectations": ({key: (_EXPECTATION_KINDS[kind], False, OMIT)
                       for key, (kind, _) in TABLE.items()}, False, {}),
@@ -225,10 +222,8 @@ def _resolve(fields, cfg):
     entries, and apply their rules: (normalized config, PolygonalDomain)."""
     corners = []
     out = _block(fields, cfg, "config", corners)
-    m = out["mesh"]
-    for key, what in ("grading", "grading"), ("lattice_angle", "a lattice angle"):
-        if m["kind"] == "structured" and m[key]:  # None or 0.0 when unset
-            _fail(f"config.mesh.{key}", f"structured meshes do not support {what}")
+    if out["mesh"]["kind"] == "structured" and out["mesh"]["grading"]:
+        _fail("config.mesh.grading", "structured meshes do not support grading")
     dom = out["domain"]
     try:
         domain = build_domain(dom["vertices"] if isinstance(dom, dict) else dom,

@@ -77,7 +77,7 @@ class CornerData:
 class SingularBoundaryData:
     """Singular Dirichlet datum concentrated at one corner.
 
-    The trace is amplitude * chi^(n+1) * xi_j(r) * r^eta, with the side
+    The trace is chi^(n+1) * xi_j(r) * r^eta, with the side
     sign chi = +1 on Gamma_j and -1 on Gamma_{j-1}: parity n=1 keeps the
     sign across the corner, n=2 flips it (the chi-type datum).  Validity
     requires eta > -1/2 for n=1, eta > 0 for n=2, and eta/lam_j not an
@@ -87,7 +87,6 @@ class SingularBoundaryData:
     corner: int
     n: int
     eta: float
-    amplitude: float = 1.0
 
 
 class PolygonalDomain:
@@ -394,8 +393,8 @@ def singular_set_for_exponents(lams, p: float, m: int) -> set[int]:
         q = 2.0 * (p - 1.0) / (p * lam)
         if abs(q - round(q)) < RESONANCE_TOL:
             raise GeometryError(
-                f"resonant exponent at corner {j}: 2(p-1)/(p*lambda) = {q!r} "
-                "is an integer; perturb p")
+                f"resonant exponent at corner {j}: 2(p-1)/(p*lambda) = "
+                f"{q:.6g} is an integer")
         if 0.0 < m * lam < thresh:
             out.add(j)
     return out
@@ -403,9 +402,9 @@ def singular_set_for_exponents(lams, p: float, m: int) -> set[int]:
 
 # -- wedge fields, profiles, coefficients ----------------------------
 
-def wedge_field(domain: PolygonalDomain, j: int, points, amplitude: float,
-                exponent: float, profile) -> np.ndarray:
-    """amplitude * xi_j(r) * r^exponent * profile(theta) at the given points.
+def wedge_field(domain: PolygonalDomain, j: int, points, exponent: float,
+                profile) -> np.ndarray:
+    """xi_j(r) * r^exponent * profile(theta) at the given points.
 
     Zero at the corner itself and outside the wedge support (theta beyond
     omega_j or r >= 2 R_j); ``profile`` maps an array of angles to values.
@@ -415,8 +414,7 @@ def wedge_field(domain: PolygonalDomain, j: int, points, amplitude: float,
     vals = np.zeros_like(r)
     mask = (r > 0.0) & (r < 2.0 * c.radius) & (theta <= c.angle + 1e-12)
     r = r[mask]
-    vals[mask] = (amplitude * cutoff(domain, j, r) * r ** exponent
-                  * profile(theta[mask]))
+    vals[mask] = cutoff(domain, j, r) * r ** exponent * profile(theta[mask])
     return vals
 
 
@@ -427,7 +425,7 @@ def eval_singular_volume(domain: PolygonalDomain, j: int, m: int, points) -> np.
     harmonic where the cutoff is inactive.
     """
     k = m * domain.corners[j].lam
-    vals = wedge_field(domain, j, points, 1.0, k, lambda t: np.sin(k * t))
+    vals = wedge_field(domain, j, points, k, lambda t: np.sin(k * t))
     if np.ndim(points) == 1:
         return float(vals[0])
     return vals

@@ -39,7 +39,7 @@ from .fem import (DiscontinuityLine, FemError, FemSystem, check_max_principle,
                   solve_dirichlet)
 from .geometry import UNBOUNDED, GeometryError, SingularBoundaryData
 from .meshing import MeshError, structured_mesh, triangulate
-from .singular import (MODES, S_STAR, AnalysisError, classify_H_sets,
+from .singular import (MODES, AnalysisError, classify_H_sets,
                        control_singular_profile, corner_log_slope,
                        extract_coefficients, flatness_diagnostic,
                        holder_quotient,
@@ -63,7 +63,7 @@ class LevelRecord:
     structure: dict = field(default_factory=dict)   # corner -> shell peaks
     holder: dict = field(default_factory=dict)      # corner -> (raw, rem)
     slopes: dict = field(default_factory=dict)      # corner -> log-log slope
-    expansion = None                                # SingularDataReport
+    expansion: object = None                        # SingularDataReport
 
 
 @dataclass
@@ -83,8 +83,7 @@ def make_mesh(domain, mesh_block, level):
     h = mesh_block["h0"] / 2.0 ** level
     if mesh_block["kind"] == "structured":
         return structured_mesh(domain, h)
-    return triangulate(domain, h, grading=mesh_block["grading"],
-                       lattice_angle=mesh_block["lattice_angle"])
+    return triangulate(domain, h, grading=mesh_block["grading"])
 
 
 def _analysed_corners(domain):
@@ -92,20 +91,25 @@ def _analysed_corners(domain):
     return [c.index for c in domain.corners if c.reentrant]
 
 
+def _primary(mode):
+    """The solve whose fields a level's corner diagnostics, artifacts and
+    trends.csv row report: the unconstrained one wherever it runs."""
+    return "constrained" if mode == "constrained" else "unconstrained"
+
+
 def _make_target(domain, tcfg):
     if tcfg["kind"] == "constant":
         return ConstantTarget(tcfg["value"])
-    # odd step across the corner bisector: +value for theta < omega/2,
-    # -value beyond, with the jump line declared for exact quadrature
+    # odd step across the corner bisector: +1 for theta < omega/2, -1
+    # beyond, with the jump line declared for exact quadrature
     c = domain.corners[tcfg["corner"]]
-    v = float(tcfg["value"])
     bis = c.frame_angle + 0.5 * c.angle
     nrm = (-math.sin(bis), math.cos(bis))
     vx, vy = c.vertex
 
     def fn(x, y):
         s = (x - vx) * nrm[0] + (y - vy) * nrm[1]
-        return np.where(s < 0.0, v, -v)
+        return np.where(s < 0.0, 1.0, -1.0)
 
     line = DiscontinuityLine(point=(vx, vy), normal=nrm)
     return CallableTarget(fn, discontinuity=line)
@@ -138,7 +142,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
     if mode in ("unconstrained", "both"):
         p = ControlProblem(system, prob["nu"], target)
         sols["unconstrained"] = solve_unconstrained(p)
-    primary = "unconstrained" if mode != "constrained" else "constrained"
+    primary = _primary(mode)
 
     for tag, sol in sols.items():
         rec.solves[tag] = _solve_summary(system, sol)
@@ -168,7 +172,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
         if con is not None:
             # the sign rule reads the adjoint of the solve it scans
             cfit = fit if con is main else fit_at(con, j)
-            c1 = None if cfit is None else cfit.coefficients.get(1)
+            c1 = None if cfit is None else cfit.coefficients[1]
             try:
                 rec.flatness[j] = flatness_diagnostic(
                     domain, mesh, con.u, lo, hi, j, c1=c1)
@@ -222,9 +226,7 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
 
 
 def _run_singular_level(domain, mesh, cfg, rec, leveldir):
-    d = cfg["singular_data"]
-    data = SingularBoundaryData(corner=d["corner"], n=d["n"], eta=d["eta"],
-                                amplitude=d["amplitude"])
+    data = SingularBoundaryData(**cfg["singular_data"])
     system = FemSystem(mesh)
     g = singular_boundary_values(domain, mesh, data)
     y = solve_dirichlet(system, g)
@@ -233,7 +235,7 @@ def _run_singular_level(domain, mesh, cfg, rec, leveldir):
     try:
         rec.expansion = verify_singular_expansion(domain, mesh, rem, data)
     except AnalysisError as exc:
-        rec.skipped[d["corner"]] = str(exc)
+        rec.skipped[data.corner] = str(exc)
     write_field_csv(os.path.join(leveldir, "fields.csv"),
                     {"state": y.values, "lift": lift, "remainder": rem})
     write_boundary_csv(os.path.join(leveldir, "boundary.csv"), mesh,
@@ -247,16 +249,14 @@ def _collect_trends(domain, levels):
     history = [rec.fits for rec in levels if rec.fits]
     if history:
         try:
-            trends["h_sets"] = classify_H_sets(domain, S_STAR, history)
+            trends["h_sets"] = classify_H_sets(domain, history)
         except GeometryError as exc:  # an exponent resonant with S_STAR
             trends["h_sets_error"] = f"H-sets not classified: {exc}"
 
     for j in _analysed_corners(domain):
         fits = [rec.fits[j] for rec in levels if j in rec.fits]
-        trends["coeff"][j] = {
-            m: [f.coefficients[m] for f in fits
-                if not math.isnan(f.coefficients.get(m, math.nan))]
-            for m in MODES}
+        trends["coeff"][j] = {m: [f.coefficients[m] for f in fits]
+                              for m in MODES}
         trends["flatness"][j] = [rec.flatness.get(j) for rec in levels]
         slopes = [rec.slopes[j] for rec in levels if j in rec.slopes]
         if slopes:
@@ -344,12 +344,12 @@ def _write_trends_csv(path, cfg, domain, levels):
     for rec in levels:
         row = [rec.index, rec.h, rec.n_nodes, rec.n_triangles]
         if cfg["problem"] is not None:
-            main = rec.solves[max(rec.solves)]  # the primary solve
+            main = rec.solves[_primary(cfg["problem"]["solve"])]
             row += [main["iterations"], main["kkt"], main["max_u"],
                     main["objective"]]
             for j in corners:
                 fit = rec.fits.get(j)
-                row += ["" if fit is None else fit.coefficients.get(m, "")
+                row += ["" if fit is None else fit.coefficients[m]
                         for m in MODES]
                 v = rec.flatness.get(j)
                 row.append("" if v is None or v.radius is None else v.radius)

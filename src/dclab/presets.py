@@ -34,11 +34,9 @@ PRESETS = {
             "name": "ex38-skew",
             "domain": "sector(3pi/2, 64)",
             "corner_radii": {0: 0.3},
-            "mesh": {"kind": "triangulated", "h0": 0.05, "levels": 3,
-                     "lattice_angle": 0.0},
+            "mesh": {"kind": "triangulated", "h0": 0.05, "levels": 3},
             "problem": {"nu": 1.0, "lower": -1.0, "upper": 1.0,
-                        "target": {"kind": "skew-step", "corner": 0,
-                                   "value": 1.0}},
+                        "target": {"kind": "skew-step", "corner": 0}},
             "expectations": {"c1_decay_factor": 2.0, "c2_stable_within": 0.2,
                              "holder_ratio_max": 0.6, "h2": [0]},
         })]),
@@ -49,8 +47,7 @@ PRESETS = {
             "name": "ex38-symmetric",
             "domain": "sector(3pi/2, 64)",
             "corner_radii": {0: 0.3},
-            "mesh": {"kind": "triangulated", "h0": 0.05, "levels": 3,
-                     "lattice_angle": 0.0},
+            "mesh": {"kind": "triangulated", "h0": 0.05, "levels": 3},
             "problem": {"nu": 1.0, "lower": -1.0, "upper": 1.0,
                         "target": {"kind": "constant", "value": 1.0}},
             "expectations": {"c1_min": 0.05, "c1_stable_within": 0.2,

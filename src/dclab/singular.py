@@ -11,12 +11,13 @@ Extraction fits nodal values in the annulus r in [R_j/4, R_j/2] around a
 corner against the wedge modes r^(m lam) sin(m lam theta) plus a smooth
 background {l1 l2, l1 l2 x, l1 l2 y} built from the two lines through the
 corner's sides (so every background function vanishes on both wedge
-walls, like the fields being analyzed).  Columns are rescaled to unit
-size; if the scaled design matrix has condition number above COND_MAX
-the highest mode is dropped and the fit is flagged.  The annulus must hold
-MIN_ANNULUS_NODES nodes.  The flatness scan counts a control within
-FLAT_TOL of a bound as on it, and the sign of c_{j,1} predicts the flat
-bound once |c_{j,1}| > C1_SIGN_MIN.
+walls, like the fields being analyzed).  The modes are m = 1, 2: with
+lam in (1/2, 1) at a re-entrant corner, m lam stays below the degrees 2
+and 3 of the background.  Columns are rescaled to unit size, and a scaled
+design matrix with condition number above COND_MAX is an AnalysisError.
+The annulus must hold MIN_ANNULUS_NODES nodes.  The flatness scan counts
+a control within FLAT_TOL of a bound as on it, and the sign of c_{j,1}
+predicts the flat bound once |c_{j,1}| > C1_SIGN_MIN.
 """
 
 from __future__ import annotations
@@ -90,27 +91,26 @@ class CoefficientFit:
     n_nodes: int
     residual: float             # fit residual relative to the field size
     condition: float
-    dropped_modes: tuple = ()
-    warning: str | None = None
 
 
 def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
-                         j: int, modes=MODES) -> CoefficientFit:
-    """Least-squares wedge-mode coefficients of a nodal field at corner j.
+                         j: int) -> CoefficientFit:
+    """Least-squares coefficients of the wedge modes MODES of a nodal field
+    at corner j.
 
     The field must vanish on the boundary near the corner (adjoint type);
     subtract boundary data first if it does not.  The annulus
     [R_j/4, R_j/2] is widened toward 0.95 R_j if it holds fewer than
-    MIN_ANNULUS_NODES mesh nodes.
+    MIN_ANNULUS_NODES mesh nodes.  A basis whose scaled condition number
+    exceeds COND_MAX raises AnalysisError: at a convex corner a mode can
+    coincide with the background (at 90 degrees lam = 2, and
+    r^lam sin(lam theta) = 2 x y).
     """
     c = domain.corners[j]
     lam = c.lam
     vals = np.asarray(values, dtype=float)
     if vals.shape != (mesh.n_nodes,):
         raise AnalysisError("field length does not match the mesh")
-    modes = tuple(sorted(set(int(m) for m in modes)))
-    if not modes or modes[0] < 1:
-        raise AnalysisError("mode orders must be positive integers")
 
     r_all, theta_all = _polar_arrays(domain, j, mesh.nodes)
     lo, hi = 0.25 * c.radius, 0.5 * c.radius
@@ -131,35 +131,24 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
     b0 = yl * (math.sin(c.angle) * xl - math.cos(c.angle) * yl)
     y = vals[sel]
 
-    active = list(modes)
-    dropped = []
-    warning = None
-    while True:
-        cols = [r ** (m * lam) * np.sin(m * lam * theta) for m in active]
-        cols += [b0, b0 * xl, b0 * yl]
-        A = np.column_stack(cols)
-        scale = np.abs(A).max(axis=0)
-        scale[scale == 0.0] = 1.0
-        As = A / scale
-        coef_s, _, _, sv = np.linalg.lstsq(As, y, rcond=None)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-        if cond <= COND_MAX or len(active) == 1:
-            break
-        dropped.append(active.pop())  # drop the highest mode
-        warning = (f"ill-conditioned basis at corner {j} "
-                   f"(cond {cond:.2e}); dropped modes {tuple(dropped)}")
+    cols = [r ** (m * lam) * np.sin(m * lam * theta) for m in MODES]
+    A = np.column_stack(cols + [b0, b0 * xl, b0 * yl])
+    scale = np.abs(A).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    As = A / scale
+    coef_s, _, _, sv = np.linalg.lstsq(As, y, rcond=None)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+    if cond > COND_MAX:
+        raise AnalysisError(f"ill-conditioned basis at corner {j} "
+                            f"(cond {cond:.2e})")
     coef = coef_s / scale
     res = float(np.linalg.norm(As @ coef_s - y))
     denom = float(np.linalg.norm(y))
     rel = res / denom if denom > 0 else res
-
-    coefficients = {m: float(coef[k]) for k, m in enumerate(active)}
-    for m in dropped:
-        coefficients[m] = math.nan
-    return CoefficientFit(coefficients=coefficients,
+    return CoefficientFit(coefficients={m: float(coef[k])
+                                        for k, m in enumerate(MODES)},
                           annulus=(float(lo), float(hi)), n_nodes=len(sel),
-                          residual=rel, condition=cond,
-                          dropped_modes=tuple(dropped), warning=warning)
+                          residual=rel, condition=cond)
 
 
 def synthesize_modes(domain: PolygonalDomain, mesh: TriMesh, j: int,
@@ -212,23 +201,21 @@ def _c1_verdict(history: list) -> str:
     return "undetermined"
 
 
-def classify_H_sets(domain: PolygonalDomain, s_star: float,
+def classify_H_sets(domain: PolygonalDomain,
                     extraction_history) -> HSetReport:
-    """Classify the contributing-corner sets from extracted coefficients.
+    """Classify the contributing-corner sets, at exponent S_STAR, from
+    extracted coefficients.
 
     ``extraction_history`` is a sequence (one entry per refinement level,
     coarse to fine) of dicts corner -> CoefficientFit.
     """
-    j1, j2, j3 = (singular_set_for_exponents(domain.lambdas, s_star, m)
+    j1, j2, j3 = (singular_set_for_exponents(domain.lambdas, S_STAR, m)
                   for m in (1, 2, 3))
     h1 = {j for j in j1 if domain.corners[j].lam > 1.0}
     h2, h3, und = set(), set(), set()
     for j in sorted(j2 | j3):
-        hist = []
-        for level in extraction_history:
-            if j in level and 1 in level[j].coefficients:
-                hist.append(level[j].coefficients[1])
-        verdict = _c1_verdict(hist)
+        verdict = _c1_verdict([level[j].coefficients[1]
+                               for level in extraction_history if j in level])
         if verdict == "zero":
             h2 |= {j} & j2
             h3 |= {j} & j3
@@ -329,7 +316,7 @@ def predicted_control_terms(domain: PolygonalDomain, j: int, c_fit: dict,
     lam = domain.corners[j].lam
     return {m: control_singular_coefficient(cm, m, lam, nu,
                                             np.min(a), np.max(b))
-            for m, cm in c_fit.items() if not math.isnan(cm)}
+            for m, cm in c_fit.items()}
 
 
 def _trace_terms(domain: PolygonalDomain, mesh: TriMesh, j: int,
@@ -474,16 +461,16 @@ def singular_boundary_values(domain: PolygonalDomain, mesh: TriMesh,
         raise AnalysisError("nodal imposition needs a continuous datum "
                             "(eta > 0)")
     return _trace_terms(domain, mesh, data.corner,
-                        [(data.amplitude, data.n, data.eta)])
+                        [(1.0, data.n, data.eta)])
 
 
 def wedge_lift(domain: PolygonalDomain, mesh: TriMesh,
                data: SingularBoundaryData) -> np.ndarray:
-    """Nodal field amplitude xi(r) r^eta s(theta): the closed-form
-    harmonic lift whose trace equals the singular datum near the corner."""
-    return wedge_field(domain, data.corner, mesh.nodes, data.amplitude,
-                       data.eta, partial(eval_s_profile, domain, data.corner,
-                                         data.n, data.eta))
+    """Nodal field xi(r) r^eta s(theta): the closed-form harmonic lift
+    whose trace equals the singular datum near the corner."""
+    return wedge_field(domain, data.corner, mesh.nodes, data.eta,
+                       partial(eval_s_profile, domain, data.corner, data.n,
+                               data.eta))
 
 
 def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh, rem,

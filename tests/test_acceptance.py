@@ -5,6 +5,7 @@ suite output documents the run.  The preset ladders execute once per
 session (module fixture) and are shared by the criteria that grade them.
 """
 
+import json
 import math
 import os
 
@@ -21,6 +22,8 @@ from dclab.meshing import structured_mesh, triangulate
 from dclab.presets import PRESETS
 from dclab.singular import (extract_coefficients, rate_estimate,
                             synthesize_modes)
+
+import preset_reference
 
 J = L_SHAPE_REENTRANT_CORNER
 
@@ -263,3 +266,26 @@ def test_summaries_print_only_graded_lines(preset_results):
             verdicts += res.verdicts
     assert len(verdicts) == 22 and all(ok for _, ok, _ in verdicts)
     print(f"summaries PASS: {len(verdicts)} verdict lines, no profile line")
+
+
+def test_preset_numbers_match_reference(preset_results):
+    # preset_reference.json pins every preset run; its module docstring
+    # says how to regenerate it.  Counts and verdict booleans hold on any
+    # stack, iterations, detail strings and file digests on the stack
+    # that wrote the file
+    with open(preset_reference.PATH) as fh:
+        ref = json.load(fh)
+    now = json.loads(json.dumps(preset_reference.reference(preset_results)))
+    assert now["runs"].keys() == ref["runs"].keys()
+    same_stack = now["stack"] == ref["stack"]
+    for name, want in ref["runs"].items():
+        got = now["runs"][name]
+        assert ([(lv["nodes"], lv["triangles"]) for lv in got["levels"]]
+                == [(lv["nodes"], lv["triangles"]) for lv in want["levels"]])
+        assert ([(label, ok) for label, ok, _ in got["verdicts"]]
+                == [(label, ok) for label, ok, _ in want["verdicts"]])
+        if same_stack:
+            assert got == want, name
+    print(f"reference PASS: {len(ref['runs'])} runs, "
+          f"{'all numbers' if same_stack else 'counts and verdicts'} "
+          f"as pinned for {ref['stack']}")

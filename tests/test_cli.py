@@ -75,7 +75,8 @@ def test_error_paths_carry_field_names():
         (_cfg(mesh={"levels": 0}), "config.mesh.levels"),
         (_cfg(mesh={"kind": "hexahedral"}), "config.mesh.kind"),
         (_cfg(mesh={"grading": {0: 0.5}}), "config.mesh.grading"),
-        (_cfg(mesh={"lattice_angle": 0.3}), "config.mesh.lattice_angle"),
+        (_cfg(mesh={"lattice_angle": 0.3}),
+         "config.mesh.lattice_angle: unknown field"),
         (_cfg(problem={"nu": 0.0}), "config.problem.nu"),
         (_cfg(problem={"lower": 2.0, "upper": 1.0}), "config.problem"),
         (_cfg(expectations={"bogus": 1}), "config.expectations.bogus"),
@@ -148,6 +149,14 @@ def test_error_paths_carry_field_names():
         (_cfg(problem=None, singular_data={"corner": 0, "n": 1, "eta": 1.5,
                                            "amplitud": 2}),
          "config.singular_data.amplitud: unknown field"),
+        # the lattice angle, the step's height and the datum's amplitude
+        # are not settable either
+        (_cfg(problem={"target": {"kind": "skew-step", "corner": 0,
+                                  "value": 1.0}}),
+         "config.problem.target.value: unknown field"),
+        (_cfg(problem=None, singular_data={"corner": 0, "n": 1, "eta": 1.5,
+                                           "amplitude": 1.0}),
+         "config.singular_data.amplitude: unknown field"),
         # the analysed corners, wedge modes and s* are not settable
         (_cfg(analysis={"corners": [0]}), "config.analysis: unknown field"),
         (_cfg(analysis={}), "config.analysis: unknown field"),
@@ -477,14 +486,18 @@ def test_cli_mesh_subcommand(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "mesh_triangles.csv"))
     assert main(["mesh", "no-such-domain", "--h", "0.2"]) == 2
     assert main(["mesh", "l-shape", "--h", "0.25", "--structured",
-                 "--lattice-angle", "0.3", "--out", out]) == 2
-    capsys.readouterr()
+                 "--grading", "2:0.5", "--out", out]) == 2
+    # the lattice angle is not a setting: argparse rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "l-shape", "--h", "0.25", "--lattice-angle", "0.3",
+              "--out", out])
+    assert exc.value.code == 2
+    assert "--lattice-angle" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, field", [
     (["--h", "nan"], "config.mesh.h0"),
     (["--h", "inf"], "config.mesh.h0"),
-    (["--h", "0.2", "--lattice-angle", "nan"], "config.mesh.lattice_angle"),
     (["--h", "-1"], "config.mesh.h0"),
     (["--h", "0.2", "--grading", "2:1.5"], "config.mesh.grading[2]"),
     (["--h", "0.2", "--grading", "2:nan"], "config.mesh.grading[2]"),
@@ -495,7 +508,7 @@ def test_cli_mesh_subcommand(tmp_path, capsys):
      "config.mesh.grading"),
     (["--h", "0.2", "--grading", "2:0.5", "--grading", "02:0.3"],
      "config.mesh.grading[2]"),
-], ids=["h-nan", "h-inf", "lattice-angle-nan", "h-negative",
+], ids=["h-nan", "h-inf", "h-negative",
         "grading-above-1", "grading-nan", "grading-no-corner",
         "grading-no-exponent", "grading-not-a-number", "grading-repeated",
         "grading-corner-repeated"])

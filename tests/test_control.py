@@ -346,6 +346,20 @@ def test_projected_gradient_converges(square_system, nu):
     assert np.abs(sol.u - solve_constrained(p).u).max() < 1e-9
 
 
+def test_cycling_pdas_falls_back_to_projected_gradient():
+    # at nu = 0.01 the PDAS sets flip between all 32 trace nodes at the
+    # lower bound and all at the upper one; the repeated pair hands the
+    # solve to the projected gradient, which converges
+    p = ControlProblem(FemSystem(structured_mesh(unit_square(), 1.0 / 8.0)),
+                       nu=0.01, target=ConstantTarget(0.5),
+                       lower=-1.0, upper=1.0)
+    sol = solve_constrained(p)
+    assert sol.method == "pg" and sol.converged and sol.kkt.satisfied
+    sets = [(h["active_lower"], h["active_upper"]) for h in sol.history
+            if "active_lower" in h]
+    assert sets == [(32, 0), (0, 32), (32, 0), (0, 32), (32, 0)]
+
+
 def _record_cg_rtols(monkeypatch):
     rtols = []
     cg = control._pcg

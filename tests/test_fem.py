@@ -513,12 +513,12 @@ def test_split_with_vertex_on_line_keeps_area(on_line):
 
 def test_skew_step_target_integrates_exactly():
     # ex38-skew level 0: the odd step across the bisector of the sector's
-    # corner integrates to 0 and its square to v^2 |Omega|
+    # corner, +-1, integrates to 0 and its square to |Omega|
     cfg, dom = resolve_config({
         "domain": "sector(3pi/2, 64)", "corner_radii": {"0": 0.3},
         "mesh": {"kind": "triangulated", "h0": 0.05},
-        "problem": {"nu": 1.0, "target": {"kind": "skew-step", "corner": 0,
-                                          "value": 1.5}}})
+        "problem": {"nu": 1.0, "target": {"kind": "skew-step",
+                                          "corner": 0}}})
     mesh = make_mesh(dom, cfg["mesh"], 0)
     target = _make_target(dom, cfg["problem"]["target"])
     line = target.discontinuity
@@ -527,4 +527,4 @@ def test_skew_step_target_integrates_exactly():
     sq = assemble_load(mesh, lambda x, y: target.fn(x, y) ** 2,
                        discontinuity=line)
     assert abs(odd.sum()) < 1e-12
-    assert abs(sq.sum() - 1.5 ** 2 * dom.area) < 1e-12
+    assert abs(sq.sum() - dom.area) < 1e-12
