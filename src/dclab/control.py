@@ -17,33 +17,41 @@ optimality system closes exactly: at the solution every node satisfies
 u_i = clip(d_i / nu, a_i, b_i) to solver precision, mirroring the
 pointwise projection formula of the continuous problem.
 
-Constrained problems are solved by a primal-dual active set iteration
-(semismooth Newton): given active sets, the equality-constrained
-quadratic is solved by conjugate gradients on the inactive block of the
-reduced Hessian H = nu M_L + S^T M S (two cached-LU solves per apply),
-then the sets are updated from the unprojected candidate d / nu.
+Constrained problems are solved by one loop of primal-dual active set
+(PDAS) steps, a semismooth Newton method (Hintermueller, Ito & Kunisch
+2002): pin the active nodes on their bounds and the others into the box,
+then solve the equality-constrained quadratic by CG on the inactive
+block of the reduced Hessian H = nu M_L + S^T M S (two cached-LU solves
+per apply).  The sets are the PDAS rule d/nu < a, d/nu > b, first at
+the start point.  J is quadratic, so after a CG correction x the
+gradient is carried as g + H x, from the applies CG makes anyway; fresh
+fields are solved for only where a pin moves the control and where the
+carried gradient says converged (at that control, put in the box).
+Returned fields and KKT report are always fresh.
 
-Each PDE solve is paid once.  State and adjoint are solved at the start
-point u0, and the first active sets are the PDAS rule there
-(d/nu < a, d/nu > b; Hintermueller, Ito & Kunisch 2002), not empty sets.
-J is quadratic, so after a CG correction x the gradient is carried as
-g + H x, with H x summed from the applies CG makes anyway; fresh fields
-are solved for again only where pinning a newly active node moves the
-control, and at a step whose carried gradient says converged.  Returned
-fields and KKT report are always fresh; where they disagree with the
-carried gradient, PDAS goes on from them.
+H is not an M-matrix, so the PDAS sets can cycle.  The loop keeps a pin
+only where J has dropped since the last fresh point it kept, which it
+tests at no solve: over a step x, J changes by x . (g_0 + g_1) / 2, g_0
+and g_1 the gradients at its ends (a CG correction lowers J by
+construction).  Elsewhere it goes back to that point for one
+projected-Newton step (Bertsekas 1982): the rule's nodes on their bound
+stay there, the others take a Newton step by CG, or, where that does
+not lower J, the scaled gradient -g / (nu M_L), with Armijo backtracking
+along the projection arc.  Every kept point is feasible, and J falls
+from each to the next.
 
-A step that changes the active sets only has to pick the next sets, so
 CG runs to the loose CG_RTOL_SETS while the sets move (an inexact Newton
-step).  PDAS is exact once the sets are right, so the first step that
-leaves them unchanged switches to CG_RTOL for good: the same sets are
-solved again, from the current iterate, and the iteration returns only
-at unchanged sets whose fresh fields satisfy KKT_TOL.  Both tolerances
-scale one residual size per solve, taken at the start point (or, where
-it is 0 there, at the first pinned control).  A set pair that repeats
-among inexact steps switches to exact steps too; among exact steps it
-means cycling, and a projected-gradient fallback with Armijo
-backtracking, bounded by PG_MAX_SOLVES PDE solves, takes over.
+step), and to CG_RTOL from the first step that leaves them unchanged or
+repeats a pair; the loop returns at unchanged sets whose fresh fields
+meet the KKT tolerance, or stops unconverged after MAX_ITER iterations,
+each at most 6 + 2 _HALVINGS LU solves besides two per Hessian apply.
+CG's residual scale is taken at the start point (or, where it is 0
+there, at the first pinned control).
+
+The stopping tests share one round-off bound, fem.ROUND_OFF, relative to
+the problem's scale max(1, rms(y_target) / nu, max |clip(0, a, b)|),
+the control's size (d/nu carries the target over nu): the KKT tolerance
+is KKT_TOL times the scale, and CG stops two decades inside it.
 """
 
 from __future__ import annotations
@@ -52,33 +60,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import (
-    DiscontinuityLine,
-    FemSystem,
-    ScalarField,
-    assemble_load,
-    solve_dirichlet,
-    variational_normal_derivative,
-)
+from .fem import (ROUND_OFF, DiscontinuityLine, FemSystem, ScalarField,
+                  assemble_load, solve_dirichlet,
+                  variational_normal_derivative)
 from .geometry import UNBOUNDED
 
-#: nodewise optimality tolerance: |u - clip(d/nu, a, b)| at every node
-KKT_TOL = 1e-10
+#: nodewise optimality tolerance at scale 1: |u - clip(d/nu, a, b)| at
+#: every node, and the bound violation, are at most KKT_TOL * scale
+KKT_TOL = ROUND_OFF
 
-#: relative CG tolerance for the reduced Newton/unconstrained systems
-CG_RTOL = 1e-12
+#: relative CG tolerance for the reduced Newton/unconstrained systems,
+#: two decades inside the KKT tolerance
+CG_RTOL = ROUND_OFF / 100
 
 #: relative CG tolerance of a PDAS step while the active sets still move
 CG_RTOL_SETS = 1e-3
 
-#: PDAS iterations before the projected-gradient fallback takes over
-PDAS_MAX_ITER = 200
+#: iterations before solve_constrained stops unconverged
+MAX_ITER = 200
 
-#: work budget of the projected-gradient fallback, in PDE solves
-PG_MAX_SOLVES = 20000
-
-#: backtracking halvings per projected-gradient step
-_PG_HALVINGS = 60
+#: backtracking halvings per projected-Newton direction
+_HALVINGS = 40
 
 #: CG iterations before a PDAS step or unconstrained solve gives up
 _CG_MAX_ITER = 5000
@@ -149,6 +151,11 @@ class ControlProblem:
         self.target = target
         self.t_load, self.t_const = _target_data(system, target)
         self.lumped = system.trace.lumped
+        # the size of the control: d/nu carries the target (its rms) over
+        # nu, and the box may hold it away from 0; never below 1
+        rms = float(np.sqrt(2.0 * self.t_const / system.mesh.domain.area))
+        self.scale = max(1.0, rms / self.nu,
+                         float(np.abs(np.clip(0.0, self.lower, self.upper)).max()))
 
     # -- pieces of the optimality system -------------------------------
 
@@ -196,17 +203,18 @@ class ControlProblem:
         r = u - proj
         feas = max(0.0, float((self.lower - u).max()), float((u - self.upper).max()))
         return KKTReport(stationarity_max=float(np.abs(r).max()),
-                         feasibility=feas)
+                         feasibility=feas, tol=KKT_TOL * self.scale)
 
 
 @dataclass(frozen=True)
 class KKTReport:
     stationarity_max: float
     feasibility: float
+    tol: float
 
     @property
     def satisfied(self) -> bool:
-        return self.stationarity_max <= KKT_TOL and self.feasibility <= KKT_TOL
+        return self.stationarity_max <= self.tol and self.feasibility <= self.tol
 
 
 @dataclass
@@ -312,17 +320,17 @@ def solve_unconstrained(problem: ControlProblem,
 
 def solve_constrained(problem: ControlProblem,
                       u0: np.ndarray | None = None) -> OptimalSolution:
-    """Primal-dual active set iteration for the box-constrained problem,
-    seeded at the start point, with the gradient carried through CG and
-    inexact steps while the active sets move (see module docstring)."""
+    """PDAS for the box-constrained problem, with a projected-Newton step
+    wherever a pin would raise J (see module docstring)."""
     lo, hi = problem.lower, problem.upper
     if not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi))):
         return solve_unconstrained(problem, u0)
     nu = problem.nu
-    nb = problem.system.trace.n
-    u = np.zeros(nb) if u0 is None else np.clip(np.asarray(u0, float), lo, hi)
+    u = np.clip(0.0 if u0 is None else np.asarray(u0, float), lo, hi)
     g, y, phi, d = problem.gradient(u)
+    J = problem.objective(u, y)
     fresh = True        # y, phi, d were solved for at this very u
+    base = u, g, y, phi, d, J       # the last fresh point kept
     scale = _residual_scale(problem, u, d)
 
     def rule(u, d):
@@ -330,112 +338,103 @@ def solve_constrained(problem: ControlProblem,
         cand = d / nu
         return cand < lo, cand > hi, problem.kkt_residual(u, d)
 
+    def change(u, g):       # J(u) - J(base), from the gradients at both
+        return 0.5 * float((u - base[0]) @ (base[1] + g))
+
     act_a, act_b, _ = rule(u, d)
     rtol = CG_RTOL_SETS
     seen = set()
     history = []
 
-    for it in range(1, PDAS_MAX_ITER + 1):
-        # equality-constrained step: pin the active nodes (fresh fields
+    for it in range(1, MAX_ITER + 1):
+        # pin the active nodes, the others into the box (fresh fields
         # only if that moves the control), then zero the gradient on the
         # inactive block by a CG correction
-        pinned = np.where(act_a, lo, np.where(act_b, hi, u))
+        pinned = np.where(act_a, lo, np.where(act_b, hi, np.clip(u, lo, hi)))
         if not np.array_equal(pinned, u):
-            u = pinned
-            g, y, phi, d = problem.gradient(u)
             fresh = True
+            fields = problem.gradient(pinned)
+            dJ = change(pinned, fields[0])
+            if dJ < 0.0:
+                u, (g, y, phi, d), J = pinned, fields, base[5] + dJ
+            else:
+                # J has not dropped: a projected-Newton step from the base
+                u, g, y, phi, d, J = base
+                act_a, act_b, _ = rule(u, d)
+                act_a, act_b = act_a & (u == lo), act_b & (u == hi)
+                step = _projected_newton(
+                    problem, base, np.flatnonzero(~(act_a | act_b)), rtol, scale)
+                if step is None:
+                    break
+                u, J = step
+                g, y, phi, d = problem.gradient(u)
+            base = u, g, y, phi, d, J
             scale = scale or _residual_scale(problem, u, d)
         idx = np.flatnonzero(~(act_a | act_b))
-        if len(idx):
-            x, hx = _pcg(problem, idx, -g[idx], rtol=rtol, scale=scale)
-            if x.any():
-                u = u.copy()
-                u[idx] += x
-                g = g + hx
-                fresh = False
-                d = nu * u - g / problem.lumped
+        x, hx = _pcg(problem, idx, -g[idx], rtol=rtol, scale=scale)
+        if x.any():
+            u = u.copy()
+            u[idx] += x
+            g = g + hx
+            fresh = False
+            d = nu * u - g / problem.lumped
+            J = base[5] + change(u, g)
 
         new_a, new_b, kkt = rule(u, d)
         same = np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
-        drifted = False
         if same and kkt.satisfied and not fresh:
-            # the carried gradient says converged: decide on fresh fields,
-            # and where they disagree go on from them
+            # the carried gradient says converged: decide on fresh fields
+            # at the control in the box, and where they disagree go on
+            u = np.clip(u, lo, hi)
             g, y, phi, d = problem.gradient(u)
             fresh = True
+            dJ = change(u, g)
+            J = base[5] + dJ
+            if dJ < 0.0:
+                base = u, g, y, phi, d, J
             new_a, new_b, kkt = rule(u, d)
             same = np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
-            drifted = same and not kkt.satisfied
-        history.append({"iteration": it,
-                        "active_lower": int(new_a.sum()),
-                        "active_upper": int(new_b.sum()),
+        history.append({"iteration": it, "active_lower": int(new_a.sum()),
+                        "active_upper": int(new_b.sum()), "objective": J,
                         "kkt": kkt.stationarity_max})
         if same and kkt.satisfied:
-            uc = np.clip(u, lo, hi)
-            fields = (y, phi, d) if np.array_equal(uc, u) else None
-            return _finish(problem, uc, it, "pdas", history, fields)
+            break
         key = (new_a.tobytes(), new_b.tobytes())
-        if rtol != CG_RTOL and (same or key in seen):
-            # the sets have settled (or repeat): exact steps from here on,
-            # and only a set pair repeated among them counts as cycling
+        if same or key in seen:
+            # the sets have settled (or repeat): exact steps from here on
             rtol = CG_RTOL
-            seen.clear()
-        elif key in seen and not drifted:
-            # cycling: fall back to the globally convergent method
-            return _projected_gradient(problem, np.clip(u, lo, hi), history)
         seen.add(key)
-        if not same:
-            act_a, act_b = new_a, new_b
+        act_a, act_b = new_a, new_b
 
-    return _projected_gradient(problem, np.clip(u, lo, hi), history)
+    return _finish(problem, np.clip(u, lo, hi), it, "pdas", history,
+                   (y, phi, d) if fresh else None)
 
 
-def _projected_gradient(problem: ControlProblem, u: np.ndarray, history,
-                        max_solves: int = PG_MAX_SOLVES) -> OptimalSolution:
-    """Projected gradient with Armijo backtracking (monotone, slow, safe).
-
-    J is quadratic, so a trial step x changes it by exactly
-    g . x + 1/2 (||S x||^2_M + nu x^T M_L x), S x the state of boundary
-    data x.  The Armijo test takes that change in this closed form: the
-    difference of two rounded objectives, O(1) each, would decide steps
-    whose true change is ~1e-20 by round-off.
-
-    At most ``max_solves`` PDE solves: a step costs one gradient (two
-    solves) and up to _PG_HALVINGS trial states (one each), the
-    unconverged result's fields two more, and a step starts only while
-    that worst case fits.  A run out of budget returns unconverged.
-    """
+def _projected_newton(problem: ControlProblem, base, idx, rtol, scale):
+    """One projected-Newton step from the fresh point ``base`` (u, g, y,
+    phi, d, J), the nodes off ``idx`` staying on their bound: Newton's
+    direction by CG, else (where CG's tolerance already holds) the scaled
+    gradient d/nu - u.  A trial step x changes J by exactly
+    g . x + 1/2 (||S x||^2_M + nu x^T M_L x), S x its state, at one PDE
+    solve; two rounded objectives would decide a change of ~1e-20 by
+    round-off.  Returns the new control and J, or None where no trial
+    lowers J."""
+    u, g, _, _, d, J = base
     lo, hi = problem.lower, problem.upper
     M, ml, nu = problem.system.M, problem.lumped, problem.nu
-    J = problem.objective(u)
-    solves = 1
-    step = 1.0 / nu
-    it = 0
-    while solves + 2 + _PG_HALVINGS + 2 <= max_solves:
-        it += 1
-        g, y, phi, d = problem.gradient(u)
-        solves += 2
-        # Riesz representative of the gradient in the lumped metric
-        gr = g / ml
-        kkt = problem.kkt_residual(u, d)
-        if kkt.satisfied:
-            return _finish(problem, u, it, "pg", history, (y, phi, d))
-        s = step
-        for _ in range(_PG_HALVINGS):
-            cand = np.clip(u - s * gr, lo, hi)
-            x = cand - u
+    newton = np.zeros_like(u)
+    newton[idx], _ = _pcg(problem, idx, -g[idx], rtol=rtol, scale=scale)
+    for p in (newton, d / nu - u):
+        s = 1.0
+        for _ in range(_HALVINGS):
+            trial = np.clip(u + s * p, lo, hi)
+            x = trial - u
+            if not x.any():
+                break
             sx = problem.state(x).values
-            solves += 1
             slope = float(g @ x)
             dJ = slope + 0.5 * (float(sx @ (M @ sx)) + nu * float(x @ (ml * x)))
-            if dJ <= 1e-4 * slope or not x.any():
-                break
+            if dJ <= 1e-4 * slope:
+                return trial, J + dJ
             s *= 0.5
-        # stalled only when a step leaves u exactly unchanged: a relative
-        # tolerance (np.allclose's 1e-5) stops short of KKT_TOL
-        if not x.any():
-            break
-        u, J = cand, J + dJ
-        history.append({"iteration": len(history) + 1, "pg_objective": J,
-                        "kkt": kkt.stationarity_max})
-    return _finish(problem, u, it, "pg", history)
+    return None

@@ -81,12 +81,10 @@ def write_boundary_csv(path, mesh: TriMesh, columns: dict) -> None:
 
 
 def write_iteration_csv(path, history) -> None:
-    """Active-set / projected-gradient iteration log."""
-    rows = []
-    for rec in history:
-        rows.append((rec.get("iteration", ""), rec.get("active_lower", ""),
-                     rec.get("active_upper", ""), rec.get("pg_objective", ""),
-                     rec.get("kkt", "")))
+    """Active-set iteration log: the sets, J and the KKT residual after
+    each step."""
+    rows = [(rec["iteration"], rec["active_lower"], rec["active_upper"],
+             rec["objective"], rec["kkt"]) for rec in history]
     write_rows(path, ["iteration", "active_lower", "active_upper",
                       "objective", "kkt"], rows)
 

@@ -30,6 +30,12 @@ import scipy.sparse.linalg as spla
 from .meshing import TriMesh
 
 
+#: relative round-off bound of a solved field: a value of size s is
+#: trusted to ROUND_OFF * max(1, s), the tolerance of the maximum-principle
+#: check here and of the optimality tests of ``control``
+ROUND_OFF = 1e-10
+
+
 class FemError(RuntimeError):
     pass
 
@@ -353,10 +359,11 @@ class MaxPrincipleReport:
 
 def check_max_principle(system: FemSystem, field) -> MaxPrincipleReport:
     """Discrete maximum principle: interior range within boundary range,
-    up to 1e-10."""
+    up to ROUND_OFF times the boundary values' size (at least 1)."""
     vals = field.values if isinstance(field, ScalarField) else np.asarray(field)
     vb, vi = np.split(vals, [system.trace.n])
     if len(vi) == 0:
         vi = vb
     viol = max(0.0, float(vb.min() - vi.min()), float(vi.max() - vb.max()))
-    return MaxPrincipleReport(violation=viol, satisfied=bool(viol <= 1e-10))
+    slack = ROUND_OFF * max(1.0, float(np.abs(vb).max()))
+    return MaxPrincipleReport(violation=viol, satisfied=bool(viol <= slack))

@@ -530,7 +530,8 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
         raise MeshError("non-positively-oriented triangle")
     if abs(areas.sum() - domain.area) > 1e-12 * domain.area:
         raise MeshError(
-            f"triangle areas sum to {areas.sum()!r}, domain area {domain.area!r}")
+            f"triangle areas sum to {float(areas.sum())!r}, domain area "
+            f"{domain.area!r}")
 
     chains = [np.asarray(c, dtype=np.int64) for c in chains]
     ids = np.concatenate([c[:-1] for c in chains])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dclab import config, harness, meshing
+from dclab import config, control, harness, meshing
 from dclab.cli import main
 from dclab.config import SCHEMA, ConfigError, load_config, validate_config
 from dclab.expectations import (BOOL, CORNERS, FACTOR, RANGE, TABLE,
@@ -441,15 +441,34 @@ def test_cli_repeated_json_key_is_exit_2(tmp_path, capsys, text, key):
     assert not os.path.exists(tmp_path / "o")
 
 
-def test_cli_unconverged_unconstrained_solve_is_exit_3(tmp_path, capsys):
-    # the CG solve's KKT residual at a target of 1e4 is above KKT_TOL
+def test_cli_unconverged_unconstrained_solve_is_exit_3(tmp_path, capsys,
+                                                      monkeypatch):
+    # a CG stopped at a loose tolerance leaves the KKT residual above the
+    # problem's tolerance
+    monkeypatch.setattr(control, "CG_RTOL", 1e-3)
     cfg = {"domain": "unit-square", "mesh": {"h0": 0.125},
            "problem": {"nu": 1.0,
-                       "target": {"kind": "constant", "value": 1e4}}}
+                       "target": {"kind": "constant", "value": 1.0}}}
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
     assert "unconstrained solve did not converge" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", [
+    {"nu": 1.0, "target": {"kind": "constant", "value": 1e4}},
+    {"nu": 0.0001, "lower": -1.0, "upper": 1.0,
+     "target": {"kind": "constant", "value": 0.5}},
+], ids=["large-target", "small-nu"])
+def test_cli_solves_at_any_scale_exit_0(tmp_path, problem):
+    # a target of 1e4 leaves a residual of 1.2e-9, round-off of a control
+    # of size 1.2e4, inside the tolerance of the problem's scale; at
+    # nu = 1e-4 the PDAS sets cycle
+    cfg = {"domain": "l-shape", "mesh": {"kind": "structured", "h0": 0.03125},
+           "problem": problem}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("command", [

@@ -22,7 +22,6 @@ from dclab.control import (
     solve_constrained,
     solve_unconstrained,
     _pcg,
-    _projected_gradient,
     _target_data,
 )
 from dclab.fem import DiscontinuityLine, assemble_load
@@ -125,18 +124,23 @@ def test_unconstrained_nodewise_optimality(wavy_problem):
     assert sol.kkt.satisfied
 
 
-def test_unconstrained_converged_only_when_kkt_holds():
-    # KKT_TOL is absolute: at a target of 1e4 the CG solution's nodewise
-    # residual is round-off of the control's size, ~6e-10 here, so the
-    # solve must say it did not converge
-    system = FemSystem(triangulate(unit_square(), 0.125))
-    sol = solve_unconstrained(
-        ControlProblem(system, nu=1.0, target=ConstantTarget(1e4)))
-    assert sol.kkt.stationarity_max > KKT_TOL
-    assert not sol.converged
-    sol = solve_unconstrained(
-        ControlProblem(system, nu=1.0, target=ConstantTarget(1.0)))
-    assert sol.kkt.satisfied and sol.converged
+def test_unconstrained_converged_only_when_kkt_holds(monkeypatch):
+    # the nodewise residual is round-off of the control's size (4.7e-14 at
+    # a target of 1, 4.7e-8 at 1e6), and the tolerance scales with the
+    # target over nu: every target converges, and a problem of scale 1
+    # keeps the bound KKT_TOL itself
+    system = FemSystem(structured_mesh(unit_square(), 0.125))
+    for value in (1.0, 1e2, 1e4, 1e6):
+        p = ControlProblem(system, nu=1.0, target=ConstantTarget(value))
+        assert p.scale == value
+        sol = solve_unconstrained(p)
+        assert sol.kkt.tol == KKT_TOL * value
+        assert 1e-15 * value < sol.kkt.stationarity_max < sol.kkt.tol
+        assert sol.converged
+    # a CG stopped early leaves a residual above the tolerance
+    monkeypatch.setattr(control, "CG_RTOL", 1e-3)
+    sol = solve_unconstrained(p)
+    assert sol.kkt.stationarity_max > sol.kkt.tol and not sol.converged
 
 
 def test_infinite_bounds_dispatch_to_unconstrained(square_system):
@@ -223,13 +227,14 @@ def test_active_nodes_sit_exactly_on_their_bound(boxed_problem):
         assert sol.active_upper[cand > q.upper + KKT_TOL].all()
 
 
-def test_converged_is_the_kkt_verdict(boxed_problem, wavy_problem):
-    nb = boxed_problem.system.trace.n
+def test_converged_is_the_kkt_verdict(boxed_problem, wavy_problem,
+                                     monkeypatch):
     sols = [solve_constrained(boxed_problem),
-            solve_unconstrained(wavy_problem),
-            _projected_gradient(boxed_problem, np.zeros(nb), [],
-                                max_solves=70)]
-    assert [s.method for s in sols] == ["pdas", "cg", "pg"]
+            solve_unconstrained(wavy_problem)]
+    # one iteration does not solve the boxed problem
+    monkeypatch.setattr(control, "MAX_ITER", 1)
+    sols.append(solve_constrained(boxed_problem))
+    assert [s.method for s in sols] == ["pdas", "cg", "pdas"]
     assert [s.converged for s in sols] == [True, True, False]
     assert all(s.converged == s.kkt.satisfied for s in sols)
 
@@ -304,60 +309,186 @@ def test_converged_pdas_fields_match_fresh_solves(boxed_problem, monkeypatch):
     assert np.array_equal(sol.flux, d)
 
 
-def test_projected_gradient_is_monotone(boxed_problem):
-    hist = []
-    nb = boxed_problem.system.trace.n
-    sol = _projected_gradient(boxed_problem, np.zeros(nb), hist,
-                              max_solves=1000)
-    Js = [h["pg_objective"] for h in hist if "pg_objective" in h]
-    assert all(Js[i + 1] <= Js[i] + 1e-14 for i in range(len(Js) - 1))
-    # reaches the PDAS optimum from above
-    ref = solve_constrained(boxed_problem)
-    assert sol.objective >= ref.objective - 1e-12
-    assert sol.objective - ref.objective < 1e-6
+def _fresh_objectives(p, monkeypatch):
+    """J at every fresh point of a solve of p, in order, with None where a
+    projected-Newton step starts: the point before it is a rejected pin."""
+    log = []
+    gradient, newton = p.gradient, control._projected_newton
+
+    def logged(u):
+        fields = gradient(u)
+        log.append(p.objective(u, fields[1]))
+        return fields
+    monkeypatch.setattr(p, "gradient", logged)
+    monkeypatch.setattr(control, "_projected_newton",
+                        lambda *a: log.append(None) or newton(*a))
+    return log
 
 
-def test_projected_gradient_stops_at_its_solve_budget(boxed_problem,
+def _kept(log):
+    return [J for J, nxt in zip(log, log[1:] + [0.0])
+            if J is not None and nxt is not None]
+
+
+#: two problems on which the PDAS sets cycle and projected gradient with
+#: Armijo backtracking is still short of the KKT tolerance after 20,000
+#: PDE solves: (domain, h, nu, lower, upper, A, B, C), with the target
+#: A sin(1 + B x) + C y^2
+BUDGET_PROBLEMS = {
+    "square": (unit_square, 1 / 16, 0.00936, -1.423, 0.783, 0.251, -1.671,
+               0.283),
+    "l-shape": (l_shape, 1 / 16, 0.0018, 0.543, 1.150, 0.521, -1.537, 0.609),
+}
+
+
+def _budget_problem(label):
+    domain, h, nu, lo, hi, a, b, c = BUDGET_PROBLEMS[label]
+    return ControlProblem(
+        FemSystem(structured_mesh(domain(), h)), nu,
+        CallableTarget(lambda x, y: a * np.sin(1.0 + b * x) + c * y * y),
+        lower=lo, upper=hi)
+
+
+def _flipping_problem():
+    # PDAS alone flips between all 32 trace nodes at the lower bound and
+    # all at the upper one here
+    return ControlProblem(FemSystem(structured_mesh(unit_square(), 1 / 8)),
+                          nu=0.01, target=ConstantTarget(0.5),
+                          lower=-1.0, upper=1.0)
+
+
+@pytest.mark.parametrize("label", ["boxed", "flipping", "square", "l-shape"])
+def test_objective_never_rises_between_kept_iterates(boxed_problem, label,
                                                      monkeypatch):
-    p = boxed_problem
-    nb = p.system.trace.n
-    full = []
-    _projected_gradient(p, np.zeros(nb), full)
+    p = {"boxed": boxed_problem, "flipping": _flipping_problem()}.get(label)
+    p = p or _budget_problem(label)
+    log = _fresh_objectives(p, monkeypatch)
+    sol = solve_constrained(p)
+    assert sol.converged
+    kept = _kept(log)
+    assert all(b <= a + 1e-14 * abs(a) for a, b in zip(kept, kept[1:]))
+    assert sol.objective <= kept[0]
+    # every step fills the objective column, and its closed-form
+    # changes end at the objective of the returned fields
+    Js = [h["objective"] for h in sol.history]
+    assert len(Js) == sol.iterations
+    assert abs(Js[-1] - sol.objective) <= 1e-12 * abs(sol.objective)
+    assert (None in log) == (label != "boxed")
+
+
+def test_pins_that_raise_j_take_projected_newton_steps(monkeypatch):
+    # the flipping sets' first pin raises J; the projected-Newton step
+    # from the start point solves the problem (no node is active at the
+    # solution)
+    p = _flipping_problem()
     solves = []
     solve = p.system.solve_interior
     monkeypatch.setattr(p.system, "solve_interior",
                         lambda rhs: solves.append(1) or solve(rhs))
-    hist = []
-    sol = _projected_gradient(p, np.zeros(nb), hist, max_solves=70)
-    assert not sol.converged and sol.method == "pg"
-    assert 0 < len(solves) <= 70
-    assert 0 < len(hist) < len(full)
+    sol = solve_constrained(p)
+    assert sol.converged and sol.kkt.satisfied
+    # a pair repeats only in a row, where the settled sets are solved
+    # again exactly
+    sets = [(h["active_lower"], h["active_upper"]) for h in sol.history]
+    runs = [s for s, prev in zip(sets, [None] + sets) if s != prev]
+    assert len(set(runs)) == len(runs)
+    assert not sol.active_lower.any() and not sol.active_upper.any()
+    assert len(solves) <= 40
+
+
+@pytest.mark.parametrize("label", sorted(BUDGET_PROBLEMS))
+def test_problems_where_projected_gradient_stalls_converge(label,
+                                                          monkeypatch):
+    p = _budget_problem(label)
+    solves = []
+    solve = p.system.solve_interior
+    monkeypatch.setattr(p.system, "solve_interior",
+                        lambda rhs: solves.append(1) or solve(rhs))
+    sol = solve_constrained(p)
+    assert sol.converged and sol.kkt.satisfied
+    assert len(solves) <= {"square": 80, "l-shape": 170}[label]
+
+
+def test_iteration_cap_bounds_the_work(monkeypatch):
+    # a capped solve reports converged=False, and takes at most
+    # 4 + MAX_ITER (6 + 2 _HALVINGS) LU solves besides two per Hessian apply
+    p = _budget_problem("l-shape")
+    solves, applies = [], []
+    solve, hess = p.system.solve_interior, p.hessian_apply
+    monkeypatch.setattr(p.system, "solve_interior",
+                        lambda rhs: solves.append(1) or solve(rhs))
+    monkeypatch.setattr(p, "hessian_apply",
+                        lambda v: applies.append(1) or hess(v))
+    for cap in (1, 3):
+        monkeypatch.setattr(control, "MAX_ITER", cap)
+        solves.clear()
+        applies.clear()
+        sol = solve_constrained(p)
+        assert not sol.converged and sol.iterations == cap
+        assert len(solves) <= 4 + cap * (6 + 2 * control._HALVINGS) \
+            + 2 * len(applies)
 
 
 @pytest.mark.parametrize("nu", [0.08, 0.3, 1.0, 3.0])
-def test_projected_gradient_converges(square_system, nu):
-    # from u = 0 the fallback reaches KKT_TOL for every nu: it may stall
-    # only on an exactly unchanged control
+def test_constrained_converges_for_every_nu(square_system, nu):
+    # from u = 0 and from the upper bound the solve reaches the same
+    # control within the KKT tolerance
     target = CallableTarget(lambda x, y: np.exp(x) * np.sin(2.0 * y))
     p = ControlProblem(square_system, nu=nu, target=target,
                        lower=-0.2, upper=0.25)
-    sol = _projected_gradient(p, np.zeros(square_system.trace.n), [])
-    assert sol.converged and sol.kkt.satisfied
-    assert np.abs(sol.u - solve_constrained(p).u).max() < 1e-9
-
-
-def test_cycling_pdas_falls_back_to_projected_gradient():
-    # at nu = 0.01 the PDAS sets flip between all 32 trace nodes at the
-    # lower bound and all at the upper one; the repeated pair hands the
-    # solve to the projected gradient, which converges
-    p = ControlProblem(FemSystem(structured_mesh(unit_square(), 1.0 / 8.0)),
-                       nu=0.01, target=ConstantTarget(0.5),
-                       lower=-1.0, upper=1.0)
     sol = solve_constrained(p)
-    assert sol.method == "pg" and sol.converged and sol.kkt.satisfied
-    sets = [(h["active_lower"], h["active_upper"]) for h in sol.history
-            if "active_lower" in h]
-    assert sets == [(32, 0), (0, 32), (32, 0), (0, 32), (32, 0)]
+    assert sol.converged and sol.kkt.satisfied
+    other = solve_constrained(p, u0=p.upper)
+    assert other.converged
+    assert np.abs(sol.u - other.u).max() < 1e-9
+
+
+def test_random_problems_all_converge():
+    # 400 problems, seeded: nu log-uniform in [1e-4, 10] (PDAS alone
+    # cycles on a third of them), bounds two uniform draws in [-1.5, 1.5],
+    # targets A sin(B x + 1) + C y^2 with A, B, C uniform in [-2, 2], on
+    # the structured unit square and L-shape at h = 1/8 and 1/16 (81-833
+    # nodes); ~2 s
+    systems = [FemSystem(structured_mesh(domain(), h))
+               for domain in (unit_square, l_shape) for h in (1 / 8, 1 / 16)]
+    rng = np.random.default_rng(0)
+    for k in range(400):
+        nu = 10.0 ** rng.uniform(-4.0, 1.0)
+        lo, hi = np.sort(rng.uniform(-1.5, 1.5, 2))
+        a, b, c = rng.uniform(-2.0, 2.0, 3)
+        p = ControlProblem(systems[k % 4], nu, CallableTarget(
+            lambda x, y: a * np.sin(b * x + 1.0) + c * y * y),
+            lower=lo, upper=hi)
+        sol = solve_constrained(p)
+        assert sol.converged, (k, nu, lo, hi, a, b, c)
+        assert sol.iterations <= 20
+
+
+def test_scale_of_a_problem():
+    # a problem of scale 1 keeps the bound KKT_TOL; the target's rms over
+    # nu and the box's distance from 0 raise it
+    system = FemSystem(structured_mesh(unit_square(), 0.25))
+    for nu, value, lo, hi, scale in [(1.0, 1.0, -1.0, 1.0, 1.0),
+                                     (2.0, 0.5, -1.0, 1.0, 1.0),
+                                     (0.2, 1.0, -1.0, 1.0, 5.0),
+                                     (1.0, 0.0, 3.0, 4.0, 3.0),
+                                     (1.0, -2.0, -np.inf, -5.0, 5.0)]:
+        p = ControlProblem(system, nu, ConstantTarget(value), lower=lo,
+                           upper=hi)
+        assert p.scale == pytest.approx(scale, rel=1e-15)
+        assert p.kkt_residual(np.zeros(system.trace.n),
+                              np.zeros(system.trace.n)).tol \
+            == pytest.approx(KKT_TOL * scale, rel=1e-15)
+
+
+def test_large_data_with_wide_bounds_converges():
+    # a target of 1e6 under bounds of 1e9: the residual is round-off of a
+    # control of size 2.7e5, inside the tolerance of the problem's scale
+    p = ControlProblem(FemSystem(triangulate(unit_square(), 0.125)),
+                       nu=1.0, target=ConstantTarget(1e6), lower=-1e9,
+                       upper=1e9)
+    sol = solve_constrained(p)
+    assert sol.converged and sol.kkt.stationarity_max > KKT_TOL
 
 
 def _record_cg_rtols(monkeypatch):
@@ -386,10 +517,15 @@ def test_all_active_sets_need_no_exact_step(square_system, monkeypatch):
     p = ControlProblem(square_system, nu=0.2, target=ConstantTarget(-1.0),
                        lower=0.0)
     rtols = _record_cg_rtols(monkeypatch)
+    applies = []
+    hess = p.hessian_apply
+    monkeypatch.setattr(p, "hessian_apply",
+                        lambda v: applies.append(1) or hess(v))
     sol = solve_constrained(p)
     assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
     assert sol.active_lower.all() and np.array_equal(sol.u, p.lower)
-    assert rtols == []
+    # CG is handed the empty inactive block, and makes no apply
+    assert rtols == [CG_RTOL_SETS] and applies == []
     assert sol.iterations == 1
 
 
@@ -493,9 +629,9 @@ def test_warm_start_at_the_solution_returns(square_system, bounds,
 
 def test_fresh_fields_overrule_the_carried_gradient(boxed_problem,
                                                     monkeypatch):
-    # the first exact step returns a correction off by 1e-6 with the image
-    # of the exact one: the carried gradient passes KKT_TOL, the fresh
-    # fields do not, and PDAS goes on from them to the true solution
+    # the first exact step returns a correction off by 1e-5 with the image
+    # of the exact one: the carried gradient passes the KKT tolerance, the
+    # fresh fields do not, and PDAS goes on from them to the true solution
     ref = solve_constrained(boxed_problem)
     cg = control._pcg
     spoiled = []
@@ -504,7 +640,7 @@ def test_fresh_fields_overrule_the_carried_gradient(boxed_problem,
         x, hx = cg(*a, **kw)
         if kw["rtol"] == CG_RTOL and not spoiled:
             spoiled.append(1)
-            x = x * (1.0 + 1e-6)
+            x = x * (1.0 + 1e-5)
         return x, hx
     monkeypatch.setattr(control, "_pcg", spoil)
     sol = solve_constrained(boxed_problem)

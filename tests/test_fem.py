@@ -22,6 +22,7 @@ from dclab.fem import (
     FemSystem,
     assemble_load,
     boundary_l2,
+    ROUND_OFF,
     check_max_principle,
     h1_seminorm,
     l2_norm,
@@ -481,6 +482,18 @@ def test_max_principle_reports():
     rep = check_max_principle(sysm, bad)
     assert not rep.satisfied
     assert rep.violation == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e6])
+def test_max_principle_slack_scales_with_the_field(size):
+    # ROUND_OFF bounds the violation at fields of size 1 and below, and
+    # relative to the boundary values' size above
+    sysm = FemSystem(structured_mesh(unit_square(), 1 / 8))
+    field = np.full(sysm.mesh.n_nodes, size)
+    for excess, ok in ((0.5 * ROUND_OFF, True), (2.0 * ROUND_OFF, False)):
+        field[sysm.trace.n] = size + excess * size
+        rep = check_max_principle(sysm, field)
+        assert rep.satisfied == ok
 
 
 def test_discontinuous_load_clipped_exactly():

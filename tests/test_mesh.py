@@ -569,6 +569,14 @@ def test_finalize_rejects_chains_off_the_boundary(chains, match):
         _finalize(unit_square(), _SQUARE_NODES, _SQUARE_TRIS, chains)
 
 
+def test_finalize_names_the_area_sum_as_a_plain_number():
+    # one of the two triangles dropped: the areas sum to half the square's
+    with pytest.raises(MeshError) as err:
+        _finalize(unit_square(), _SQUARE_NODES, _SQUARE_TRIS[:1],
+                  [[0, 1], [1, 2], [2, 3], [3, 0]])
+    assert str(err.value) == "triangle areas sum to 0.5, domain area 1.0"
+
+
 def test_trace_l_shape_perimeter():
     mesh = triangulate(l_shape(), 0.2)
     tr = mesh.trace
