@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 from .expectations import (BOOL, CORNERS, FACTOR, FLAT_VERDICTS, RANGE,
@@ -49,12 +50,21 @@ def _typed(v, path, *types):
 # returns the normalized value, and appends (path, index) to corners for
 # each corner index, to be checked once the domain is built.
 
-STR, NUMBER, COUNT, CORNER, VERTICES = (
-    "str", "number", "count", "corner", "vertices")
+STR, NAME, NUMBER, COUNT, CORNER, VERTICES = (
+    "str", "name", "number", "count", "corner", "vertices")
 ENUM, LIST, MAP, TAGGED, NAME_OR = "enum", "list", "map", "tagged", "name-or"
 
 #: default of a field that the normalized block leaves out when absent
 OMIT = object()
+
+
+def _name(v, path, corners):
+    # one plain path component: it names the run's directory under the
+    # output root, and is written unquoted into the gnuplot title
+    if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", _typed(v, path, str)):
+        _fail(path, "must be letters, digits, '.', '_' or '-', starting "
+                    "with a letter or digit")
+    return v
 
 
 def _number(v, path, corners, test=None, msg=None):
@@ -158,7 +168,7 @@ def _block(fields, v, path, corners):
     return out
 
 
-_KINDS = {STR: lambda v, path, corners: _typed(v, path, str),
+_KINDS = {STR: lambda v, path, corners: _typed(v, path, str), NAME: _name,
           BOOL: lambda v, path, corners: _typed(v, path, bool),
           NUMBER: _number, COUNT: _count, CORNER: _corner, RANGE: _range,
           VERTICES: _vertices, ENUM: _enum, LIST: _list, MAP: _corner_map,
@@ -181,7 +191,7 @@ _EXPECTATION_KINDS = {
 #: block -> field -> (kind, required, default).  A field that is absent or
 #: null takes its default, which is validated like a given value.
 SCHEMA = {
-    "name": (STR, False, "run"),
+    "name": (NAME, False, "run"),
     "domain": ((NAME_OR, {"vertices": (VERTICES, True, None)}), True, None),
     "corner_radii": ((MAP, NUMBER), False, None),
     "mesh": ({

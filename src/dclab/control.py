@@ -17,17 +17,20 @@ optimality system closes exactly: at the solution every node satisfies
 u_i = clip(d_i / nu, a_i, b_i) to solver precision, mirroring the
 pointwise projection formula of the continuous problem.
 
-Constrained problems are solved by one loop of primal-dual active set
-(PDAS) steps, a semismooth Newton method (Hintermueller, Ito & Kunisch
-2002): pin the active nodes on their bounds and the others into the box,
-then solve the equality-constrained quadratic by CG on the inactive
-block of the reduced Hessian H = nu M_L + S^T M S (two cached-LU solves
-per apply).  The sets are the PDAS rule d/nu < a, d/nu > b, first at
-the start point.  J is quadratic, so after a CG correction x the
-gradient is carried as g + H x, from the applies CG makes anyway; fresh
-fields are solved for only where a pin moves the control and where the
-carried gradient says converged (at that control, put in the box).
-Returned fields and KKT report are always fresh.
+Every problem, with bounds or without, is solved by one loop of
+primal-dual active set (PDAS) steps, a semismooth Newton method
+(Hintermueller, Ito & Kunisch 2002): pin the active nodes on their
+bounds and the others into the box, then solve the equality-constrained
+quadratic by CG on the inactive block of the reduced Hessian
+H = nu M_L + S^T M S (two cached-LU solves per apply).  The sets are
+the PDAS rule d/nu < a, d/nu > b, first at the start point; with no
+finite bound they stay empty, and the loop is one CG solve of H x = -g.
+J is quadratic, so after a CG correction x the gradient is carried as
+g + H x, from the applies CG makes anyway; fresh fields are solved for
+only where a pin moves the control and where the carried gradient says
+converged (at that control, put in the box).  Returned fields and KKT
+report are always fresh, and a node is active exactly where the returned
+control equals a finite bound.
 
 H is not an M-matrix, so the PDAS sets can cycle.  The loop keeps a pin
 only where J has dropped since the last fresh point it kept, which it
@@ -37,14 +40,16 @@ construction).  Elsewhere it goes back to that point for one
 projected-Newton step (Bertsekas 1982): the rule's nodes on their bound
 stay there, the others take a Newton step by CG, or, where that does
 not lower J, the scaled gradient -g / (nu M_L), with Armijo backtracking
-along the projection arc.  Every kept point is feasible, and J falls
-from each to the next.
+along the projection arc; the state y + S x of the accepted trial, which
+the test solved for, is kept, so only the adjoint is solved there.
+Every kept point is feasible, and J falls from each to the next.
 
 CG runs to the loose CG_RTOL_SETS while the sets move (an inexact Newton
 step), and to CG_RTOL from the first step that leaves them unchanged or
-repeats a pair; the loop returns at unchanged sets whose fresh fields
-meet the KKT tolerance, or stops unconverged after MAX_ITER iterations,
-each at most 6 + 2 _HALVINGS LU solves besides two per Hessian apply.
+repeats a pair, or from the first step where no bound is finite; the
+loop returns at unchanged sets whose fresh fields meet the KKT
+tolerance, or stops unconverged after MAX_ITER iterations, each at most
+5 + 2 _HALVINGS LU solves besides two per Hessian apply.
 CG's residual scale is taken at the start point (or, where it is 0
 there, at the first pinned control).
 
@@ -69,8 +74,8 @@ from .geometry import UNBOUNDED
 #: every node, and the bound violation, are at most KKT_TOL * scale
 KKT_TOL = ROUND_OFF
 
-#: relative CG tolerance for the reduced Newton/unconstrained systems,
-#: two decades inside the KKT tolerance
+#: relative CG tolerance of an exact Newton step, two decades inside the
+#: KKT tolerance
 CG_RTOL = ROUND_OFF / 100
 
 #: relative CG tolerance of a PDAS step while the active sets still move
@@ -82,7 +87,7 @@ MAX_ITER = 200
 #: backtracking halvings per projected-Newton direction
 _HALVINGS = 40
 
-#: CG iterations before a PDAS step or unconstrained solve gives up
+#: CG iterations before a Newton step gives up
 _CG_MAX_ITER = 5000
 
 
@@ -183,9 +188,11 @@ class ControlProblem:
         pen = 0.5 * self.nu * float(u @ (self.lumped * u))
         return data + pen
 
-    def gradient(self, u: np.ndarray):
-        """grad J(u) (trace order), plus y, phi, d_phi for reuse."""
-        y = self.state(u)
+    def gradient(self, u: np.ndarray, y: ScalarField | None = None):
+        """grad J(u) (trace order), plus y, phi, d_phi for reuse; a known
+        state y of u is used, not solved for again."""
+        if y is None:
+            y = self.state(u)
         phi, d = self.adjoint(y)
         g = self.lumped * (self.nu * u - d)
         return g, y, phi, d
@@ -228,22 +235,20 @@ class OptimalSolution:
     objective: float
     kkt: KKTReport
     iterations: int
-    method: str
-    active_lower: np.ndarray = None
-    active_upper: np.ndarray = None
     history: list = field(default_factory=list)
+
+    #: the one solver path (PDAS with projected-Newton steps); perfbench
+    #: reads it
+    method = "pdas"
 
     @property
     def converged(self) -> bool:
         return self.kkt.satisfied
 
 
-def _finish(problem: ControlProblem, u, iterations, method, history,
-            fields=None):
+def _finish(problem: ControlProblem, u, iterations, history, fields=None):
     """Assemble the solution at u; ``fields`` = (y, phi, d_phi) already
-    computed at this very u skips re-solving for them.  Pinning and
-    clipping put every active node exactly on its bound, so a node is
-    active where u equals a finite bound."""
+    computed at this very u skips re-solving for them."""
     if fields is None:
         y = problem.state(u)
         phi, d = problem.adjoint(y)
@@ -253,9 +258,6 @@ def _finish(problem: ControlProblem, u, iterations, method, history,
     return OptimalSolution(
         u=u, y=y, phi=phi, flux=d,
         objective=problem.objective(u, y), kkt=kkt, iterations=iterations,
-        method=method,
-        active_lower=(u == problem.lower) & np.isfinite(problem.lower),
-        active_upper=(u == problem.upper) & np.isfinite(problem.upper),
         history=history)
 
 
@@ -307,15 +309,9 @@ def _pcg(problem: ControlProblem, idx: np.ndarray, rhs: np.ndarray,
 
 def solve_unconstrained(problem: ControlProblem,
                         u0: np.ndarray | None = None) -> OptimalSolution:
-    """Solve the bound-free problem: H (u - u0) = -grad J(u0) by CG."""
-    nb = problem.system.trace.n
-    u = np.zeros(nb) if u0 is None else np.asarray(u0, dtype=float)
-    g, y, phi, d = problem.gradient(u)
-    x, _ = _pcg(problem, np.arange(nb), -g, CG_RTOL,
-                _residual_scale(problem, u, d))
-    fields = None if x.any() else (y, phi, d)
-    return _finish(problem, u + x, iterations=1, method="cg", history=[],
-                   fields=fields)
+    """Solve a problem with no finite bound: the loop of solve_constrained
+    on the empty box, one CG solve of H (u - u0) = -grad J(u0)."""
+    return solve_constrained(problem, u0)
 
 
 def solve_constrained(problem: ControlProblem,
@@ -323,8 +319,6 @@ def solve_constrained(problem: ControlProblem,
     """PDAS for the box-constrained problem, with a projected-Newton step
     wherever a pin would raise J (see module docstring)."""
     lo, hi = problem.lower, problem.upper
-    if not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi))):
-        return solve_unconstrained(problem, u0)
     nu = problem.nu
     u = np.clip(0.0 if u0 is None else np.asarray(u0, float), lo, hi)
     g, y, phi, d = problem.gradient(u)
@@ -342,7 +336,9 @@ def solve_constrained(problem: ControlProblem,
         return 0.5 * float((u - base[0]) @ (base[1] + g))
 
     act_a, act_b, _ = rule(u, d)
-    rtol = CG_RTOL_SETS
+    # with no finite bound the sets stay empty: exact steps from the first
+    bounded = np.isfinite(lo).any() or np.isfinite(hi).any()
+    rtol = CG_RTOL_SETS if bounded else CG_RTOL
     seen = set()
     history = []
 
@@ -366,8 +362,8 @@ def solve_constrained(problem: ControlProblem,
                     problem, base, np.flatnonzero(~(act_a | act_b)), rtol, scale)
                 if step is None:
                     break
-                u, J = step
-                g, y, phi, d = problem.gradient(u)
+                u, y, J = step
+                g, y, phi, d = problem.gradient(u, y)
             base = u, g, y, phi, d, J
             scale = scale or _residual_scale(problem, u, d)
         idx = np.flatnonzero(~(act_a | act_b))
@@ -406,7 +402,7 @@ def solve_constrained(problem: ControlProblem,
         seen.add(key)
         act_a, act_b = new_a, new_b
 
-    return _finish(problem, np.clip(u, lo, hi), it, "pdas", history,
+    return _finish(problem, np.clip(u, lo, hi), it, history,
                    (y, phi, d) if fresh else None)
 
 
@@ -417,9 +413,9 @@ def _projected_newton(problem: ControlProblem, base, idx, rtol, scale):
     gradient d/nu - u.  A trial step x changes J by exactly
     g . x + 1/2 (||S x||^2_M + nu x^T M_L x), S x its state, at one PDE
     solve; two rounded objectives would decide a change of ~1e-20 by
-    round-off.  Returns the new control and J, or None where no trial
-    lowers J."""
-    u, g, _, _, d, J = base
+    round-off.  Returns the new control, its state y + S x and J, or None
+    where no trial lowers J."""
+    u, g, y, _, d, J = base
     lo, hi = problem.lower, problem.upper
     M, ml, nu = problem.system.M, problem.lumped, problem.nu
     newton = np.zeros_like(u)
@@ -435,6 +431,6 @@ def _projected_newton(problem: ControlProblem, base, idx, rtol, scale):
             slope = float(g @ x)
             dJ = slope + 0.5 * (float(sx @ (M @ sx)) + nu * float(x @ (ml * x)))
             if dJ <= 1e-4 * slope:
-                return trial, J + dJ
+                return trial, ScalarField(y.mesh, y.values + sx), J + dJ
             s *= 0.5
     return None

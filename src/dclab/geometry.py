@@ -456,24 +456,6 @@ def eval_s_profile(domain: PolygonalDomain, j: int, n: int, eta: float, theta) -
     return out
 
 
-def control_singular_coefficient(c_hat: float, m: int, lam: float, nu: float,
-                                 a: float, b: float) -> float:
-    """Coefficient of the control's wedge term with exponent m*lam - 1.
-
-    Equal to -m lam c_hat / nu when 0 lies in the admissible interval
-    [a, b] (so the projection is locally the identity near the corner,
-    where the adjoint flux vanishes for convex corners or the datum is
-    centered); zero otherwise.  Infinite bounds are allowed.
-    """
-    if nu <= 0.0:
-        raise GeometryError("regularization nu must be positive")
-    if a > b:
-        raise GeometryError("empty admissible interval")
-    if a <= 0.0 <= b:
-        return -m * lam * c_hat / nu
-    return 0.0
-
-
 def validate_singular_boundary_data(domain: PolygonalDomain,
                                     data: SingularBoundaryData) -> None:
     """Check exponent admissibility of a singular Dirichlet datum."""

@@ -190,14 +190,12 @@ def _run_control_level(domain, mesh, cfg, rec, leveldir):
                                         prob["nu"], *bounds)
         prof = control_singular_profile(domain, mesh, j, terms)
         rem = main.u - prof
-        if terms:
-            # the corners' 2R_j windows are disjoint: the sum is exact
-            sing = prof if sing is None else sing + prof
-            try:
-                rec.structure[j] = structural_fit_control(domain, mesh,
-                                                          rem, j)
-            except AnalysisError as exc:
-                rec.skipped.setdefault(j, str(exc))
+        # the corners' 2R_j windows are disjoint: the sum is exact
+        sing = prof if sing is None else sing + prof
+        try:
+            rec.structure[j] = structural_fit_control(domain, mesh, rem, j)
+        except AnalysisError as exc:
+            rec.skipped.setdefault(j, str(exc))
         # lam in (1/2, 1) puts the Holder exponent 2 lam - 1 in (0, 1); an
         # unconstrained control grows like r^(lam-1): no Holder quotient
         if primary == "constrained":

@@ -16,8 +16,9 @@ lam in (1/2, 1) at a re-entrant corner, m lam stays below the degrees 2
 and 3 of the background.  Columns are rescaled to unit size, and a scaled
 design matrix with condition number above COND_MAX is an AnalysisError.
 The annulus must hold MIN_ANNULUS_NODES nodes.  The flatness scan counts
-a control within FLAT_TOL of a bound as on it, and the sign of c_{j,1}
-predicts the flat bound once |c_{j,1}| > C1_SIGN_MIN.
+a node as on a bound only where the control equals it: the solver puts
+every active node exactly on its bound.  The sign of c_{j,1} predicts the
+flat bound once |c_{j,1}| > C1_SIGN_MIN.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from .geometry import (
     PolygonalDomain,
     SingularBoundaryData,
-    control_singular_coefficient,
     cutoff,
     eval_s_profile,
     eval_singular_volume,
@@ -47,9 +47,6 @@ COND_MAX = 1e8
 
 #: minimum node count in the extraction annulus
 MIN_ANNULUS_NODES = 30
-
-#: a control value within this distance of a bound counts as on it
-FLAT_TOL = 1e-8
 
 #: smallest |c_{j,1}| whose sign predicts the flat bound
 C1_SIGN_MIN = 1e-3
@@ -248,8 +245,8 @@ def _side_flat_scan(u, radii, lower, upper):
     """
     order = np.argsort(radii)
     r = radii[order]
-    n_a = int(np.cumprod(np.abs(u - lower)[order] <= FLAT_TOL).sum())
-    n_b = int(np.cumprod(np.abs(u - upper)[order] <= FLAT_TOL).sum())
+    n_a = int(np.cumprod((u == lower)[order]).sum())
+    n_b = int(np.cumprod((u == upper)[order]).sum())
     if n_a == n_b == 0:
         return None, None
     rad_a = r[n_a - 1] if n_a else 0.0
@@ -312,10 +309,16 @@ def flatness_diagnostic(domain: PolygonalDomain, mesh: TriMesh, u,
 
 def predicted_control_terms(domain: PolygonalDomain, j: int, c_fit: dict,
                             nu: float, a, b) -> dict:
-    """Boundary coefficients a_{j,m} implied by extracted adjoint modes."""
+    """Boundary coefficients a_{j,m} implied by extracted adjoint modes.
+
+    The control's wedge term with exponent m lam - 1 has the coefficient
+    -m lam c_{j,m} / nu where 0 lies in [min a, max b] (the projection is
+    then locally the identity near the corner), and 0 otherwise; infinite
+    bounds are allowed.
+    """
     lam = domain.corners[j].lam
-    return {m: control_singular_coefficient(cm, m, lam, nu,
-                                            np.min(a), np.max(b))
+    zero_admissible = np.min(a) <= 0.0 <= np.max(b)
+    return {m: -m * lam * cm / nu if zero_admissible else 0.0
             for m, cm in c_fit.items()}
 
 

@@ -281,6 +281,8 @@ def _near(kind):
             lambda tag: _near(variants[tag]).map(lambda b: {**b, key: tag}))
     leaves = {
         config.STR: lambda *_: st.text(max_size=4),
+        config.NAME: lambda *_: _mostly(st.sampled_from(["run", "a.b-c_1"]),
+                                        st.text(max_size=4), 4),
         BOOL: lambda *_: st.booleans(),
         config.NUMBER: lambda *_: NUMBER,
         config.COUNT: lambda *_: _mostly(st.integers(1, 3), st.integers(-1, 0), 8),
@@ -421,6 +423,23 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "p")]) == 2
     assert "config.mesh.levels" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "p")
+
+
+@pytest.mark.parametrize("name", ["..", "/abs", "a/b", 'a"b', ""],
+                         ids=["parent", "absolute", "nested", "quote",
+                              "empty"])
+def test_cli_name_outside_the_output_root_is_exit_2(tmp_path, capsys,
+                                                    monkeypatch, name):
+    # without --out a run writes to dclab-out/<name>: a name must be one
+    # plain path component, which also keeps the gnuplot title unquoted
+    monkeypatch.chdir(tmp_path)
+    if name == "/abs":
+        name = str(tmp_path / "abs")
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(_cfg(name=name)))
+    assert main(["run", str(p)]) == 2
+    assert "config.name" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
 
 @pytest.mark.parametrize("text, key", [

@@ -143,13 +143,34 @@ def test_unconstrained_converged_only_when_kkt_holds(monkeypatch):
     assert sol.kkt.stationarity_max > sol.kkt.tol and not sol.converged
 
 
-def test_infinite_bounds_dispatch_to_unconstrained(square_system):
+def test_bound_free_solve_is_one_exact_cg_solve(monkeypatch):
+    # with no finite bound the loop's sets stay empty: one iteration of
+    # one CG solve at CG_RTOL, paid with the fresh fields at the start and
+    # at the returned control (43 = 3 + 2 x 20 LU solves here; the state
+    # of u0 = 0 needs no solve), and both entry points give the same bits
+    system = FemSystem(structured_mesh(l_shape(), 1.0 / 16.0))
     target = CallableTarget(lambda x, y: np.exp(x) * np.sin(2.0 * y))
-    p_free = ControlProblem(square_system, nu=0.1, target=target)
-    p_inf = ControlProblem(square_system, nu=0.1, target=target,
-                           lower=-UNBOUNDED, upper=UNBOUNDED)
-    assert np.allclose(solve_unconstrained(p_free).u,
-                       solve_constrained(p_inf).u, atol=1e-12)
+    solves, applies = [], []
+    solve = system.solve_interior
+    monkeypatch.setattr(system, "solve_interior",
+                        lambda rhs: solves.append(rhs.any()) or solve(rhs))
+    rtols = _record_cg_rtols(monkeypatch)
+    sols = []
+    for entry, lo, hi in ((solve_unconstrained, -UNBOUNDED, UNBOUNDED),
+                          (solve_constrained, -np.inf, np.inf)):
+        p = ControlProblem(system, nu=0.1, target=target, lower=lo, upper=hi)
+        hess = p.hessian_apply
+        monkeypatch.setattr(p, "hessian_apply",
+                            lambda v: applies.append(1) or hess(v))
+        solves.clear()
+        applies.clear()
+        rtols.clear()
+        sol = entry(p)
+        assert sol.converged and sol.iterations == 1 and rtols == [CG_RTOL]
+        assert sum(solves) == 3 + 2 * len(applies)
+        sols.append(sol)
+    assert np.array_equal(sols[0].u, sols[1].u)
+    assert np.array_equal(sols[0].phi.values, sols[1].phi.values)
 
 
 def test_wide_bounds_match_unconstrained(square_system):
@@ -160,7 +181,7 @@ def test_wide_bounds_match_unconstrained(square_system):
         ControlProblem(square_system, nu=0.1, target=target,
                        lower=-1e6, upper=1e6))
     assert np.abs(free.u - wide.u).max() < 1e-8
-    assert not wide.active_lower.any() and not wide.active_upper.any()
+    assert not np.any(np.abs(wide.u) == 1e6)
 
 
 # ---------------------------------------------------------------------
@@ -179,7 +200,7 @@ def test_pdas_converges_fast(boxed_problem):
     assert sol.iterations <= 30
     assert sol.kkt.satisfied
     # constraints genuinely bite here
-    assert sol.active_upper.sum() > 0
+    assert np.any(sol.u == boxed_problem.upper)
 
 
 def test_pdas_independent_of_start(boxed_problem):
@@ -202,29 +223,26 @@ def test_constrained_solution_is_projection_of_flux(boxed_problem):
 def test_active_bounds_have_correct_multiplier_sign(boxed_problem):
     sol = solve_constrained(boxed_problem)
     cand = sol.flux / boxed_problem.nu
-    act = sol.active_upper
+    act = sol.u == boxed_problem.upper
     assert np.all(cand[act] >= boxed_problem.upper[act] - 1e-10)
-    inact = ~(sol.active_lower | sol.active_upper)
+    inact = (sol.u != boxed_problem.lower) & ~act
     assert np.abs(sol.u[inact] - cand[inact]).max() < KKT_TOL
 
 
 def test_active_nodes_sit_exactly_on_their_bound(boxed_problem):
     # pinning and clipping put each active node on its bound, with no
-    # tolerance: the flags are the nodes where u equals a finite bound
+    # tolerance: a node is active exactly where u equals a finite bound
     p = boxed_problem
     one_sided = ControlProblem(p.system, nu=p.nu, target=p.target,
                                upper=p.upper)
     for q in (p, one_sided):
         sol = solve_constrained(q)
-        assert sol.active_upper.any()
-        assert np.array_equal(sol.active_lower,
-                              (sol.u == q.lower) & np.isfinite(q.lower))
-        assert np.array_equal(sol.active_upper,
-                              (sol.u == q.upper) & np.isfinite(q.upper))
-        # every node the projection moves is flagged
+        on_a, on_b = sol.u == q.lower, sol.u == q.upper
+        assert on_b.any()
+        # every node the projection moves sits on the bound it moves to
         cand = sol.flux / q.nu
-        assert sol.active_lower[cand < q.lower - KKT_TOL].all()
-        assert sol.active_upper[cand > q.upper + KKT_TOL].all()
+        assert on_a[cand < q.lower - KKT_TOL].all()
+        assert on_b[cand > q.upper + KKT_TOL].all()
 
 
 def test_converged_is_the_kkt_verdict(boxed_problem, wavy_problem,
@@ -234,7 +252,7 @@ def test_converged_is_the_kkt_verdict(boxed_problem, wavy_problem,
     # one iteration does not solve the boxed problem
     monkeypatch.setattr(control, "MAX_ITER", 1)
     sols.append(solve_constrained(boxed_problem))
-    assert [s.method for s in sols] == ["pdas", "cg", "pdas"]
+    assert [s.method for s in sols] == ["pdas"] * 3
     assert [s.converged for s in sols] == [True, True, False]
     assert all(s.converged == s.kkt.satisfied for s in sols)
 
@@ -315,8 +333,8 @@ def _fresh_objectives(p, monkeypatch):
     log = []
     gradient, newton = p.gradient, control._projected_newton
 
-    def logged(u):
-        fields = gradient(u)
+    def logged(u, y=None):
+        fields = gradient(u, y)
         log.append(p.objective(u, fields[1]))
         return fields
     monkeypatch.setattr(p, "gradient", logged)
@@ -376,15 +394,11 @@ def test_objective_never_rises_between_kept_iterates(boxed_problem, label,
     assert (None in log) == (label != "boxed")
 
 
-def test_pins_that_raise_j_take_projected_newton_steps(monkeypatch):
+def test_pins_that_raise_j_take_projected_newton_steps():
     # the flipping sets' first pin raises J; the projected-Newton step
     # from the start point solves the problem (no node is active at the
     # solution)
     p = _flipping_problem()
-    solves = []
-    solve = p.system.solve_interior
-    monkeypatch.setattr(p.system, "solve_interior",
-                        lambda rhs: solves.append(1) or solve(rhs))
     sol = solve_constrained(p)
     assert sol.converged and sol.kkt.satisfied
     # a pair repeats only in a row, where the settled sets are solved
@@ -392,8 +406,28 @@ def test_pins_that_raise_j_take_projected_newton_steps(monkeypatch):
     sets = [(h["active_lower"], h["active_upper"]) for h in sol.history]
     runs = [s for s, prev in zip(sets, [None] + sets) if s != prev]
     assert len(set(runs)) == len(runs)
-    assert not sol.active_lower.any() and not sol.active_upper.any()
-    assert len(solves) <= 40
+    assert not np.any((sol.u == p.lower) | (sol.u == p.upper))
+
+
+def test_projected_newton_step_keeps_its_state(monkeypatch):
+    # the Armijo test solves the accepted trial's state S x, and the loop
+    # carries y + S x on: only the adjoint is solved at the new point (38
+    # LU solves on the flipping problem, 39 with that state solved again)
+    p = _flipping_problem()
+    solves, steps = [], []
+    solve = p.system.solve_interior
+    monkeypatch.setattr(p.system, "solve_interior",
+                        lambda rhs: solves.append(1) or solve(rhs))
+    newton = control._projected_newton
+    monkeypatch.setattr(control, "_projected_newton",
+                        lambda *a: steps.append(newton(*a)) or steps[-1])
+    sol = solve_constrained(p)
+    assert sol.converged and steps and None not in steps
+    assert len(solves) <= 38
+    monkeypatch.undo()
+    for u, y, _ in steps:
+        fresh = p.state(u).values
+        assert np.abs(y.values - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
 
 @pytest.mark.parametrize("label", sorted(BUDGET_PROBLEMS))
@@ -411,7 +445,7 @@ def test_problems_where_projected_gradient_stalls_converge(label,
 
 def test_iteration_cap_bounds_the_work(monkeypatch):
     # a capped solve reports converged=False, and takes at most
-    # 4 + MAX_ITER (6 + 2 _HALVINGS) LU solves besides two per Hessian apply
+    # 4 + MAX_ITER (5 + 2 _HALVINGS) LU solves besides two per Hessian apply
     p = _budget_problem("l-shape")
     solves, applies = [], []
     solve, hess = p.system.solve_interior, p.hessian_apply
@@ -425,7 +459,7 @@ def test_iteration_cap_bounds_the_work(monkeypatch):
         applies.clear()
         sol = solve_constrained(p)
         assert not sol.converged and sol.iterations == cap
-        assert len(solves) <= 4 + cap * (6 + 2 * control._HALVINGS) \
+        assert len(solves) <= 4 + cap * (5 + 2 * control._HALVINGS) \
             + 2 * len(applies)
 
 
@@ -523,7 +557,7 @@ def test_all_active_sets_need_no_exact_step(square_system, monkeypatch):
                         lambda v: applies.append(1) or hess(v))
     sol = solve_constrained(p)
     assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
-    assert sol.active_lower.all() and np.array_equal(sol.u, p.lower)
+    assert np.array_equal(sol.u, p.lower)
     # CG is handed the empty inactive block, and makes no apply
     assert rtols == [CG_RTOL_SETS] and applies == []
     assert sol.iterations == 1
@@ -614,7 +648,7 @@ def test_warm_start_at_the_solution_returns(square_system, bounds,
         solve = solve_constrained
     first = solve(p)
     assert first.kkt.satisfied
-    assert (first.active_upper.any() or first.active_lower.any()) \
+    assert np.any((first.u == p.lower) | (first.u == p.upper)) \
         == (bounds == (-0.2, 0.25))
     applies = []
     hess = p.hessian_apply
@@ -667,9 +701,10 @@ def test_zero_start_gradient_still_scales_cg(square_system, monkeypatch):
                         lambda v: applies.append(1) or hess(v))
     sol = solve_constrained(p)
     assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
-    assert sol.active_lower.any() and not sol.active_lower.all()
+    active = sol.u == p.lower
+    assert active.any() and not active.all()
     # fewer than the inactive block's size, over both steps
-    assert len(applies) < (~sol.active_lower).sum()
+    assert len(applies) < (~active).sum()
 
 
 def test_equivariance_under_lattice_symmetry(square_system):
@@ -683,7 +718,7 @@ def test_equivariance_under_lattice_symmetry(square_system):
     _, rot = cKDTree(pts).query(np.column_stack([1.0 - pts[:, 0],
                                                  1.0 - pts[:, 1]]))
     assert np.abs(sol.u - sol.u[rot]).max() < 1e-12
-    assert sol.active_upper.sum() > 0
+    assert np.any(sol.u == p.upper)
 
 
 def test_optimal_state_satisfies_max_principle(square_system):
@@ -701,7 +736,7 @@ def test_constrained_on_graded_l_shape():
                        lower=-0.3, upper=0.4)
     sol = solve_constrained(p)
     assert sol.converged and sol.kkt.satisfied
-    assert sol.active_upper.sum() > 0
+    assert np.any(sol.u == p.upper)
     assert check_max_principle(sysm, sol.y).satisfied
     # the state cannot exceed the largest admissible boundary value
     assert sol.y.values.max() <= 0.4 + 1e-12

@@ -18,7 +18,6 @@ from dclab.geometry import (
     _check_simple,
     _polar_arrays,
     build_domain,
-    control_singular_coefficient,
     cutoff,
     eval_s_profile,
     eval_singular_volume,
@@ -462,17 +461,17 @@ def test_s_profile_rejects_resonant_eta():
 
 
 def test_control_singular_coefficient():
+    # the control's wedge terms predicted from the adjoint's modes
+    dom = l_shape()
     lam = 2.0 / 3.0
-    got = control_singular_coefficient(1.0, 1, lam, nu=0.1, a=-1.0, b=1.0)
-    assert got == pytest.approx(-lam / 0.1)
+    j = L_SHAPE_REENTRANT_CORNER
+    got = singular.predicted_control_terms(dom, j, {1: 1.0}, 0.1, -1.0, 1.0)
+    assert got[1] == pytest.approx(-lam / 0.1)
     # zero not admissible: the projection freezes the corner value
-    assert control_singular_coefficient(1.0, 1, lam, 0.1, a=0.5, b=2.0) == 0.0
-    assert control_singular_coefficient(1.0, 1, lam, 0.1,
-                                        a=-UNBOUNDED, b=UNBOUNDED) < 0.0
-    with pytest.raises(GeometryError):
-        control_singular_coefficient(1.0, 1, lam, nu=0.0, a=-1.0, b=1.0)
-    with pytest.raises(GeometryError):
-        control_singular_coefficient(1.0, 1, lam, nu=1.0, a=1.0, b=-1.0)
+    assert singular.predicted_control_terms(dom, j, {1: 1.0}, 0.1, 0.5,
+                                            2.0) == {1: 0.0}
+    assert singular.predicted_control_terms(dom, j, {1: 1.0}, 0.1,
+                                            -UNBOUNDED, UNBOUNDED)[1] < 0.0
 
 
 def test_singular_boundary_data_validation():

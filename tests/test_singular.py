@@ -203,11 +203,30 @@ def test_flatness_constrained_lshape():
     assert rep.verdict == "flat-at-b"  # sign rule: c1 < 0 -> upper bound
     # every boundary node within the flat radius sits at the upper bound
     pos, _ = _near_corner(mesh, rep.radius)
-    assert np.abs(sol.u[pos] - 1.0).max() <= singular.FLAT_TOL
+    assert np.all(sol.u[pos] == 1.0)
     assert 0.01 < rep.radius < 0.08
     assert rep.consistent
     assert set(rep.per_side) == {J, J - 1}
     assert all(b == "b" for b, _ in rep.per_side.values())
+
+
+def test_flatness_needs_the_bound_exactly():
+    # the solver puts every active node exactly on its bound: a node
+    # 1e-12 off it is not on it, and ends the flat run at the corner
+    dom = geo.unit_square()
+    mesh = meshing.structured_mesh(dom, 1.0 / 32.0)
+    tr = mesh.trace
+    u = np.full(tr.n, 1.0)
+    rep = singular.flatness_diagnostic(dom, mesh, u, 1.0, 2.0, 0)
+    assert rep.verdict == "flat-at-a"
+    # the nearest node of each side, both at r = 1/32
+    pos, radii, _ = singular._corner_sides(dom, tr, 0, dom.corners[0].radius)
+    nearest = pos[radii == radii.min()]
+    assert len(nearest) == 2
+    u[nearest] = 1.0 + 1e-12
+    rep = singular.flatness_diagnostic(dom, mesh, u, 1.0, 2.0, 0)
+    assert rep.verdict == "not-flat" and rep.radius is None
+    assert rep.per_side == {0: (None, None), 3: (None, None)}
 
 
 def test_flatness_rejects_convex_corner_with_zero_admissible():
