@@ -27,10 +27,11 @@ the PDAS rule d/nu < a, d/nu > b, first at the start point; with no
 finite bound they stay empty, and the loop is one CG solve of H x = -g.
 J is quadratic, so after a CG correction x the gradient is carried as
 g + H x, from the applies CG makes anyway; fresh fields are solved for
-only where a pin moves the control and where the carried gradient says
-converged (at that control, put in the box).  Returned fields and KKT
-report are always fresh, and a node is active exactly where the returned
-control equals a finite bound.
+only where a pin moves the control, where the carried gradient says
+converged (at that control, put in the box), and at the return where
+they are stale.  So every exit returns fields and a KKT report solved at
+the returned control, and a node is active exactly where that control
+equals a finite bound.
 
 H is not an M-matrix, so the PDAS sets can cycle.  The loop keeps a pin
 only where J has dropped since the last fresh point it kept, which it
@@ -46,10 +47,14 @@ Every kept point is feasible, and J falls from each to the next.
 
 CG runs to the loose CG_RTOL_SETS while the sets move (an inexact Newton
 step), and to CG_RTOL from the first step that leaves them unchanged or
-repeats a pair, or from the first step where no bound is finite; the
-loop returns at unchanged sets whose fresh fields meet the KKT
-tolerance, or stops unconverged after MAX_ITER iterations, each at most
-5 + 2 _HALVINGS LU solves besides two per Hessian apply.
+repeats a pair, or from the first step where no bound is finite.  The
+loop ends in one of four ways: at unchanged sets whose fresh fields meet
+the KKT tolerance; where no projected-Newton trial lowers J; where an
+iteration would repeat the one before bit for bit (an exact step at
+unchanged sets that corrects nothing, with no fresh solve since); or
+after MAX_ITER iterations.  The repeat test solves nothing, so each
+iteration still costs at most 5 + 2 _HALVINGS LU solves besides two per
+Hessian apply.
 CG's residual scale is taken at the start point (or, where it is 0
 there, at the first pinned control).
 
@@ -246,21 +251,6 @@ class OptimalSolution:
         return self.kkt.satisfied
 
 
-def _finish(problem: ControlProblem, u, iterations, history, fields=None):
-    """Assemble the solution at u; ``fields`` = (y, phi, d_phi) already
-    computed at this very u skips re-solving for them."""
-    if fields is None:
-        y = problem.state(u)
-        phi, d = problem.adjoint(y)
-    else:
-        y, phi, d = fields
-    kkt = problem.kkt_residual(u, d)
-    return OptimalSolution(
-        u=u, y=y, phi=phi, flux=d,
-        objective=problem.objective(u, y), kkt=kkt, iterations=iterations,
-        history=history)
-
-
 # ---------------------------------------------------------------------
 # solvers
 
@@ -323,7 +313,6 @@ def solve_constrained(problem: ControlProblem,
     u = np.clip(0.0 if u0 is None else np.asarray(u0, float), lo, hi)
     g, y, phi, d = problem.gradient(u)
     J = problem.objective(u, y)
-    fresh = True        # y, phi, d were solved for at this very u
     base = u, g, y, phi, d, J       # the last fresh point kept
     scale = _residual_scale(problem, u, d)
 
@@ -332,8 +321,11 @@ def solve_constrained(problem: ControlProblem,
         cand = d / nu
         return cand < lo, cand > hi, problem.kkt_residual(u, d)
 
-    def change(u, g):       # J(u) - J(base), from the gradients at both
-        return 0.5 * float((u - base[0]) @ (base[1] + g))
+    def solved(v):
+        """Fresh fields at v, and J(v) - J(base) from the gradients at
+        both."""
+        fields = problem.gradient(v)
+        return fields, 0.5 * float((v - base[0]) @ (base[1] + fields[0]))
 
     act_a, act_b, _ = rule(u, d)
     # with no finite bound the sets stay empty: exact steps from the first
@@ -348,9 +340,7 @@ def solve_constrained(problem: ControlProblem,
         # inactive block by a CG correction
         pinned = np.where(act_a, lo, np.where(act_b, hi, np.clip(u, lo, hi)))
         if not np.array_equal(pinned, u):
-            fresh = True
-            fields = problem.gradient(pinned)
-            dJ = change(pinned, fields[0])
+            fields, dJ = solved(pinned)
             if dJ < 0.0:
                 u, (g, y, phi, d), J = pinned, fields, base[5] + dJ
             else:
@@ -368,32 +358,34 @@ def solve_constrained(problem: ControlProblem,
             scale = scale or _residual_scale(problem, u, d)
         idx = np.flatnonzero(~(act_a | act_b))
         x, hx = _pcg(problem, idx, -g[idx], rtol=rtol, scale=scale)
-        if x.any():
+        stuck = not x.any()
+        if not stuck:
             u = u.copy()
             u[idx] += x
             g = g + hx
-            fresh = False
+            y = None        # the fields are stale
             d = nu * u - g / problem.lumped
-            J = base[5] + change(u, g)
+            J = base[5] + 0.5 * float((u - base[0]) @ (base[1] + g))
 
         new_a, new_b, kkt = rule(u, d)
         same = np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
-        if same and kkt.satisfied and not fresh:
+        if same and kkt.satisfied and y is None:
             # the carried gradient says converged: decide on fresh fields
             # at the control in the box, and where they disagree go on
             u = np.clip(u, lo, hi)
-            g, y, phi, d = problem.gradient(u)
-            fresh = True
-            dJ = change(u, g)
+            (g, y, phi, d), dJ = solved(u)
             J = base[5] + dJ
             if dJ < 0.0:
                 base = u, g, y, phi, d, J
             new_a, new_b, kkt = rule(u, d)
             same = np.array_equal(new_a, act_a) and np.array_equal(new_b, act_b)
+            stuck = False
         history.append({"iteration": it, "active_lower": int(new_a.sum()),
                         "active_upper": int(new_b.sum()), "objective": J,
                         "kkt": kkt.stationarity_max})
-        if same and kkt.satisfied:
+        # an exact step that corrects nothing, at unchanged sets and with
+        # no fresh solve since, would repeat itself in the next iteration
+        if same and (kkt.satisfied or stuck and rtol == CG_RTOL):
             break
         key = (new_a.tobytes(), new_b.tobytes())
         if same or key in seen:
@@ -402,8 +394,13 @@ def solve_constrained(problem: ControlProblem,
         seen.add(key)
         act_a, act_b = new_a, new_b
 
-    return _finish(problem, np.clip(u, lo, hi), it, history,
-                   (y, phi, d) if fresh else None)
+    if y is None:
+        u = np.clip(u, lo, hi)
+        g, y, phi, d = problem.gradient(u)
+    return OptimalSolution(u=u, y=y, phi=phi, flux=d,
+                           objective=problem.objective(u, y),
+                           kkt=problem.kkt_residual(u, d), iterations=it,
+                           history=history)
 
 
 def _projected_newton(problem: ControlProblem, base, idx, rtol, scale):

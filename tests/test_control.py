@@ -1,5 +1,6 @@
 """Boundary-control solver: objective, gradient, PDAS, optimality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -137,10 +138,16 @@ def test_unconstrained_converged_only_when_kkt_holds(monkeypatch):
         assert sol.kkt.tol == KKT_TOL * value
         assert 1e-15 * value < sol.kkt.stationarity_max < sol.kkt.tol
         assert sol.converged
-    # a CG stopped early leaves a residual above the tolerance
+    # a CG stopped early leaves a residual above the tolerance, and the
+    # exact step after it corrects nothing: the loop stops there, at the
+    # second iteration, rather than repeat it up to MAX_ITER
     monkeypatch.setattr(control, "CG_RTOL", 1e-3)
-    sol = solve_unconstrained(p)
-    assert sol.kkt.stationarity_max > sol.kkt.tol and not sol.converged
+    for value in (1.0, 1e6):
+        p = ControlProblem(system, nu=1.0, target=ConstantTarget(value))
+        sol = solve_unconstrained(p)
+        assert sol.kkt.stationarity_max > sol.kkt.tol
+        assert sol.converged is False
+        assert sol.iterations == len(sol.history) == 2
 
 
 def test_bound_free_solve_is_one_exact_cg_solve(monkeypatch):
@@ -309,22 +316,49 @@ def test_cg_carries_the_hessian_image(boxed_problem):
         assert np.abs(hx - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _assert_fields_fresh(p, sol):
+    """The returned fields are solved at the returned control, bit for bit."""
+    y = p.state(sol.u)
+    phi, d = p.adjoint(y)
+    assert np.array_equal(sol.y.values, y.values)
+    assert np.array_equal(sol.phi.values, phi.values)
+    assert np.array_equal(sol.flux, d)
+    assert sol.kkt == p.kkt_residual(sol.u, sol.flux)
+
+
 def test_converged_pdas_fields_match_fresh_solves(boxed_problem, monkeypatch):
+    # every exit returns fields solved at the returned control
     p = boxed_problem
     controls = []
     state = p.state
     monkeypatch.setattr(p, "state", lambda u: controls.append(u.copy())
                         or state(u))
     sol = solve_constrained(p)
-    monkeypatch.undo()
     assert sol.converged and sol.method == "pdas"
     # the last PDAS iterate's fields are reused, not solved for again
     assert not np.array_equal(controls[-1], controls[-2])
-    y = p.state(sol.u)
-    phi, d = p.adjoint(y)
-    assert np.array_equal(sol.y.values, y.values)
-    assert np.array_equal(sol.phi.values, phi.values)
-    assert np.array_equal(sol.flux, d)
+    _assert_fields_fresh(p, sol)
+    monkeypatch.undo()
+    # the iteration cap: the last step is a CG correction, so the fields
+    # are stale and the return solves them at the returned control
+    p = _budget_problem("l-shape")
+    state = p.state
+    monkeypatch.setattr(p, "state", lambda u: controls.append(u.copy())
+                        or state(u))
+    for cap in (1, 3):
+        monkeypatch.setattr(control, "MAX_ITER", cap)
+        sol = solve_constrained(p)
+        assert not sol.converged and sol.iterations == cap
+        assert np.array_equal(controls[-1], sol.u)
+        _assert_fields_fresh(p, sol)
+    monkeypatch.undo()
+    # the stall exit: an exact step that corrects nothing
+    monkeypatch.setattr(control, "CG_RTOL", 1e-3)
+    q = ControlProblem(FemSystem(structured_mesh(unit_square(), 0.125)),
+                       nu=1.0, target=ConstantTarget(1e6))
+    sol = solve_constrained(q)
+    assert not sol.converged and sol.iterations == 2
+    _assert_fields_fresh(q, sol)
 
 
 def _fresh_objectives(p, monkeypatch):
@@ -668,12 +702,13 @@ def test_fresh_fields_overrule_the_carried_gradient(boxed_problem,
     # fresh fields do not, and PDAS goes on from them to the true solution
     ref = solve_constrained(boxed_problem)
     cg = control._pcg
-    spoiled = []
+    spoiled, hide = [], []
 
     def spoil(*a, **kw):
         x, hx = cg(*a, **kw)
         if kw["rtol"] == CG_RTOL and not spoiled:
             spoiled.append(1)
+            hide.append(1)
             x = x * (1.0 + 1e-5)
         return x, hx
     monkeypatch.setattr(control, "_pcg", spoil)
@@ -681,6 +716,25 @@ def test_fresh_fields_overrule_the_carried_gradient(boxed_problem,
     assert spoiled
     assert sol.converged and sol.method == "pdas" and sol.kkt.satisfied
     assert sol.iterations == ref.iterations + 1
+    assert np.abs(sol.u - ref.u).max() <= 1e-10
+    # the same, with the carried KKT report hidden at the spoiled step: the
+    # next exact step corrects nothing, and only then do the fresh fields
+    # disagree; their solve replaced the gradient, so the loop goes on
+    # rather than stop as if the iteration would repeat
+    spoiled.clear()
+    hide.clear()
+    kkt_residual = boxed_problem.kkt_residual
+
+    def hidden(u, d):
+        report = kkt_residual(u, d)
+        if hide:
+            hide.pop()
+            return dataclasses.replace(report, stationarity_max=np.inf)
+        return report
+    monkeypatch.setattr(boxed_problem, "kkt_residual", hidden)
+    sol = solve_constrained(boxed_problem)
+    assert spoiled
+    assert sol.converged and sol.iterations == ref.iterations + 2
     assert np.abs(sol.u - ref.u).max() <= 1e-10
 
 
