@@ -7,7 +7,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import os
 
 import numpy as np
@@ -21,34 +20,37 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_rows(path, header, rows):
-    """CSV with a header row; floats at repr-level precision."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
 #: rows formatted per ``write_columns`` block; bounds the transient strings
 BLOCK_ROWS = 1024
 
 
 def write_columns(path, header, columns):
-    """CSV of equal-length 1-D numpy columns, the same bytes as
-    ``write_rows``: integer columns as ``%d``, float columns as ``%.17g``.
+    """CSV of equal-length columns, the same bytes as formatting each cell
+    through ``_fmt`` (the per-cell reference in ``tests/test_exports.py``):
+    integer columns as ``%d``, float columns as ``%.17g``, and any other
+    column, such as one with blank cells, cell by cell through ``_fmt``.
 
     One row template is applied to ``.tolist()`` slices of BLOCK_ROWS
-    rows at a time, so no per-cell Python call is made and the transient
-    strings stay bounded by the block size.
+    rows at a time, so no per-cell Python call is made for a numeric
+    column and the transient strings stay bounded by the block size.
     """
-    tmpl = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g"
-                    for c in columns) + "\r\n"
-    k = len(columns)
+    fields, cols = [], []
+    for c in columns:
+        a = np.asarray(c)
+        if np.issubdtype(a.dtype, np.integer):
+            fields.append("%d")
+        elif np.issubdtype(a.dtype, np.floating):
+            fields.append("%.17g")
+        else:
+            fields.append("%s")
+            a = np.array([_fmt(v) for v in c], dtype=object)
+        cols.append(a)
+    tmpl = ",".join(fields) + "\r\n"
+    k = len(cols)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for s in range(0, len(columns[0]), BLOCK_ROWS):
-            block = [c[s:s + BLOCK_ROWS].tolist() for c in columns]
+        fh.write(",".join(header) + "\r\n")
+        for s in range(0, len(cols[0]), BLOCK_ROWS):
+            block = [c[s:s + BLOCK_ROWS].tolist() for c in cols]
             cells = [None] * (k * len(block[0]))
             for j, col in enumerate(block):
                 cells[j::k] = col
@@ -83,23 +85,22 @@ def write_boundary_csv(path, mesh: TriMesh, columns: dict) -> None:
 def write_iteration_csv(path, history) -> None:
     """Active-set iteration log: the sets, J and the KKT residual after
     each step."""
-    rows = [(rec["iteration"], rec["active_lower"], rec["active_upper"],
-             rec["objective"], rec["kkt"]) for rec in history]
-    write_rows(path, ["iteration", "active_lower", "active_upper",
-                      "objective", "kkt"], rows)
+    header = ["iteration", "active_lower", "active_upper", "objective", "kkt"]
+    write_columns(path, header,
+                  [[rec[key] for rec in history] for key in header])
 
 
 def write_extraction_csv(path, fits) -> None:
     """One row per (level, corner, mode)."""
-    rows = []
-    for level, per_corner in enumerate(fits):
-        for j in sorted(per_corner):
-            fit = per_corner[j]
-            for m in sorted(fit.coefficients):
-                rows.append((level, j, m, fit.coefficients[m], fit.residual,
-                             fit.annulus[0], fit.annulus[1], fit.n_nodes))
-    write_rows(path, ["level", "corner", "mode", "coefficient", "residual",
-                      "annulus_lo", "annulus_hi", "n_nodes"], rows)
+    rows = [(level, j, m, fit.coefficients[m], fit.residual, fit.annulus[0],
+             fit.annulus[1], fit.n_nodes)
+            for level, per_corner in enumerate(fits)
+            for j, fit in sorted(per_corner.items())
+            for m in sorted(fit.coefficients)]
+    header = ["level", "corner", "mode", "coefficient", "residual",
+              "annulus_lo", "annulus_hi", "n_nodes"]
+    write_columns(path, header,
+                  [[row[i] for row in rows] for i in range(len(header))])
 
 
 def write_gnuplot_script(path, n_levels: int, title: str) -> None:

@@ -3,8 +3,8 @@
 Stiffness and mass matrices from the mesh's edge table, Dirichlet solves
 with a cached interior factorization, variational normal-derivative
 (flux) recovery on the boundary trace, triangle quadrature with optional
-subdivision along a discontinuity line, error norms, and a discrete
-maximum-principle check.
+subdivision along a discontinuity line, the boundary L2 norm, and a
+discrete maximum-principle check.
 
 The variational flux is the discrete outward normal derivative d solving
 
@@ -300,50 +300,7 @@ def variational_normal_derivative(system: FemSystem, z, load=None) -> np.ndarray
 
 
 # ---------------------------------------------------------------------
-# norms and checks
-
-def l2_norm(mesh: TriMesh, vals, exact=None) -> float:
-    """L2 norm of the P1 function, or of its error against ``exact``
-    (degree-5 quadrature)."""
-    bary, w = TRI_QUAD_7
-    p, t = mesh.nodes, mesh.triangles
-    corners = p[t]
-    area = mesh.triangle_areas()
-    v = np.asarray(vals, dtype=float)[t]  # (nt, 3)
-    total = 0.0
-    for lam, wq in zip(bary, w):
-        uh = v @ lam
-        if exact is not None:
-            xq = np.einsum("k,tkd->td", lam, corners)
-            uh = uh - np.asarray(exact(xq[:, 0], xq[:, 1]), dtype=float)
-        total += wq * float(np.sum(area * uh * uh))
-    return math.sqrt(total)
-
-
-def h1_seminorm(mesh: TriMesh, vals, grad_exact=None) -> float:
-    """H1 seminorm of the P1 function, or of its error against an exact
-    gradient ``grad_exact(x, y) -> (gx, gy)`` (degree-5 quadrature)."""
-    p, t = mesh.nodes, mesh.triangles
-    p0, p1, p2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    area = mesh.triangle_areas()
-    v = np.asarray(vals, dtype=float)
-    # gradient of P1: sum_i v_i grad lam_i, constant per triangle
-    E = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)
-    perp = np.stack([-E[:, :, 1], E[:, :, 0]], axis=2)  # rotate edges by 90 deg
-    gh = np.einsum("tk,tkd->td", v[t], perp) / (2.0 * area)[:, None]
-    if grad_exact is None:
-        return math.sqrt(float(np.sum(area * (gh * gh).sum(axis=1))))
-    bary, w = TRI_QUAD_7
-    corners = p[t]
-    total = 0.0
-    for lam, wq in zip(bary, w):
-        xq = np.einsum("k,tkd->td", lam, corners)
-        gx, gy = grad_exact(xq[:, 0], xq[:, 1])
-        ex = gh[:, 0] - np.asarray(gx, dtype=float)
-        ey = gh[:, 1] - np.asarray(gy, dtype=float)
-        total += wq * float(np.sum(area * (ex * ex + ey * ey)))
-    return math.sqrt(total)
-
+# boundary norm and checks
 
 def boundary_l2(trace, vals) -> float:
     """L2(Gamma) norm of a trace-order nodal function."""

@@ -125,7 +125,6 @@ class PolygonalDomain:
                 "refusing to reverse the input")
         self.area = 0.5 * area2
         self.perimeter = float(lengths.sum())
-        self.side_lengths = lengths
 
         _check_simple(verts, scale)
 
@@ -285,9 +284,6 @@ def l_shape() -> PolygonalDomain:
     return PolygonalDomain(verts, name="l-shape")
 
 
-L_SHAPE_REENTRANT_CORNER = 2  # index of the origin in l_shape()
-
-
 def sector(omega: float, n_arc: int = 64, r_overrides=None) -> PolygonalDomain:
     """Circular sector of angle omega approximated by an n_arc-chord polygon.
 
@@ -370,8 +366,7 @@ def cutoff(domain: PolygonalDomain, j: int, r):
     R = domain.corners[j].radius
     r = np.asarray(r, dtype=float)
     t = np.clip((r - R) / R, 0.0, 1.0)
-    out = 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
-    return float(out) if np.ndim(r) == 0 else out
+    return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
 # -- index sets and exponents -----------------------------------------
@@ -418,19 +413,6 @@ def wedge_field(domain: PolygonalDomain, j: int, points, exponent: float,
     return vals
 
 
-def eval_singular_volume(domain: PolygonalDomain, j: int, m: int, points) -> np.ndarray:
-    """xi_j(r) r^{m lam_j} sin(m lam_j theta_j) at the given points.
-
-    Zero outside the wedge support (theta beyond omega_j or r >= 2 R_j);
-    harmonic where the cutoff is inactive.
-    """
-    k = m * domain.corners[j].lam
-    vals = wedge_field(domain, j, points, k, lambda t: np.sin(k * t))
-    if np.ndim(points) == 1:
-        return float(vals[0])
-    return vals
-
-
 def eval_s_profile(domain: PolygonalDomain, j: int, n: int, eta: float, theta) -> np.ndarray:
     """Angular profile of the wedge lift with exponent eta and parity n.
 
@@ -450,10 +432,7 @@ def eval_s_profile(domain: PolygonalDomain, j: int, n: int, eta: float, theta) -
             f"resonant exponent eta={eta} at corner {j}: sin(eta*omega) ~ 0")
     coef = (((-1.0) ** (n + 1)) - math.cos(eta * w)) / s
     theta = np.asarray(theta, dtype=float)
-    out = coef * np.sin(eta * theta) + np.cos(eta * theta)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return coef * np.sin(eta * theta) + np.cos(eta * theta)
 
 
 def validate_singular_boundary_data(domain: PolygonalDomain,

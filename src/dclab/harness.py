@@ -31,10 +31,10 @@ from .config import check_node_budget, resolve_config
 from .control import (CallableTarget, ConstantTarget, ControlError,
                       ControlProblem, solve_constrained, solve_unconstrained)
 from .expectations import evaluate, g6
-from .exports import (write_boundary_csv, write_extraction_csv,
-                      write_field_csv, write_gnuplot_script,
-                      write_iteration_csv, write_mesh_csv, write_rows,
-                      write_summary)
+from .exports import (write_boundary_csv, write_columns,
+                      write_extraction_csv, write_field_csv,
+                      write_gnuplot_script, write_iteration_csv,
+                      write_mesh_csv, write_summary)
 from .fem import (DiscontinuityLine, FemError, FemSystem, check_max_principle,
                   solve_dirichlet)
 from .geometry import UNBOUNDED, GeometryError, SingularBoundaryData
@@ -329,34 +329,34 @@ def _info_rows(cfg, levels, trends):
 
 
 def _write_trends_csv(path, cfg, domain, levels):
-    corners = _analysed_corners(domain)
-    header = ["level", "h", "nodes", "triangles"]
+    table = {"level": [rec.index for rec in levels],
+             "h": [rec.h for rec in levels],
+             "nodes": [rec.n_nodes for rec in levels],
+             "triangles": [rec.n_triangles for rec in levels]}
     if cfg["problem"] is not None:
-        header += ["iterations", "kkt", "max_u", "objective"]
-        for j in corners:
-            header += [f"c{m}_corner{j}" for m in MODES]
-            header += [f"flat_radius_corner{j}", f"slope_corner{j}"]
+        mains = [rec.solves[_primary(cfg["problem"]["solve"])]
+                 for rec in levels]
+        for key in ("iterations", "kkt", "max_u", "objective"):
+            table[key] = [main[key] for main in mains]
+        for j in _analysed_corners(domain):
+            fits = [rec.fits.get(j) for rec in levels]
+            for m in MODES:
+                table[f"c{m}_corner{j}"] = ["" if fit is None
+                                            else fit.coefficients[m]
+                                            for fit in fits]
+            scans = [rec.flatness.get(j) for rec in levels]
+            table[f"flat_radius_corner{j}"] = [
+                "" if v is None or v.radius is None else v.radius
+                for v in scans]
+            table[f"slope_corner{j}"] = [rec.slopes.get(j, "")
+                                         for rec in levels]
     else:
-        header += ["slope", "boundary_residual"]
-    rows = []
-    for rec in levels:
-        row = [rec.index, rec.h, rec.n_nodes, rec.n_triangles]
-        if cfg["problem"] is not None:
-            main = rec.solves[_primary(cfg["problem"]["solve"])]
-            row += [main["iterations"], main["kkt"], main["max_u"],
-                    main["objective"]]
-            for j in corners:
-                fit = rec.fits.get(j)
-                row += ["" if fit is None else fit.coefficients[m]
-                        for m in MODES]
-                v = rec.flatness.get(j)
-                row.append("" if v is None or v.radius is None else v.radius)
-                row.append(rec.slopes.get(j, ""))
-        else:
-            r = rec.expansion
-            row += ["", ""] if r is None else [r.slope, r.boundary_residual]
-        rows.append(row)
-    write_rows(path, header, rows)
+        reports = [rec.expansion for rec in levels]
+        table["slope"] = ["" if r is None else r.slope for r in reports]
+        table["boundary_residual"] = ["" if r is None
+                                      else r.boundary_residual
+                                      for r in reports]
+    write_columns(path, list(table), list(table.values()))
 
 
 def run_config(cfg, outdir) -> RunResult:

@@ -518,20 +518,18 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     """Checked mesh of a generator's output.  ``chains[j]`` lists the
     boundary node ids from corner j through corner j+1: they must join into
     one loop without a repeated node, start at the polygon's vertices, and
-    their segments must be exactly the boundary half-edges.  The mesh
-    numbers the loop's nodes first, in loop order, then the interior nodes
-    that some triangle uses, in their given order; unused points are
-    dropped.  The edge table of these checks is kept on the mesh
-    (``edges``, ``tri_edges``), where the assembly reads it."""
+    their segments must be exactly the boundary half-edges, and the first
+    segment that is not one is named by its side and end points.  Only
+    then must the triangle areas sum to the polygon's.  The mesh numbers
+    the loop's nodes first, in loop order, then the interior nodes that
+    some triangle uses, in their given order; unused points are dropped.
+    The edge table of these checks is kept on the mesh (``edges``,
+    ``tri_edges``), where the assembly reads it."""
     u = nodes[tris[:, 1]] - nodes[tris[:, 0]]
     v = nodes[tris[:, 2]] - nodes[tris[:, 0]]
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
     if np.any(areas <= 0):
         raise MeshError("non-positively-oriented triangle")
-    if abs(areas.sum() - domain.area) > 1e-12 * domain.area:
-        raise MeshError(
-            f"triangle areas sum to {float(areas.sum())!r}, domain area "
-            f"{domain.area!r}")
 
     chains = [np.asarray(c, dtype=np.int64) for c in chains]
     ids = np.concatenate([c[:-1] for c in chains])
@@ -551,13 +549,27 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     if np.any(counts > 2):
         raise MeshError("non-conforming mesh: edge shared by >2 triangles")
     bed = half[counts[inv] == 1]
+    bed = np.sort(bed[:, 0] * nn + bed[:, 1])
     loop = np.arange(nb)
-    if not np.array_equal(np.sort(bed[:, 0] * nn + bed[:, 1]),
-                          loop * nn + np.roll(loop, -1)):
-        raise MeshError("boundary edges are not the generator's side chains")
+    segs = loop * nn + np.roll(loop, -1)
+    n_seg = [len(c) - 1 for c in chains]
+    sides = np.repeat(np.arange(len(chains)), n_seg)
+    if not np.array_equal(bed, segs):
+        missing = np.flatnonzero(~np.isin(segs, bed))
+        where = ""
+        if len(missing):
+            i = missing[0]
+            (x0, y0), (x1, y1) = nodes[i], nodes[(i + 1) % nb]
+            where = (f": side {sides[i]} has no boundary edge from "
+                     f"({x0:.6g}, {y0:.6g}) to ({x1:.6g}, {y1:.6g})")
+        raise MeshError("boundary edges are not the generator's side chains"
+                        + where)
     if len(chains) != len(domain.vertices):
         raise MeshError(f"{len(chains)} side chains for {len(domain.vertices)} sides")
-    n_seg = [len(c) - 1 for c in chains]
+    if abs(areas.sum() - domain.area) > 1e-12 * domain.area:
+        raise MeshError(
+            f"triangle areas sum to {float(areas.sum())!r}, domain area "
+            f"{domain.area!r}")
     corner_pos = dict(enumerate(np.cumsum([0, *n_seg[:-1]]).tolist()))
     off = np.hypot(*(nodes[list(corner_pos.values())] - domain.vertices).T) > 1e-9
     if off.any():
@@ -569,7 +581,6 @@ def _finalize(domain, nodes, tris, chains) -> TriMesh:
     h = float(lens.max())
     angles = _angles_deg(vec, lens)
 
-    sides = np.repeat(np.arange(len(chains)), n_seg)
     return TriMesh(domain=domain, nodes=nodes, triangles=tris,
                    trace=_boundary_trace(nodes[:nb], sides, corner_pos),
                    edges=edges, tri_edges=inv.reshape(3, -1).T.copy(), h=h,

@@ -34,7 +34,6 @@ from .geometry import (
     SingularBoundaryData,
     cutoff,
     eval_s_profile,
-    eval_singular_volume,
     singular_set_for_exponents,
     validate_singular_boundary_data,
     wedge_field,
@@ -146,16 +145,6 @@ def extract_coefficients(domain: PolygonalDomain, mesh: TriMesh, values,
                                         for k, m in enumerate(MODES)},
                           annulus=(float(lo), float(hi)), n_nodes=len(sel),
                           residual=rel, condition=cond)
-
-
-def synthesize_modes(domain: PolygonalDomain, mesh: TriMesh, j: int,
-                     coefficients: dict) -> np.ndarray:
-    """Nodal field sum_m c_m xi r^(m lam) sin(m lam theta) (test helper
-    and manufactured-field builder)."""
-    out = np.zeros(mesh.n_nodes)
-    for m, cm in coefficients.items():
-        out += cm * eval_singular_volume(domain, j, int(m), mesh.nodes)
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -520,10 +509,6 @@ def verify_singular_expansion(domain: PolygonalDomain, mesh: TriMesh, rem,
 class RateEstimate:
     order: float
     monotone: bool
-
-    @property
-    def warning(self) -> str | None:
-        return None if self.monotone else "non-monotone sequence"
 
 
 def rate_estimate(errors, hs=None) -> RateEstimate:

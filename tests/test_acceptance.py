@@ -14,16 +14,16 @@ import pytest
 
 from dclab.control import (ConstantTarget, ControlProblem, solve_constrained,
                            solve_unconstrained)
-from dclab.fem import (FemSystem, assemble_load, h1_seminorm, l2_norm,
-                       solve_dirichlet)
-from dclab.geometry import L_SHAPE_REENTRANT_CORNER, l_shape, unit_square
+from dclab.fem import FemSystem, assemble_load, solve_dirichlet
+from dclab.geometry import l_shape, unit_square
 from dclab.harness import run_preset
 from dclab.meshing import structured_mesh, triangulate
 from dclab.presets import PRESETS
-from dclab.singular import (extract_coefficients, rate_estimate,
-                            synthesize_modes)
+from dclab.singular import extract_coefficients, rate_estimate
 
 import preset_reference
+from helpers import (L_SHAPE_REENTRANT_CORNER, h1_seminorm, l2_norm,
+                     synthesize_modes)
 
 J = L_SHAPE_REENTRANT_CORNER
 

@@ -533,6 +533,18 @@ def test_cli_mesh_subcommand(tmp_path, capsys):
     assert "--lattice-angle" in capsys.readouterr().err
 
 
+def test_cli_mesh_generator_failure_is_exit_3(tmp_path, capsys):
+    # a graded corner of the unit square at h = 0.2 leaves a 14 degree
+    # triangle: the generator fails its gate, nothing is written
+    out = tmp_path / "m"
+    rc = main(["mesh", "unit-square", "--h", "0.2", "--grading", "0:0.5",
+               "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "mesh generation failed: min angle 14.04 deg below 20.0")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, field", [
     (["--h", "nan"], "config.mesh.h0"),
     (["--h", "inf"], "config.mesh.h0"),

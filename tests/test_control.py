@@ -794,3 +794,23 @@ def test_constrained_on_graded_l_shape():
     assert check_max_principle(sysm, sol.y).satisfied
     # the state cannot exceed the largest admissible boundary value
     assert sol.y.values.max() <= 0.4 + 1e-12
+
+
+def test_solver_work_does_not_grow_with_the_mesh():
+    # graded L-shape, nu = 0.2, bounds +-1, target 1: the LU solves that
+    # reach the factor (a nonzero right-hand side) per constrained solve
+    # are 49, 47 and 47 at h = 1/16, 1/32 and 1/64, in 5 iterations each;
+    # no finer level may need more than the coarsest
+    counts = []
+    for h in (1 / 16, 1 / 32, 1 / 64):
+        system = FemSystem(triangulate(l_shape(), h, grading={2: 0.5}))
+        solves = []
+        solve = system.solve_interior
+        system.solve_interior = (
+            lambda rhs, solve=solve: solves.append(rhs.any()) or solve(rhs))
+        p = ControlProblem(system, nu=0.2, target=ConstantTarget(1.0),
+                           lower=-1.0, upper=1.0)
+        sol = solve_constrained(p)
+        assert sol.converged and sol.kkt.satisfied
+        counts.append(sum(solves))
+    assert max(counts[1:]) <= counts[0], counts

@@ -94,6 +94,22 @@ def test_not_flat_level_has_no_radius():
         ("flat_radius_stable", False, "fewer than 2 flatness radii")]
 
 
+def test_max_principle_lists_every_violating_solve():
+    # level 1's constrained solve breaks the principle: FAIL, naming the
+    # (level, solve, violation) of each solve that does
+    def solve(ok, violation):
+        return {"max_principle_ok": ok, "max_principle_violation": violation}
+
+    levels = [
+        SimpleNamespace(index=0, solves={"constrained": solve(True, 0.0)}),
+        SimpleNamespace(index=1, solves={"unconstrained": solve(True, 0.0),
+                                         "constrained": solve(False, 2e-3)})]
+    cfg = validate_config(_with(TINY, domain="unit-square", mesh={"h0": 0.25},
+                                expectations={"max_principle": True}))
+    assert evaluate(cfg, levels, {}) == [
+        ("max_principle", False, "violated at [(1, 'constrained', '0.002')]")]
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     res = run_config(TINY, str(tmp_path_factory.mktemp("tiny")))

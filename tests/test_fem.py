@@ -24,12 +24,12 @@ from dclab.fem import (
     boundary_l2,
     ROUND_OFF,
     check_max_principle,
-    h1_seminorm,
-    l2_norm,
     solve_dirichlet,
     _split_crossed,
     variational_normal_derivative,
 )
+
+from helpers import h1_seminorm, l2_norm
 
 
 def _sing(x, y):

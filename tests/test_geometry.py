@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dclab import geometry, singular
 from dclab.geometry import (
     GeometryError,
-    L_SHAPE_REENTRANT_CORNER,
     MAX_VERTICES,
     PolygonalDomain,
     SingularBoundaryData,
@@ -20,7 +19,6 @@ from dclab.geometry import (
     build_domain,
     cutoff,
     eval_s_profile,
-    eval_singular_volume,
     l_shape,
     point_segment_distance,
     sector,
@@ -28,6 +26,8 @@ from dclab.geometry import (
     unit_square,
 )
 from dclab.meshing import structured_mesh
+
+from helpers import L_SHAPE_REENTRANT_CORNER, eval_singular_volume
 
 
 # ---------------------------------------------------------------------
@@ -99,12 +99,17 @@ def test_corner_radii_match_side_loop(spec, overrides):
     # the vectorized clearance may differ from the loop in the last bits,
     # but no corner radius moves
     dom = build_domain(spec, overrides)
-    verts, L = dom.vertices, dom.side_lengths
+    verts, L = dom.vertices, _side_lengths(dom.vertices)
     for j, c in enumerate(dom.corners):
         clear = _clearance_by_side_loop(verts, j)
         nearest = np.delete(np.linalg.norm(verts[j] - verts, axis=1), j).min()
         auto = min(0.25 * min(L[j], L[j - 1], 0.5 * nearest), 0.49 * clear)
         assert c.radius == (overrides or {}).get(j, auto)
+
+
+def _side_lengths(verts):
+    """|x_{j+1} - x_j| per side j, as PolygonalDomain computes them."""
+    return np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
 
 
 def _clearance_per_corner(verts, j):
@@ -122,7 +127,7 @@ def _clearance_per_corner(verts, j):
 def test_corner_radii_match_per_corner_clearance(spec):
     # bit for bit: the same arithmetic, one corner at a time
     dom = build_domain(spec)
-    verts, L = dom.vertices, dom.side_lengths
+    verts, L = dom.vertices, _side_lengths(dom.vertices)
     nearest = np.linalg.norm(verts[:, None] - verts[None], axis=2)
     np.fill_diagonal(nearest, np.inf)
     for j, c in enumerate(dom.corners):
@@ -283,11 +288,12 @@ def test_cutoff_values_and_support():
     dom = l_shape()
     j = L_SHAPE_REENTRANT_CORNER
     R = dom.corners[j].radius
-    assert cutoff(dom, j, 0.0) == 1.0
-    assert cutoff(dom, j, R) == 1.0
-    assert cutoff(dom, j, 1.5 * R) == pytest.approx(0.5)
-    assert cutoff(dom, j, 2.0 * R) == 0.0
-    assert cutoff(dom, j, 10.0 * R) == 0.0
+    vals = cutoff(dom, j, np.array([0.0, R, 1.5 * R, 2.0 * R, 10.0 * R]))
+    assert vals[0] == 1.0
+    assert vals[1] == 1.0
+    assert vals[2] == pytest.approx(0.5)
+    assert vals[3] == 0.0
+    assert vals[4] == 0.0
 
 
 def test_cutoff_is_c2():
@@ -299,10 +305,9 @@ def test_cutoff_is_c2():
     R = dom.corners[j].radius
     for t in (1e-2, 1e-3, 1e-4):
         eps = t * R
-        assert (1.0 - cutoff(dom, j, R + eps)) / t**3 == pytest.approx(
-            10.0, rel=2e-2)
-        assert cutoff(dom, j, 2.0 * R - eps) / t**3 == pytest.approx(
-            10.0, rel=2e-2)
+        inner, outer = cutoff(dom, j, np.array([R + eps, 2.0 * R - eps]))
+        assert (1.0 - inner) / t**3 == pytest.approx(10.0, rel=2e-2)
+        assert outer / t**3 == pytest.approx(10.0, rel=2e-2)
 
 
 def test_cutoff_monotone():
@@ -457,7 +462,7 @@ def test_s_profile_rejects_resonant_eta():
     j = L_SHAPE_REENTRANT_CORNER
     # eta = lam resonates: sin(lam w) = sin(pi) = 0
     with pytest.raises(GeometryError, match="resonant"):
-        eval_s_profile(dom, j, 1, eta=2.0 / 3.0, theta=0.3)
+        eval_s_profile(dom, j, 1, eta=2.0 / 3.0, theta=np.array([0.3]))
 
 
 def test_control_singular_coefficient():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dclab.geometry import (
-    L_SHAPE_REENTRANT_CORNER,
+    PolygonalDomain,
     build_domain,
     l_shape,
     point_segment_distance,
@@ -26,6 +26,8 @@ from dclab.meshing import (
     structured_mesh,
     triangulate,
 )
+
+from helpers import L_SHAPE_REENTRANT_CORNER
 
 
 def _check_invariants(mesh):
@@ -570,11 +572,46 @@ def test_finalize_rejects_chains_off_the_boundary(chains, match):
 
 
 def test_finalize_names_the_area_sum_as_a_plain_number():
-    # one of the two triangles dropped: the areas sum to half the square's
+    # side 0's chain runs through (0.5, 0.25), off the side: the boundary
+    # edges are the chains' segments, but the triangles cover 0.875 of
+    # the square
+    pts = np.vstack([_SQUARE_NODES, [[0.5, 0.25]]])
+    tris = np.array([[0, 4, 3], [4, 1, 2], [4, 2, 3]])
+    with pytest.raises(MeshError) as err:
+        _finalize(unit_square(), pts, tris, [[0, 4, 1], [1, 2], [2, 3], [3, 0]])
+    assert str(err.value) == "triangle areas sum to 0.875, domain area 1.0"
+
+
+def test_finalize_names_the_first_segment_off_the_boundary():
+    # one of the two triangles dropped: side 2 is the first side whose
+    # segment is no boundary edge, and the boundary is checked before the
+    # area sum
     with pytest.raises(MeshError) as err:
         _finalize(unit_square(), _SQUARE_NODES, _SQUARE_TRIS[:1],
                   [[0, 1], [1, 2], [2, 3], [3, 0]])
-    assert str(err.value) == "triangle areas sum to 0.5, domain area 1.0"
+    assert str(err.value) == (
+        "boundary edges are not the generator's side chains: side 2 has no "
+        "boundary edge from (1, 1) to (0, 1)")
+
+
+# a star-shaped 9-gon whose corner 7 opens to 354.6 degrees: at h = 0.03
+# a boundary edge runs across the narrow notch, from side 6's node 0.089
+# before corner 7 to side 7's node 0.067 after it, so the five segments
+# between them are no mesh edges
+_NOTCH = [(0.5466, 0.6422), (0.1822, 0.9478), (-0.4967, 0.5849),
+          (-0.789, -0.1142), (-0.2232, -0.6188), (-0.1436, -0.6105),
+          (0.8714, -0.3062), (0.291, -0.0889), (0.4201, -0.1239)]
+
+
+def test_narrow_notch_names_the_segment_it_misses():
+    dom = PolygonalDomain(_NOTCH)
+    assert math.degrees(dom.corners[7].angle) == pytest.approx(354.6, abs=0.05)
+    with pytest.raises(MeshError, match=r"side [67] has no boundary edge "
+                                        r"from \(.+\) to \(.+\)$"):
+        triangulate(dom, 0.03)
+    mesh = triangulate(dom, 0.032)
+    assert mesh.n_nodes == 1718
+    _check_invariants(mesh)
 
 
 def test_trace_l_shape_perimeter():
